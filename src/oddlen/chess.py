@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .genfun import _check_budget
+from .genfun import check_budget
 from .indexset import IndexSet, is_compressed
 from .sperm import (
     SignedPerm,
@@ -162,7 +162,7 @@ def support_sum(
     """
     if family not in ("A", "D"):
         raise ValueError("support sums cover families A and D")
-    _check_budget(family, n)
+    check_budget(family, n)
     if index_set.n != n:
         raise ValueError("index set rank mismatch")
     if support == "all":

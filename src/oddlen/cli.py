@@ -22,9 +22,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
-TIER_RANK_BOUND = {"fast": 6, "full": 7, "extended": 8}  # families B and D
-A_RANK_BOUND = 10
-
 
 def _parse_families(text: str) -> tuple[str, ...]:
     fams = tuple(tok.strip().upper() for tok in text.split(",") if tok.strip())
@@ -80,8 +77,7 @@ def _verify_context(args) -> tuple[CheckContext, list[str] | None]:
         if args.nmax < 1:
             raise ValueError("--nmax must be positive")
         for f in families:
-            bound = A_RANK_BOUND if f == "A" else TIER_RANK_BOUND[args.tier]
-            capped = min(args.nmax, bound)
+            capped = min(args.nmax, TIERS[args.tier][f])
             if capped < args.nmax:
                 print(f"note: {f} rank capped at {capped} by tier {args.tier}",
                       file=sys.stderr)
@@ -234,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (ODDLEN_WORKERS overrides)")
+                   help="worker processes (default: ODDLEN_WORKERS, else 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cyclo", help="decide cyclotomic-product factorability")

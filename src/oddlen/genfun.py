@@ -5,17 +5,39 @@ brute-force sweep over the full group.  The sweep buckets every element
 by descent set once, so all 2^n quotients of one group cost a single
 enumeration plus a subset-sum (zeta) transform over the buckets.
 
-The inner loop is vectorised with numpy.  For a block of absolute-value
-rows P (one row per underlying permutation) and the family's sign masks,
-every pair statistic is an integer matrix product:
+The sweep is array-native.  An element is an absolute-value row P (a
+permutation of 0..n-1) under one of the family's sign masks, and every
+pair statistic is linear in the comparisons G[(i, j)] = [P[i] > P[j]]
+over position pairs i < j:
 
     inv = G @ (pp - mm)^T + rowsum(pm + mm)
     nsp = G @ (mp - pm)^T + rowsum(pm + mm)
 
-where G[r, (i, j)] = [P[r, i] > P[r, j]] over position pairs i < j and
-pp/pm/mp/mm indicate the sign pattern of the pair under each mask.  The
-products run in float32, which is exact here: every intermediate is an
-integer well below 2**24.
+where pp/pm/mp/mm indicate the sign pattern of the pair under each mask.
+The plan stacks the length and odd-length weights into one
+(pairs, 2 * masks) matrix, so one float32 product gives both.  That is
+exact because every partial sum is an integer, and _build_plan asserts
+that the worst case stays below 2**24.
+
+Rows come in prefix x suffix blocks.  The last s positions run over the
+s! permutations of range(s), built once as an int8 table `base` in
+lexicographic order.  Each (n-s)-prefix, taken in lexicographic order,
+owns the block rest[base], where rest is its sorted complement, so the
+blocks concatenate in itertools' order.  Relabelling by rest is
+monotone, so the comparisons between two suffix positions, and their
+share of the product, are the same in every block and are computed once
+per sweep.  A block adds only the pairs that involve a prefix position:
+prefix against suffix is base < rank (the prefix value's rank within
+rest), and prefix against prefix is a constant.  s is the largest length
+with s! <= min(40320, 2**21 // masks) rows, which bounds a block's
+(rows, masks) arrays; worker processes take contiguous ranges of prefix
+blocks.
+
+Descent sets depend only on the n-1 adjacent comparisons.  The plan
+tabulates lut[word, mask]: the descent mask, with the extra type B/D
+bit, of every adjacent-comparison word under every sign mask, already
+scaled to its histogram key.  A block's keys are then lut[word] plus
+the length parity and the odd length.
 """
 
 from __future__ import annotations
@@ -29,8 +51,7 @@ from math import factorial
 import numpy as np
 
 from .indexset import IndexSet, components, m_of, C_poly, tilde
-from .rootsys import odd_root_count
-from .sperm import FAMILIES, SignedPerm, descent_set, ell_and_odd, in_quotient, label_mask
+from .sperm import FAMILIES, SignedPerm, ell_and_odd, in_quotient, label_mask
 from .zpoly import ONE, ZERO, IntPoly, alt_product, q_multinomial
 
 BUDGET = {"A": 10, "B": 8, "D": 8}
@@ -40,7 +61,8 @@ class BudgetError(Exception):
     """Raised when a brute-force sweep would exceed the size budget."""
 
 
-def _check_budget(family: str, n: int) -> None:
+def check_budget(family: str, n: int) -> None:
+    """Reject unknown families, ranks below 1 and ranks past BUDGET."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
@@ -52,21 +74,22 @@ def _check_budget(family: str, n: int) -> None:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count with the ODDLEN_WORKERS variable taking precedence."""
+    """Worker count: an explicit argument wins, then the ODDLEN_WORKERS
+    variable, then 1."""
+    if workers is not None:
+        if workers < 1:
+            raise ValueError("workers must be positive")
+        return workers
     env = os.environ.get("ODDLEN_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError("ODDLEN_WORKERS must be an integer") from exc
-        if value < 1:
-            raise ValueError("ODDLEN_WORKERS must be positive")
-        return value
-    if workers is None:
+    if env is None:
         return 1
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    return workers
+    try:
+        value = int(env)
+    except ValueError as exc:
+        raise ValueError("ODDLEN_WORKERS must be an integer") from exc
+    if value < 1:
+        raise ValueError("ODDLEN_WORKERS must be positive")
+    return value
 
 
 def _sign_masks(family: str, n: int) -> np.ndarray:
@@ -79,24 +102,42 @@ def _sign_masks(family: str, n: int) -> np.ndarray:
     return masks[bits % 2 == 0]
 
 
+def _suffix_length(n: int, nmasks: int) -> int:
+    """Largest s <= n whose s! rows fit a block of
+    min(40320, 2**21 // nmasks) rows."""
+    rows = max(1, min(40320, (1 << 21) // nmasks))
+    s = 1
+    while s < n and factorial(s + 1) <= rows:
+        s += 1
+    return s
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _perm_table(s: int) -> np.ndarray:
+    """The s! permutations of range(s) as int8 rows, in lexicographic order."""
+    table = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, s + 1):
+        head = np.arange(k, dtype=np.int8)[:, None, None]
+        tail = table + (table >= head)  # range(k) without head, in order
+        head = np.broadcast_to(head, (k, table.shape[0], 1))
+        table = np.concatenate([head, tail], axis=2).reshape(-1, k)
+    return table
+
+
 @dataclass
 class _SweepPlan:
-    """Precomputed mask tables for one family and rank."""
+    """Weights and lookup tables for one family and rank."""
 
-    family: str
     n: int
     masks: np.ndarray
-    lmax: int
-    pair_index: dict[tuple[int, int], int]
-    w_len: np.ndarray        # (npairs, nmasks) pair weights for length
-    c_len: np.ndarray        # (nmasks,) constant part of length
-    w_odd: np.ndarray        # (nodd, nmasks) weights for odd length
-    c_odd: np.ndarray        # (nmasks,) constant part of odd length
-    odd_cols: np.ndarray     # indices of odd-distance pairs
-    desc_a: np.ndarray       # (n-1, nmasks) g-coefficients per adjacent pair
-    desc_b: np.ndarray       # (n-1, nmasks) constants per adjacent pair
-    d0_a: np.ndarray | None  # g-coefficient for the extra descent bit
-    d0_b: np.ndarray | None
+    width: int            # odd lengths run over 0..width-1
+    suffix: int           # s: the last s positions form the shared suffix
+    weights: np.ndarray   # (npairs, 2 * nmasks) pair weights, length | odd length
+    const: np.ndarray     # (2 * nmasks,) constant parts, length | odd length
+    lut: np.ndarray       # (2**(n-1), nmasks) histogram key of each descent word
 
 
 def _build_plan(family: str, n: int) -> _SweepPlan:
@@ -105,113 +146,106 @@ def _build_plan(family: str, n: int) -> _SweepPlan:
     neg = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float32)  # (nmasks, n)
     pos = 1.0 - neg
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_index = {p: k for k, p in enumerate(pairs)}
-    npairs = len(pairs)
+    pairs = _pairs(n)
+    left = np.array([i for i, _ in pairs], dtype=np.intp)
+    right = np.array([j for _, j in pairs], dtype=np.intp)
+    pp = (pos[:, left] * pos[:, right]).T  # (npairs, nmasks)
+    pm = (pos[:, left] * neg[:, right]).T
+    mp = (neg[:, left] * pos[:, right]).T
+    mm = (neg[:, left] * neg[:, right]).T
 
-    pp = np.empty((npairs, nmasks), dtype=np.float32)
-    pm = np.empty_like(pp)
-    mp = np.empty_like(pp)
-    mm = np.empty_like(pp)
-    for k, (i, j) in enumerate(pairs):
-        pp[k] = pos[:, i] * pos[:, j]
-        pm[k] = pos[:, i] * neg[:, j]
-        mp[k] = neg[:, i] * pos[:, j]
-        mm[k] = neg[:, i] * neg[:, j]
-
-    if family == "A":
-        w_inv = pp - mm
-        c_pair = np.zeros((npairs, nmasks), dtype=np.float32)
-        w_len = w_inv
-        c_len = c_pair.sum(axis=0)
-        w_odd_full = w_inv
-        c_odd_pair = c_pair
-    else:
-        c_pair = pm + mm
-        w_len = (pp - mm) + (mp - pm)
-        c_len = 2.0 * c_pair.sum(axis=0)
-        w_odd_full = (pp - mm) + (mp - pm)
-        c_odd_pair = 2.0 * c_pair
-
-    odd_cols = np.array([k for k, (i, j) in enumerate(pairs) if (j - i) % 2 == 1], dtype=np.int64)
-    w_odd = w_odd_full[odd_cols]
-    c_odd = c_odd_pair[odd_cols].sum(axis=0) if odd_cols.size else np.zeros(nmasks, dtype=np.float32)
-
+    w = pp - mm
+    c_pair = np.zeros_like(w)
+    if family != "A":
+        w = w + (mp - pm)
+        c_pair = 2.0 * (pm + mm)
+    odd = ((right - left) % 2 == 1)[:, None]
+    weights = np.concatenate([w, w * odd], axis=1)
+    const = np.concatenate([c_pair.sum(axis=0), (c_pair * odd).sum(axis=0)])
     if family == "B":
-        c_len = c_len + neg.sum(axis=1)
-        c_odd = c_odd + neg[:, 0::2].sum(axis=1)
+        const += np.concatenate([neg.sum(axis=1), neg[:, 0::2].sum(axis=1)])
 
-    desc_a = np.zeros((max(n - 1, 0), nmasks), dtype=np.float32)
-    desc_b = np.zeros_like(desc_a)
-    for k in range(n - 1):
-        col = pair_index[(k, k + 1)]
-        desc_a[k] = pp[col] - mm[col]
-        desc_b[k] = pm[col] + mm[col]
+    # Every partial sum of G @ weights + const is bounded by this, so the
+    # float32 products are exact integers while it stays below 2**24.
+    worst = np.abs(weights).sum(axis=0, dtype=np.float64) + np.abs(const)
+    if worst.max() >= 1 << 24:
+        raise AssertionError(f"{family}_{n} sums reach {worst.max():.0f}, past float32's 2**24")
 
-    d0_a = d0_b = None
+    # Odd lengths lie in 0..width-1.  The bound is attained (by the longest
+    # element), so width - 1 is the number of odd-height positive roots.
+    width = int((np.maximum(weights[:, nmasks:], 0).sum(axis=0) + const[nmasks:]).max()) + 1
+    adj = np.array([pairs.index((k, k + 1)) for k in range(n - 1)], dtype=np.intp)
+    words = np.arange(1 << (n - 1))
+    g = ((words[:, None] >> np.arange(n - 1)) & 1).astype(np.float32)[:, :, None]
+    bits = g * (pp - mm)[adj] + (pm + mm)[adj]  # (nwords, n-1, nmasks): descent at k+1
+    dmask = (bits.astype(np.int64) << np.arange(1, n)[:, None]).sum(axis=1)
     if family == "B":
-        d0_a = np.zeros(nmasks, dtype=np.float32)
-        d0_b = neg[:, 0].copy()
+        dmask |= neg[:, 0].astype(np.int64)
     elif family == "D" and n >= 2:
-        col = pair_index[(0, 1)]
-        d0_a = mp[col] - pm[col]
-        d0_b = pm[col] + mm[col]
+        dmask |= (g[:, 0] * (mp - pm)[0] + (pm + mm)[0]).astype(np.int64)  # pair (0, 1)
 
     return _SweepPlan(
-        family=family,
         n=n,
         masks=masks,
-        lmax=odd_root_count(family, n),
-        pair_index=pair_index,
-        w_len=w_len,
-        c_len=c_len,
-        w_odd=w_odd,
-        c_odd=c_odd,
-        odd_cols=odd_cols,
-        desc_a=desc_a,
-        desc_b=desc_b,
-        d0_a=d0_a,
-        d0_b=d0_b,
+        width=width,
+        suffix=_suffix_length(n, nmasks),
+        weights=weights,
+        const=const,
+        lut=dmask * (2 * width),
     )
 
 
-def _sweep_range(family: str, n: int, start: int, stop: int) -> np.ndarray:
-    """Histogram (descent mask, length parity, odd length) over a slice
-    of the underlying permutations, crossed with all sign masks."""
-    plan = _build_plan(family, n)
+def _columns(rows: list[tuple[int, int, int]]) -> np.ndarray:
+    """Transpose (pair, left, right) triples into three index arrays,
+    integer-typed even when empty."""
+    return np.array(rows, dtype=np.intp).reshape(-1, 3).T
+
+
+def _sweep_range(plan: _SweepPlan, start: int, stop: int) -> np.ndarray:
+    """Histogram (descent mask, length parity, odd length) over the prefix
+    blocks [start, stop), crossed with all sign masks."""
+    n, s = plan.n, plan.suffix
+    p = n - s
     nmasks = plan.masks.shape[0]
-    width = plan.lmax + 1
-    counts = np.zeros((1 << n) * 2 * width, dtype=np.int64)
+    base = _perm_table(s)
+    counts = np.zeros((1 << n) * 2 * plan.width, dtype=np.int64)
 
-    pairs = sorted(plan.pair_index, key=plan.pair_index.get)
-    left = np.array([i for i, _ in pairs], dtype=np.int64)
-    right = np.array([j for _, j in pairs], dtype=np.int64)
+    pairs = _pairs(n)
+    inner, left, right = _columns([(k, i - p, j - p) for k, (i, j) in enumerate(pairs) if i >= p])
+    fixed, head_l, head_r = _columns([(k, i, j) for k, (i, j) in enumerate(pairs) if j < p])
+    # pairs (i, p..n-1) are consecutive: prefix position i against the suffix
+    cross = [plan.weights[k : k + s] for k in (pairs.index((i, p)) for i in range(p))]
 
-    chunk = max(1, min(40320, (1 << 21) // max(nmasks, 1)))
-    source = islice(permutations(range(1, n + 1)), start, stop)
-    while True:
-        block = list(islice(source, chunk))
-        if not block:
-            break
-        P = np.array(block, dtype=np.int64)
-        G = (P[:, left] > P[:, right]).astype(np.float32)
+    shared = (base[:, left] > base[:, right]).astype(np.float32) @ plan.weights[inner] + plan.const
+    word = ((base[:, :-1] > base[:, 1:]).astype(np.intp) << np.arange(p, n - 1)).sum(axis=1)
+    # steps[r] = [base < r]: how a prefix value with r smaller values in
+    # rest compares with each suffix position, as G entries.
+    steps = (base < np.arange(s + 1)[:, None, None]).astype(np.float32)
 
-        length = G @ plan.w_len + plan.c_len
-        odd = (G[:, plan.odd_cols] @ plan.w_odd + plan.c_odd).astype(np.int64)
-        parity = length.astype(np.int64) & 1
+    block = shared
+    buffer = np.empty_like(shared)
+    keys = np.empty((len(base), nmasks), dtype=np.int64)
+    odd = np.empty_like(keys)
+    for prefix in islice(permutations(range(n), p), start, stop):
+        rank = [v - sum(u < v for u in prefix) for v in prefix]
+        bits = word
+        if p:
+            block = np.matmul(steps[rank[0]], cross[0], out=buffer)
+            for r, w in zip(rank[1:], cross[1:]):
+                block += steps[r] @ w
+            block += shared
+            if fixed.size:
+                values = np.array(prefix)
+                block += (values[head_l] > values[head_r]).astype(np.float32) @ plan.weights[fixed]
+            head_word = sum(int(prefix[k] > prefix[k + 1]) << k for k in range(p - 1))
+            bits = word + head_word + (steps[rank[-1]][:, 0].astype(np.intp) << (p - 1))
 
-        dmask = np.zeros((P.shape[0], nmasks), dtype=np.int64)
-        for k in range(n - 1):
-            col = plan.pair_index[(k, k + 1)]
-            bit = G[:, col : col + 1] * plan.desc_a[k] + plan.desc_b[k]
-            dmask |= bit.astype(np.int64) << (k + 1)
-        if plan.d0_a is not None:
-            col = plan.pair_index[(0, 1)] if n >= 2 else 0
-            g0 = G[:, col : col + 1] if n >= 2 else np.zeros((P.shape[0], 1), dtype=np.float32)
-            bit = g0 * plan.d0_a + plan.d0_b
-            dmask |= bit.astype(np.int64)
-
-        keys = ((dmask << 1) | parity) * width + odd
+        np.copyto(keys, block[:, :nmasks], casting="unsafe")  # length
+        keys &= 1
+        keys *= plan.width
+        np.copyto(odd, block[:, nmasks:], casting="unsafe")
+        keys += odd
+        keys += plan.lut[bits]
         counts += np.bincount(keys.ravel(), minlength=counts.size)
     return counts
 
@@ -255,20 +289,21 @@ class DescentTable:
 
 def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable:
     """Enumerate the whole group once, bucketing by descent set."""
-    _check_budget(family, n)
+    check_budget(family, n)
+    plan = _build_plan(family, n)
     nperms = factorial(n)
-    nworkers = min(resolve_workers(workers), nperms)
+    nblocks = nperms // factorial(plan.suffix)
+    nworkers = min(resolve_workers(workers), nblocks)
     if nworkers <= 1 or nperms < 50000:
-        counts = _sweep_range(family, n, 0, nperms)
+        counts = _sweep_range(plan, 0, nblocks)
     else:
-        bounds = [nperms * k // nworkers for k in range(nworkers + 1)]
-        jobs = [(family, n, bounds[k], bounds[k + 1]) for k in range(nworkers)]
+        bounds = [nblocks * k // nworkers for k in range(nworkers + 1)]
+        jobs = [(plan, bounds[k], bounds[k + 1]) for k in range(nworkers)]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             parts = list(pool.map(_sweep_worker, jobs))
         counts = np.sum(parts, axis=0)
 
-    width = odd_root_count(family, n) + 1
-    table = counts.reshape(1 << n, 2, width)
+    table = counts.reshape(1 << n, 2, plan.width)
     buckets: dict[int, IntPoly] = {}
     for mask in range(1 << n):
         even = table[mask, 0]
@@ -279,7 +314,7 @@ def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable
     return DescentTable(family, n, buckets)
 
 
-def _sweep_worker(job: tuple[str, int, int, int]) -> np.ndarray:
+def _sweep_worker(job: tuple[_SweepPlan, int, int]) -> np.ndarray:
     return _sweep_range(*job)
 
 
@@ -295,7 +330,7 @@ def brute_filtered(
     constraint = (b, v) keeps only elements mapping b to v, where b is a
     position in [1, n] and v is n or -n.
     """
-    _check_budget(family, n)
+    check_budget(family, n)
     b, v = constraint
     if not 1 <= b <= n:
         raise ValueError("constraint position out of range")

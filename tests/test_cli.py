@@ -169,6 +169,16 @@ class TestVerify:
         assert code == 0
         assert "capped" in err
 
+    def test_rank_flag_is_capped_at_the_tier_bound(self, capsys):
+        code, out, err = run(
+            ["verify", "--only", "b-closed-match", "--tier", "fast",
+             "--nmax", "6", "--families", "B", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert "note: B rank capped at 5 by tier fast" in err
+        assert max(r["n"] for r in json.loads(out)) == 5
+
     def test_injected_failure_exits_4(self, capsys, monkeypatch):
         def bad_check(ctx):
             yield checks.CheckRow(

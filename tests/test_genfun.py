@@ -1,11 +1,18 @@
 """Generating functions: brute enumeration, closed forms, and budgets."""
 
+import hashlib
+from math import factorial
+
+import numpy as np
 import pytest
 
 from oddlen.genfun import (
     BUDGET,
     BudgetError,
     DescentTable,
+    _build_plan,
+    _perm_table,
+    _sweep_range,
     M_of,
     brute_filtered,
     brute_quotient,
@@ -19,7 +26,15 @@ from oddlen.genfun import (
     resolve_workers,
 )
 from oddlen.indexset import IndexSet, components
-from oddlen.sperm import SignedPerm, ell_and_odd, label_mask, quotient_elements
+from oddlen.rootsys import odd_root_count
+from oddlen.sperm import (
+    SignedPerm,
+    descent_set,
+    ell_and_odd,
+    elements,
+    label_mask,
+    quotient_elements,
+)
 from oddlen.zpoly import ONE, ZERO, IntPoly, alt_product
 
 
@@ -60,6 +75,14 @@ class TestBruteTable:
         split = brute_table("D", 7, workers=2)
         assert single.buckets == split.buckets
 
+    @pytest.mark.parametrize("family, n", [("A", 9), ("B", 7)])
+    def test_worker_split_on_uneven_block_counts(self, family, n):
+        # A9 has 9 prefix blocks and B7 has one: neither splits evenly in two.
+        nblocks = factorial(n) // factorial(_build_plan(family, n).suffix)
+        assert nblocks % 2 == 1
+        single = brute_table(family, n, workers=1)
+        assert brute_table(family, n, workers=2).buckets == single.buckets
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             brute_table("D", BUDGET["D"] + 1)
@@ -71,8 +94,76 @@ class TestBruteTable:
         assert resolve_workers(None) == 1
         assert resolve_workers(5) == 5
         monkeypatch.setenv("ODDLEN_WORKERS", "3")
-        assert resolve_workers(5) == 3
+        assert resolve_workers(5) == 5
+        assert resolve_workers(1) == 1
         assert resolve_workers(None) == 3
+        with pytest.raises(ValueError):
+            resolve_workers(0)
+        monkeypatch.setenv("ODDLEN_WORKERS", "x")
+        assert resolve_workers(2) == 2
+        with pytest.raises(ValueError):
+            resolve_workers(None)
+
+
+def _table_digest(table):
+    text = "".join(
+        f"{m}:{','.join(map(str, table.buckets[m].coeffs))}\n" for m in sorted(table.buckets)
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSweepKernel:
+    # SHA-256 of the A10, B8 and D8 tables, as produced by the tuple-based
+    # kernel the block kernel replaced.
+    GOLDEN = {
+        ("A", 10): "27ad339025c91abc5125c2d67c42cb7c2db8da3fd522f3cdddefc9477b4f1cee",
+        ("B", 8): "e67680e3566bc4986692f68e60c4a3c8c03259936ed3328225da2a36ccce5538",
+        ("D", 8): "ec21e7eaad312dc9867ac0b35775c34b25cd5f453b5059f00623637e2567cd78",
+    }
+
+    @pytest.mark.parametrize("family, n", list(GOLDEN))
+    def test_golden_table_digest(self, family, n):
+        assert _table_digest(brute_table(family, n, workers=1)) == self.GOLDEN[(family, n)]
+
+    def test_every_plan_within_budget_builds(self):
+        # _build_plan raises if a float32 sum could reach 2**24.
+        for family, top in BUDGET.items():
+            for n in range(1, top + 1):
+                plan = _build_plan(family, n)
+                nmasks = plan.masks.shape[0]
+                assert plan.weights.shape == (n * (n - 1) // 2, 2 * nmasks)
+                assert plan.lut.shape == (1 << (n - 1), nmasks)
+                assert plan.width == odd_root_count(family, n) + 1
+
+    def test_suffix_blocks(self):
+        assert _build_plan("A", 10).suffix == 8
+        assert _build_plan("B", 8).suffix == 7
+        assert _build_plan("D", 8).suffix == 7
+        assert _build_plan("A", 2).suffix == 2
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 5])
+    def test_perm_table_is_lexicographic(self, s):
+        from itertools import permutations
+
+        table = _perm_table(s)
+        assert table.dtype == np.int8
+        assert [tuple(row) for row in table] == list(permutations(range(s)))
+
+    def test_prefix_blocks_sum_to_the_whole_sweep(self):
+        plan = _build_plan("A", 9)
+        whole = _sweep_range(plan, 0, 9)
+        assert np.array_equal(_sweep_range(plan, 0, 4) + _sweep_range(plan, 4, 9), whole)
+
+    @pytest.mark.parametrize("family", ["A", "B", "D"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_edge_ranks_match_scalar_enumeration(self, family, n):
+        # n=1 has no pairs and n=2 has no prefix.
+        want: dict[int, IntPoly] = {}
+        for sigma in elements(family, n):
+            l, L = ell_and_odd(sigma, family)
+            mask = descent_set(sigma, family).mask
+            want[mask] = want.get(mask, ZERO) + IntPoly.monomial(-1 if l % 2 else 1, L)
+        assert brute_table(family, n).buckets == want
 
 
 class TestClosedForms:
