@@ -4,6 +4,12 @@ Each check sweeps one family of statements over every qualifying rank and
 index set, yielding a row per verified instance.  Brute-force sweeps respect
 the per-family rank bounds in the context (the verify tiers); closed-form
 checks are cheap and always run at their intrinsic ranges.
+
+Every enumerated sum is a descent-table read.  The full group's tables come
+from the sweep and are cached in the context; a restricted support
+(chessboard, sandwich-free) or a pinned entry is a smaller pool of elements
+whose table is built once, before the loop over index sets, and read for
+each set in it.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +45,6 @@ from .sperm import (
 from .rootsys import build_root_system, length_via_roots, odd_length_via_roots
 from .genfun import (
     DescentTable,
-    brute_filtered,
     brute_table,
     closed_A,
     closed_B,
@@ -47,13 +52,14 @@ from .genfun import (
     conjecture_rhs,
     conjecture_set,
     M_of,
+    pinned_table,
 )
 from .chess import (
     chess_class,
     chessboard_elements,
     check_L_additivity,
     check_set_factorization as set_product_holds,
-    support_sum,
+    support_table,
 )
 
 TIERS = {
@@ -81,12 +87,16 @@ class CheckRow:
 
 @dataclass
 class CheckContext:
-    """Shared rank bounds and a cache of brute-force descent tables."""
+    """Shared rank bounds, the brute-force descent tables by (family, n),
+    and the pinned-entry tables by (family, n, pin)."""
 
     nmax: dict[str, int]
     families: tuple[str, ...] = ("A", "B", "D")
     workers: int | None = None
-    _tables: dict[tuple[str, int], DescentTable] = field(default_factory=dict)
+    tables: dict[tuple[str, int], DescentTable] = field(default_factory=dict)
+    _pinned: dict[tuple[str, int, tuple[int, int]], DescentTable] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @staticmethod
     def for_tier(tier: str, **kw) -> "CheckContext":
@@ -97,12 +107,19 @@ class CheckContext:
 
     def table(self, family: str, n: int) -> DescentTable:
         key = (family, n)
-        if key not in self._tables:
-            self._tables[key] = brute_table(family, n, self.workers)
-        return self._tables[key]
+        if key not in self.tables:
+            self.tables[key] = brute_table(family, n, self.workers)
+        return self.tables[key]
 
     def quotient(self, family: str, n: int, I: IndexSet) -> IntPoly:
         return self.table(family, n).quotient_poly(I)
+
+    def pinned(self, family: str, n: int, I: IndexSet, pin: tuple[int, int]) -> IntPoly:
+        """Quotient sum over the elements with pin = (b, v): sigma(b) = v."""
+        key = (family, n, pin)
+        if key not in self._pinned:
+            self._pinned[key] = pinned_table(family, n, pin)
+        return self._pinned[key].quotient_poly(I)
 
 
 def _row(check: str, family: str, n: int, where, ok: bool, detail: str = "") -> CheckRow:
@@ -119,8 +136,10 @@ def _subsets(family: str, n: int) -> Iterator[IndexSet]:
             yield IndexSet(n, mask)
 
 
-def _mismatch(got: IntPoly, want: IntPoly) -> str:
-    return f"got {got}, want {want}"
+def _match(check: str, family: str, n: int, where, got: IntPoly, want: IntPoly) -> CheckRow:
+    """An equality row, naming both sides when they differ."""
+    ok = got == want
+    return _row(check, family, n, where, ok, "" if ok else f"got {got}, want {want}")
 
 
 # ---------------------------------------------------------------- oracles
@@ -210,8 +229,7 @@ def _closed_match(check: str, family: str, fn) -> Callable[[CheckContext], Itera
             table = ctx.table(family, n)
             for I in _subsets(family, n):
                 got, want = fn(n, I), table.quotient_poly(I)
-                yield _row(check, family, n, I, got == want,
-                           "" if got == want else _mismatch(got, want))
+                yield _match(check, family, n, I, got, want)
     return run
 
 
@@ -230,11 +248,11 @@ def check_support_chessboard(ctx: CheckContext) -> Iterator[CheckRow]:
             continue
         for n in range(1, ctx.cap(family, 6) + 1):
             table = ctx.table(family, n)
+            support = support_table(n, "chessboard", family=family)
             for I in _subsets(family, n):
-                got = support_sum(n, I, "chessboard", family=family)
+                got = support.quotient_poly(I)
                 want = table.quotient_poly(I)
-                yield _row("support-chessboard", family, n, I, got == want,
-                           "" if got == want else _mismatch(got, want))
+                yield _match("support-chessboard", family, n, I, got, want)
 
 
 def check_support_window(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -244,14 +262,14 @@ def check_support_window(ctx: CheckContext) -> Iterator[CheckRow]:
         return
     for n in range(4, ctx.cap("D", 6) + 1):
         table = ctx.table("D", n)
+        supports = {a0: support_table(n, "H", param=a0 + 1) for a0 in range(2, n - 1)}
         for I in _subsets("D", n):
             a0 = components(I).zero_size
             if not 2 <= a0 <= n - 2:
                 continue
-            got = support_sum(n, I, "H", param=a0 + 1)
+            got = supports[a0].quotient_poly(I)
             want = table.quotient_poly(I)
-            yield _row("support-window", "D", n, I, got == want,
-                       "" if got == want else _mismatch(got, want))
+            yield _match("support-window", "D", n, I, got, want)
 
 
 def check_support_positional(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -263,11 +281,11 @@ def check_support_positional(ctx: CheckContext) -> Iterator[CheckRow]:
         table = ctx.table("D", n)
         for a0 in range(2, n - 1):
             I = IndexSet.full(n).remove(a0)
+            support = support_table(n, "T", param=a0)
             for J in (I, I.remove(0)):
-                got = support_sum(n, J, "T", param=a0)
+                got = support.quotient_poly(J)
                 want = table.quotient_poly(J)
-                yield _row("support-positional", "D", n, J, got == want,
-                           "" if got == want else _mismatch(got, want))
+                yield _match("support-positional", "D", n, J, got, want)
 
 
 def check_additivity(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -300,8 +318,7 @@ def check_zero_one_swap(ctx: CheckContext) -> Iterator[CheckRow]:
                 continue
             got = table.quotient_poly(I.add(0))
             want = table.quotient_poly(I.add(1))
-            yield _row("zero-one-swap", "D", n, I.add(0), got == want,
-                       "" if got == want else _mismatch(got, want))
+            yield _match("zero-one-swap", "D", n, I.add(0), got, want)
 
 
 def _even_prefix_sets(n: int) -> Iterator[tuple[IndexSet, int]]:
@@ -324,8 +341,7 @@ def check_even_prefix_split(ctx: CheckContext) -> Iterator[CheckRow]:
         for I, a0 in _even_prefix_sets(n):
             got = table.quotient_poly(I)
             want = (ONE + IntPoly.monomial(1, a0)) * table.quotient_poly(I.add(a0))
-            yield _row("even-prefix-split", "D", n, I, got == want,
-                       "" if got == want else _mismatch(got, want))
+            yield _match("even-prefix-split", "D", n, I, got, want)
 
 
 def check_compression_invariance(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -340,8 +356,7 @@ def check_compression_invariance(ctx: CheckContext) -> Iterator[CheckRow]:
                 continue
             got = table.quotient_poly(I)
             want = table.quotient_poly(compress(I))
-            yield _row("compression-invariance", "D", n, I, got == want,
-                       "" if got == want else _mismatch(got, want))
+            yield _match("compression-invariance", "D", n, I, got, want)
 
 
 def _windows(n: int, I: IndexSet) -> Iterator[tuple[int, int]]:
@@ -372,7 +387,7 @@ def check_window_shift(ctx: CheckContext) -> Iterator[CheckRow]:
                         if i <= b <= hi + 2:
                             continue
                         for v in (n, -n):
-                            sums = [brute_filtered("D", n, J, (b, v)) for J in trio]
+                            sums = [ctx.pinned("D", n, J, (b, v)) for J in trio]
                             ok = ok and sums[0] == sums[1] == sums[2]
                 yield _row("window-shift", "D", n, I, ok, f"component [{i},{hi}]")
 
@@ -389,8 +404,8 @@ def check_pinned_entry_sums(ctx: CheckContext) -> Iterator[CheckRow]:
             scale = ONE + IntPoly.monomial(1, a0)
             for b in range(a0 + 2, n + 1):
                 for v in (n, -n):
-                    got = brute_filtered("D", n, I, (b, v))
-                    want = scale * brute_filtered("D", n, I.add(a0), (b, v))
+                    got = ctx.pinned("D", n, I, (b, v))
+                    want = scale * ctx.pinned("D", n, I.add(a0), (b, v))
                     yield _row("pinned-entry-sums", "D", n, I, got == want,
                                f"even head, entry {v} at {b}")
 
@@ -399,8 +414,8 @@ def check_pinned_entry_sums(ctx: CheckContext) -> Iterator[CheckRow]:
             a0 = components(I).zero_size
             if a0 < 2:
                 continue
-            got = brute_filtered("D", n, I, (a0, n))
-            want = brute_filtered("D", n, compress(I), (a0, n))
+            got = ctx.pinned("D", n, I, (a0, n))
+            want = ctx.pinned("D", n, compress(I), (a0, n))
             yield _row("pinned-entry-sums", "D", n, I, got == want,
                        f"compression, entry {n} at {a0}")
 
@@ -412,7 +427,7 @@ def check_pinned_entry_sums(ctx: CheckContext) -> Iterator[CheckRow]:
                 continue
             if not is_compressed(I) or I.members()[-1] > n - 2:
                 continue
-            got = brute_filtered("D", n, I, (a0, n))
+            got = ctx.pinned("D", n, I, (a0, n))
             scale = IntPoly.monomial(2 if n % 2 else -2, n // 2)
             want = scale * table.quotient_poly(IndexSet.of(n - 1, I.members()))
             yield _row("pinned-entry-sums", "D", n, I, got == want,
@@ -427,7 +442,7 @@ def check_pinned_entry_sums(ctx: CheckContext) -> Iterator[CheckRow]:
                     continue
                 if a >= 4 and a - 2 in I:
                     continue
-                ok = all(brute_filtered("D", n, I, (a, v)).is_zero for v in (n, -n))
+                ok = all(ctx.pinned("D", n, I, (a, v)).is_zero for v in (n, -n))
                 yield _row("pinned-entry-sums", "D", n, I, ok,
                            f"vanishing sum at position {a}")
 
@@ -450,8 +465,7 @@ def check_odd_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
                 ctx.quotient("D", 2 * m - 1, IndexSet.of(2 * m - 1, J.members()))
                 * alt_product(2 * m, n, square=True)
             )
-            yield _row("odd-prefix-product", "D", n, I, got == want,
-                       "" if got == want else _mismatch(got, want))
+            yield _match("odd-prefix-product", "D", n, I, got, want)
 
 
 def check_even_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -479,8 +493,7 @@ def check_even_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
                 * ctx.quotient("D", last + 1, J)
                 * alt_product(last + 2, n, square=True)
             )
-            yield _row("even-prefix-product", "D", n, I, got == want,
-                       "" if got == want else _mismatch(got, want))
+            yield _match("even-prefix-product", "D", n, I, got, want)
 
 
 def check_tail_multinomial_split(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -500,8 +513,7 @@ def check_tail_multinomial_split(ctx: CheckContext) -> Iterator[CheckRow]:
             parts = [(hi - lo) // 2 for lo, hi in zip(bounds, bounds[1:])]
             got = table.quotient_poly(I)
             want = q_multinomial((n - a0) // 2, parts, 2) * table.quotient_poly(J)
-            yield _row("tail-multinomial-split", "D", n, I, got == want,
-                       "" if got == want else _mismatch(got, want))
+            yield _match("tail-multinomial-split", "D", n, I, got, want)
 
 
 def check_even_case_recurrence(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -520,8 +532,7 @@ def check_even_case_recurrence(ctx: CheckContext) -> Iterator[CheckRow]:
                                           if a0 + 1 <= n - 2 else IndexSet.full(n - 1))
             head = ONE + IntPoly.monomial(1, a0) - IntPoly.monomial(2, a0 + n // 2)
             want = IntPoly.monomial(1, n - a0) * lowered + head * widened
-            yield _row("even-case-recurrence", "D", n, I, got == want,
-                       "" if got == want else _mismatch(got, want))
+            yield _match("even-case-recurrence", "D", n, I, got, want)
 
 
 def check_factorizations(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -591,8 +602,7 @@ def check_conjecture_products(ctx: CheckContext) -> Iterator[CheckRow]:
                 I = conjecture_set(n, i, with_one)
                 got = closed_D(n, I)
                 want = conjecture_rhs(n, i, with_one)
-                yield _row("conjecture-products", "D", n, I, got == want,
-                           "" if got == want else _mismatch(got, want))
+                yield _match("conjecture-products", "D", n, I, got, want)
 
 
 def check_cyclo_classification(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -624,8 +634,7 @@ def check_display_form(ctx: CheckContext) -> Iterator[CheckRow]:
             numer = C_poly(I) * trinom * alt_product(a0 + 2, n)
             want = numer.exact_div(ONE + IntPoly.monomial(1, n // 2))
             got = closed_D(n, I)
-            yield _row("display-form-match", "D", n, I, got == want,
-                       "" if got == want else _mismatch(got, want))
+            yield _match("display-form-match", "D", n, I, got, want)
 
 
 def check_trinomial_criterion(ctx: CheckContext) -> Iterator[CheckRow]:

@@ -1,11 +1,13 @@
-"""Chessboard elements, odd sandwiches, and restricted support sums.
+"""Chessboard elements, odd sandwiches, and restricted support tables.
 
 The sign-twisted quotient polynomials are supported on small structured
 subsets of the group: chessboard elements, then chessboard elements
 whose final segment has no odd sandwiches, then chessboard elements
 with no k-odd sandwiches.  This module provides those predicates as
-literal scans, the restricted sums built on them, and the set-level
-product factorizations behind the closed formulas.
+literal scans and the set-level product factorizations behind the
+closed formulas.  A restricted support is a pool of elements: its
+descent table is built once, by the scalar oracle genfun.scalar_table,
+and every quotient sum over it is a table read.
 """
 
 from __future__ import annotations
@@ -13,19 +15,18 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .genfun import check_budget
+from .genfun import DescentTable, check_budget, scalar_table
 from .indexset import IndexSet, is_compressed
 from .sperm import (
     SignedPerm,
     compose,
     direct_product,
-    elements,
-    ell_and_odd,
     in_quotient,
     odd_length,
     parabolic_factorize,
+    signings,
 )
-from .zpoly import IntPoly, ZERO
+from .zpoly import IntPoly
 
 
 class Sandwich(NamedTuple):
@@ -69,15 +70,7 @@ def chessboard_elements(n: int, family: str = "D") -> Iterator[SignedPerm]:
                     base[p - 1] = v
                 for p, v in zip(even_pos, pe):
                     base[p - 1] = v
-                if family == "A":
-                    yield SignedPerm(tuple(base))
-                    continue
-                for mask in range(1 << n):
-                    if bin(mask).count("1") % 2:
-                        continue
-                    yield SignedPerm(
-                        tuple(-v if mask >> k & 1 else v for k, v in enumerate(base))
-                    )
+                yield from signings(base, family)
 
 
 def odd_sandwiches(sigma: SignedPerm, c: int) -> list[Sandwich]:
@@ -146,51 +139,37 @@ def in_T(sigma: SignedPerm, a0: int) -> bool:
     return is_chessboard(sigma) and not k_odd_sandwiches(sigma, a0)
 
 
-def support_sum(
-    n: int,
-    index_set: IndexSet,
-    support: str,
-    *,
-    family: str = "D",
-    param: int | None = None,
-) -> IntPoly:
-    """Sum of (-1)^length x^(odd length) over the quotient elements
-    passing a support predicate.
+def support_table(
+    n: int, support: str, *, family: str = "D", param: int | None = None
+) -> DescentTable:
+    """Descent table of a restricted support.
 
-    support is one of "all", "chessboard", "H" (param = segment start),
-    "T" (param = position bound).
+    support is one of "chessboard", "H" (the elements passing
+    in_H(sigma, param)) or "T" (those passing in_T(sigma, param)).
     """
     if family not in ("A", "D"):
         raise ValueError("support sums cover families A and D")
     check_budget(family, n)
-    if index_set.n != n:
-        raise ValueError("index set rank mismatch")
-    if support == "all":
-        pool: Iterator[SignedPerm] = elements(family, n)
-    elif support == "chessboard":
+    if support == "chessboard":
         pool = chessboard_elements(n, family)
     elif support in ("H", "T"):
         if family != "D":
             raise ValueError("sandwich supports are defined on family D")
         if param is None:
             raise ValueError(f"support {support!r} needs a parameter")
-        keep = in_H if support == "H" else in_T
-        pool = (s for s in chessboard_elements(n) if keep(s, param))
+        sandwiches = odd_sandwiches if support == "H" else k_odd_sandwiches
+        pool = (s for s in chessboard_elements(n) if not sandwiches(s, param))
     else:
         raise ValueError(f"unknown support {support!r}")
+    return scalar_table(family, n, pool)
 
-    terms: dict[int, int] = {}
-    for sigma in pool:
-        if not in_quotient(sigma, index_set, family):
-            continue
-        l, odd = ell_and_odd(sigma, family)
-        terms[odd] = terms.get(odd, 0) + (-1 if l & 1 else 1)
-    if not terms:
-        return ZERO
-    out = [0] * (max(terms) + 1)
-    for k, c in terms.items():
-        out[k] = c
-    return IntPoly(out)
+
+def support_sum(
+    n: int, index_set: IndexSet, support: str, *, family: str = "D", param: int | None = None
+) -> IntPoly:
+    """Sum of (-1)^length x^(odd length) over the quotient elements in a
+    restricted support (see support_table)."""
+    return support_table(n, support, family=family, param=param).quotient_poly(index_set)
 
 
 def check_L_additivity(sigma: SignedPerm) -> bool:

@@ -10,6 +10,7 @@ import csv
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from itertools import groupby
 
 from .zpoly import IntPoly, cyclotomic_factors
@@ -31,6 +32,16 @@ def _parse_families(text: str) -> tuple[str, ...]:
     if not fams:
         raise ValueError("no families selected")
     return fams
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _coeff_record(p: IntPoly) -> dict:
@@ -121,13 +132,14 @@ def _write_verify(rows, fmt: str, out) -> None:
 
 def cmd_verify(args) -> int:
     ctx, only = _verify_context(args)
-    rows = list(run_checks(ctx, only))
-    out = open(args.output, "w") if args.output else sys.stdout
+    # Open the output first, so a bad path fails before the checks run.
     try:
+        target = open(args.output, "w") if args.output else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot open {args.output}: {exc.strerror}") from exc
+    with target as out:
+        rows = list(run_checks(ctx, only))
         _write_verify(rows, args.format, out)
-    finally:
-        if args.output:
-            out.close()
     fails = [r for r in rows if not r.ok]
     summary = f"{len(rows)} rows, {len(fails)} failures"
     if fails:
@@ -229,8 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the check ids and exit")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: ODDLEN_WORKERS, else 1)")
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="worker processes for brute-force tables of at least "
+                        "50,000 absolute-value rows, which today means A9 and "
+                        "A10 only (default: ODDLEN_WORKERS, else 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cyclo", help="decide cyclotomic-product factorability")

@@ -4,6 +4,9 @@ Both computation routes live here: the closed product formulas and a
 brute-force sweep over the full group.  The sweep buckets every element
 by descent set once, so all 2^n quotients of one group cost a single
 enumeration plus a subset-sum (zeta) transform over the buckets.
+scalar_table builds the same buckets one element at a time from any
+pool of elements; it is the independent oracle for the sweep, and it
+serves the restricted sums (pinned entries here, supports in chess).
 
 The sweep is array-native.  An element is an absolute-value row P (a
 permutation of 0..n-1) under one of the family's sign masks, and every
@@ -43,15 +46,17 @@ the length parity and the odd length.
 from __future__ import annotations
 
 import os
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, permutations
 from math import factorial
+from typing import Iterable
 
 import numpy as np
 
 from .indexset import IndexSet, components, m_of, C_poly, tilde
-from .sperm import FAMILIES, SignedPerm, ell_and_odd, in_quotient, label_mask
+from .sperm import FAMILIES, SignedPerm, descent_set, ell_and_odd, label_mask, signings
 from .zpoly import ONE, ZERO, IntPoly, alt_product, q_multinomial
 
 BUDGET = {"A": 10, "B": 8, "D": 8}
@@ -322,49 +327,51 @@ def brute_quotient(family: str, n: int, index_set: IndexSet, workers: int | None
     return brute_table(family, n, workers).quotient_poly(index_set)
 
 
-def brute_filtered(
-    family: str, n: int, index_set: IndexSet, constraint: tuple[int, int]
-) -> IntPoly:
-    """Quotient sum restricted to elements with a pinned entry.
+def scalar_table(family: str, n: int, pool: Iterable[SignedPerm]) -> DescentTable:
+    """Descent table of any pool of group elements, summed one element at
+    a time.
 
-    constraint = (b, v) keeps only elements mapping b to v, where b is a
+    This is the independent scalar oracle: lengths come from sperm's pair
+    statistics and descents from sperm.descent_set, sharing nothing with
+    the sweep.  Restricted and pinned-entry sums are tables over smaller
+    pools, read through the same subset-sum transform.
+    """
+    terms: dict[int, Counter[int]] = defaultdict(Counter)
+    for sigma in pool:
+        if sigma.n != n:
+            raise ValueError("pool element of the wrong degree")
+        l, odd = ell_and_odd(sigma, family)
+        terms[descent_set(sigma, family).mask][odd] += -1 if l & 1 else 1
+    buckets = {mask: IntPoly(c[k] for k in range(max(c) + 1)) for mask, c in terms.items()}
+    return DescentTable(family, n, buckets)
+
+
+def pinned_table(family: str, n: int, pin: tuple[int, int]) -> DescentTable:
+    """Descent table of the elements with a pinned entry.
+
+    pin = (b, v) keeps only elements mapping b to v, where b is a
     position in [1, n] and v is n or -n.
     """
     check_budget(family, n)
-    b, v = constraint
+    b, v = pin
     if not 1 <= b <= n:
         raise ValueError("constraint position out of range")
     if abs(v) != n:
         raise ValueError("constraint value must be n or -n")
-    if index_set.n != n:
-        raise ValueError("index set rank mismatch")
-    if index_set.mask & ~label_mask(family, n):
-        raise ValueError("index set contains labels outside the generator range")
-    if family == "A" and v < 0:
-        return ZERO
+    pool = (
+        sigma
+        for perm in permutations(range(1, n))
+        for sigma in signings(perm[: b - 1] + (n,) + perm[b - 1 :], family)
+        if sigma(b) == v
+    )
+    return scalar_table(family, n, pool)
 
-    rest = [p for p in range(n) if p != b - 1]
-    terms: dict[int, int] = {}
-    base_neg = 1 if v < 0 else 0
-    for perm in permutations(range(1, n)):
-        for smask in range(1 << (n - 1)) if family != "A" else (0,):
-            if family == "D" and (bin(smask).count("1") + base_neg) % 2:
-                continue
-            images = [0] * n
-            images[b - 1] = v
-            for slot, (pos, val) in enumerate(zip(rest, perm)):
-                images[pos] = -val if smask >> slot & 1 else val
-            sigma = SignedPerm(tuple(images))
-            if not in_quotient(sigma, index_set, family):
-                continue
-            l, odd = ell_and_odd(sigma, family)
-            terms[odd] = terms.get(odd, 0) + (-1 if l & 1 else 1)
-    if not terms:
-        return ZERO
-    out = [0] * (max(terms) + 1)
-    for k, c in terms.items():
-        out[k] = c
-    return IntPoly(out)
+
+def brute_filtered(
+    family: str, n: int, index_set: IndexSet, constraint: tuple[int, int]
+) -> IntPoly:
+    """Quotient sum restricted to elements with a pinned entry (see pinned_table)."""
+    return pinned_table(family, n, constraint).quotient_poly(index_set)
 
 
 def closed_A(n: int, index_set: IndexSet) -> IntPoly:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .indexset import IndexSet
 
@@ -141,41 +141,12 @@ def stats(sigma: SignedPerm) -> StatBundle:
     return StatBundle(inv, nsp, oinv, onsp)
 
 
-def ell(sigma: SignedPerm, family: str) -> int:
-    """Coxeter length from pair statistics (matches the root-count oracle)."""
-    s = stats(sigma)
-    if family == "A":
-        if not sigma.in_S:
-            raise ValueError("type A needs an unsigned permutation")
-        return s.inv
-    if family == "D":
-        if not sigma.in_D:
-            raise ValueError("type D needs an even number of negative entries")
-        return s.inv + s.nsp
-    if family == "B":
-        return s.inv + s.nsp + sigma.neg_count
-    raise ValueError(f"unknown family {family!r}")
-
-
-def odd_length(sigma: SignedPerm, family: str) -> int:
-    """Number of odd-height positive roots negated, in combinatorial form."""
-    s = stats(sigma)
-    if family == "A":
-        if not sigma.in_S:
-            raise ValueError("type A needs an unsigned permutation")
-        return s.oinv
-    if family == "D":
-        if not sigma.in_D:
-            raise ValueError("type D needs an even number of negative entries")
-        return s.oinv + s.onsp
-    if family == "B":
-        oneg = sum(1 for i in range(1, sigma.n + 1, 2) if sigma(i) < 0)
-        return s.oinv + s.onsp + oneg
-    raise ValueError(f"unknown family {family!r}")
-
-
 def ell_and_odd(sigma: SignedPerm, family: str) -> tuple[int, int]:
-    """(length, odd length) from a single statistics pass."""
+    """(length, odd length) from a single statistics pass.
+
+    The length matches the root-count oracle; the odd length counts the
+    odd-height positive roots negated, in combinatorial form.
+    """
     s = stats(sigma)
     if family == "A":
         if not sigma.in_S:
@@ -189,6 +160,16 @@ def ell_and_odd(sigma: SignedPerm, family: str) -> tuple[int, int]:
         oneg = sum(1 for i in range(1, sigma.n + 1, 2) if sigma(i) < 0)
         return s.inv + s.nsp + sigma.neg_count, s.oinv + s.onsp + oneg
     raise ValueError(f"unknown family {family!r}")
+
+
+def ell(sigma: SignedPerm, family: str) -> int:
+    """Coxeter length (see ell_and_odd)."""
+    return ell_and_odd(sigma, family)[0]
+
+
+def odd_length(sigma: SignedPerm, family: str) -> int:
+    """Odd length (see ell_and_odd)."""
+    return ell_and_odd(sigma, family)[1]
 
 
 def descent_set(sigma: SignedPerm, family: str) -> IndexSet:
@@ -261,41 +242,25 @@ def direct_product(sigma: SignedPerm, tau: SignedPerm) -> SignedPerm:
     return SignedPerm(sigma.images + shifted)
 
 
-def flip_value(sigma: SignedPerm, a: int) -> SignedPerm:
-    """Left-multiply by (1,-1)(v,-v) where v = sigma(a) > 0.
-
-    Negates the entries holding values 1 and v; when v = 1 the two
-    transpositions coincide and sigma comes back unchanged.
-    """
-    v = sigma(a)
-    if v <= 0:
-        raise ValueError("flip_value requires sigma(a) > 0")
-    if v == 1:
-        return sigma
-    flip = {1, v}
-    return SignedPerm(tuple(-w if abs(w) in flip else w for w in sigma.images))
-
-
 # -- enumeration helpers --------------------------------------------------------
+
+
+def signings(values: Sequence[int], family: str) -> Iterator[SignedPerm]:
+    """Every group element with these absolute values, position by
+    position: all sign masks in type B, the even ones in type D, and the
+    unsigned arrangement alone in type A."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family == "A":
+        yield SignedPerm(tuple(values))
+        return
+    for mask in range(1 << len(values)):
+        if family == "D" and bin(mask).count("1") % 2:
+            continue
+        yield SignedPerm(tuple(-v if mask >> k & 1 else v for k, v in enumerate(values)))
 
 
 def elements(family: str, n: int) -> Iterator[SignedPerm]:
     """All group elements: sign choices over every |value| arrangement."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     for perm in permutations(range(1, n + 1)):
-        if family == "A":
-            yield SignedPerm(perm)
-            continue
-        for mask in range(1 << n):
-            if family == "D" and bin(mask).count("1") % 2:
-                continue
-            yield SignedPerm(
-                tuple(-v if mask >> k & 1 else v for k, v in enumerate(perm))
-            )
-
-
-def quotient_elements(family: str, n: int, I: IndexSet) -> Iterator[SignedPerm]:
-    for sigma in elements(family, n):
-        if in_quotient(sigma, I, family):
-            yield sigma
+        yield from signings(perm, family)

@@ -17,7 +17,7 @@ from oddlen.zpoly import IntPoly, is_cyclotomic_product
 
 def _ctx(tables, families, workers=None, **nmax):
     return CheckContext(
-        nmax=nmax, families=tuple(families), workers=workers, _tables=tables
+        nmax=nmax, families=tuple(families), workers=workers, tables=tables
     )
 
 

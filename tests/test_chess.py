@@ -14,10 +14,11 @@ from oddlen.chess import (
     k_odd_sandwiches,
     odd_sandwiches,
     support_sum,
+    support_table,
 )
-from oddlen.genfun import brute_quotient
 from oddlen.indexset import IndexSet
-from oddlen.sperm import SignedPerm, compose
+from oddlen.sperm import SignedPerm, compose, ell_and_odd, in_quotient, label_mask
+from oddlen.zpoly import ZERO, IntPoly
 
 
 class TestChessboard:
@@ -86,10 +87,36 @@ class TestLAdditivity:
         assert not check_L_additivity(SignedPerm.from_text("-1 -3 2 4"))
 
 
+def _filtered_sum(family, I, pool):
+    """The per-set reference: scan the pool, keep the quotient elements."""
+    total = ZERO
+    for s in pool:
+        if in_quotient(s, I, family):
+            l, L = ell_and_odd(s, family)
+            total = total + IntPoly.monomial(-1 if l % 2 else 1, L)
+    return total
+
+
+SUPPORTS = [("A", 5, "chessboard", None), ("D", 5, "chessboard", None)] + [
+    ("D", n, support, param)
+    for n in (5, 6)
+    for support in ("H", "T")
+    for param in range(1, n)
+]
+
+
 class TestSupportSums:
-    def test_all_support_matches_brute(self):
-        I = IndexSet.of(4, [0, 2])
-        assert support_sum(4, I, "all") == brute_quotient("D", 4, I)
+    @pytest.mark.parametrize("family, n, support, param", SUPPORTS)
+    def test_table_reads_match_filtered_scans(self, family, n, support, param):
+        pool = list(chessboard_elements(n, family))
+        if support != "chessboard":
+            keep = in_H if support == "H" else in_T
+            pool = [s for s in pool if keep(s, param)]
+        table = support_table(n, support, family=family, param=param)
+        for mask in range(1 << n):
+            if mask & ~label_mask(family, n) == 0:
+                I = IndexSet(n, mask)
+                assert table.quotient_poly(I) == _filtered_sum(family, I, pool)
 
     def test_validation(self):
         I = IndexSet.of(4, [0, 2])
@@ -98,7 +125,11 @@ class TestSupportSums:
         with pytest.raises(ValueError):
             support_sum(4, I, "nope")
         with pytest.raises(ValueError):
-            support_sum(4, I, "all", family="B")
+            support_sum(4, I, "all")
+        with pytest.raises(ValueError):
+            support_sum(4, I, "chessboard", family="B")
+        with pytest.raises(ValueError):
+            support_sum(4, I, "H", family="A", param=2)
 
 
 class TestSetFactorizations:

@@ -179,6 +179,25 @@ class TestVerify:
         assert "note: B rank capped at 5 by tier fast" in err
         assert max(r["n"] for r in json.loads(out)) == 5
 
+    def test_unwritable_output_exits_2_before_the_checks(self, capsys, monkeypatch, tmp_path):
+        def unreachable(ctx):
+            raise AssertionError("checks ran before the output was opened")
+            yield
+
+        monkeypatch.setitem(checks.CHECKS, "remark-values", unreachable)
+        code, _, err = run(
+            ["verify", "--only", "remark-values", "-o", str(tmp_path / "missing" / "x.json")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "x"])
+    def test_workers_below_one_exits_2(self, capsys, workers):
+        code, _, err = run(["verify", "--workers", workers, "--only", "remark-values"], capsys)
+        assert code == 2
+        assert "--workers" in err
+
     def test_injected_failure_exits_4(self, capsys, monkeypatch):
         def bad_check(ctx):
             yield checks.CheckRow(

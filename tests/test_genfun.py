@@ -23,19 +23,24 @@ from oddlen.genfun import (
     closed_poly,
     conjecture_rhs,
     conjecture_set,
+    pinned_table,
     resolve_workers,
+    scalar_table,
 )
 from oddlen.indexset import IndexSet, components
 from oddlen.rootsys import odd_root_count
 from oddlen.sperm import (
     SignedPerm,
-    descent_set,
     ell_and_odd,
     elements,
+    in_quotient,
     label_mask,
-    quotient_elements,
 )
 from oddlen.zpoly import ONE, ZERO, IntPoly, alt_product
+
+
+def quotient_elements(family, n, I):
+    return (s for s in elements(family, n) if in_quotient(s, I, family))
 
 
 def subsets(family, n):
@@ -154,16 +159,23 @@ class TestSweepKernel:
         whole = _sweep_range(plan, 0, 9)
         assert np.array_equal(_sweep_range(plan, 0, 4) + _sweep_range(plan, 4, 9), whole)
 
-    @pytest.mark.parametrize("family", ["A", "B", "D"])
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            pytest.param(family, n, id=f"{n}-{family}")
+            for family, top in (("A", 6), ("B", 4), ("D", 5))
+            for n in range(1, top + 1)
+        ],
+    )
     def test_edge_ranks_match_scalar_enumeration(self, family, n):
         # n=1 has no pairs and n=2 has no prefix.
-        want: dict[int, IntPoly] = {}
-        for sigma in elements(family, n):
-            l, L = ell_and_odd(sigma, family)
-            mask = descent_set(sigma, family).mask
-            want[mask] = want.get(mask, ZERO) + IntPoly.monomial(-1 if l % 2 else 1, L)
-        assert brute_table(family, n).buckets == want
+        assert scalar_table(family, n, elements(family, n)).buckets == brute_table(family, n).buckets
+
+    def test_scalar_table_rejects_foreign_elements(self):
+        with pytest.raises(ValueError):
+            scalar_table("D", 3, [SignedPerm.identity(4)])
+        with pytest.raises(ValueError):
+            scalar_table("A", 3, [SignedPerm.from_text("-1 2 3")])
 
 
 class TestClosedForms:
@@ -201,6 +213,16 @@ class TestFiltered:
         assert brute_filtered("D", 3, IndexSet.of(3, []), (3, 3)).coeffs == (1, -2, 1)
         assert brute_filtered("A", 3, IndexSet.of(3, []), (3, 3)).coeffs == (1, -1)
         assert brute_filtered("A", 3, IndexSet.of(3, []), (3, -3)) == ZERO
+
+    def test_pinned_table_validation(self):
+        assert pinned_table("A", 3, (2, -3)).buckets == {}
+        for pin in ((0, 3), (4, 3), (1, 2)):
+            with pytest.raises(ValueError):
+                pinned_table("D", 3, pin)
+        with pytest.raises(ValueError):
+            brute_filtered("D", 3, IndexSet.of(4, []), (3, 3))
+        with pytest.raises(BudgetError):
+            pinned_table("D", BUDGET["D"] + 1, (1, BUDGET["D"] + 1))
 
     def test_pinned_entries_partition_the_quotient(self):
         n = 4

@@ -17,15 +17,33 @@ from oddlen.sperm import (
     elements,
     ell,
     ell_and_odd,
-    flip_value,
     in_quotient,
     label_mask,
     label_range,
     odd_length,
     parabolic_factorize,
-    quotient_elements,
+    signings,
     stats,
 )
+
+
+def quotient_elements(family, n, I):
+    return (s for s in elements(family, n) if in_quotient(s, I, family))
+
+
+def flip_value(sigma, a):
+    """Left-multiply by (1,-1)(v,-v) where v = sigma(a) > 0.
+
+    Negates the entries holding values 1 and v; when v = 1 the two
+    transpositions coincide and sigma comes back unchanged.
+    """
+    v = sigma(a)
+    if v <= 0:
+        raise ValueError("flip_value requires sigma(a) > 0")
+    if v == 1:
+        return sigma
+    flip = {1, v}
+    return SignedPerm(tuple(-w if abs(w) in flip else w for w in sigma.images))
 
 
 @st.composite
@@ -90,6 +108,16 @@ class TestGroupStructure:
         assert len(list(elements("B", 3))) == 48
         assert len(list(elements("D", 3))) == 24
         assert all(s.in_D for s in elements("D", 3))
+
+    def test_signings_keep_absolute_values(self):
+        values = (3, 1, 2)
+        for fam, count in (("A", 1), ("B", 8), ("D", 4)):
+            got = list(signings(values, fam))
+            assert len(got) == len(set(got)) == count
+            assert all(tuple(abs(v) for v in s.images) == values for s in got)
+            assert all(s.in_family(fam) for s in got)
+        with pytest.raises(ValueError):
+            list(signings(values, "C"))
 
 
 class TestStatistics:
