@@ -9,11 +9,14 @@ Every enumerated sum is a descent-table read.  The full group's tables come
 from the sweep and are cached in the context; a restricted support
 (chessboard, sandwich-free) or a pinned entry is a smaller pool of elements
 whose table is built once, before the loop over index sets, and read for
-each set in it.
+each set in it.  The per-element checks (root counts, additivity) run on
+arrays of absolute-value rows, one sign mask at a time.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .indexset import (
     C_poly,
@@ -36,13 +39,12 @@ from .sperm import (
     SignedPerm,
     compose,
     direct_product,
-    elements,
     ell_and_odd,
     label_mask,
     odd_length,
     parabolic_factorize,
 )
-from .rootsys import build_root_system, length_via_roots, odd_length_via_roots
+from .rootsys import build_root_system, length_via_roots, odd_length_via_roots, root_counts
 from .genfun import (
     DescentTable,
     brute_table,
@@ -52,13 +54,19 @@ from .genfun import (
     conjecture_rhs,
     conjecture_set,
     M_of,
+    perm_table,
     pinned_table,
+    scalar_table,
+    sweep_plan,
 )
 from .chess import (
+    additive_rows,
     chess_class,
     chessboard_elements,
+    chessboard_rows,
     check_L_additivity,
     check_set_factorization as set_product_holds,
+    k_odd_sandwiches,
     support_table,
 )
 
@@ -146,17 +154,20 @@ def _match(check: str, family: str, n: int, where, got: IntPoly, want: IntPoly) 
 
 
 def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
-    """Statistic-based length and odd length agree with root-system counts."""
+    """The sweep plan's length and odd length agree with root-system counts
+    on every element."""
     hard = {"A": 7, "B": 5, "D": 6}
     for family in ctx.families:
         for n in range(1, ctx.cap(family, hard[family]) + 1):
             rs = build_root_system(family, n)
-            total = bad = 0
-            for sigma in elements(family, n):
-                total += 1
-                want = (length_via_roots(rs, sigma), odd_length_via_roots(rs, sigma))
-                if ell_and_odd(sigma, family) != want:
-                    bad += 1
+            plan = sweep_plan(family, n)
+            perms = perm_table(n)
+            bad = 0
+            for mask in plan.masks.tolist():
+                got = plan.stats(perms, mask)
+                want = root_counts(rs, perms, mask)
+                bad += np.count_nonzero((got[0] != want[0]) | (got[1] != want[1]))
+            total = len(perms) * len(plan.masks)
             yield _row("root-oracle", family, n, "", bad == 0, f"{total} elements")
 
 
@@ -279,9 +290,10 @@ def check_support_positional(ctx: CheckContext) -> Iterator[CheckRow]:
         return
     for n in range(4, ctx.cap("D", 7) + 1):
         table = ctx.table("D", n)
+        pool = list(chessboard_elements(n))
         for a0 in range(2, n - 1):
             I = IndexSet.full(n).remove(a0)
-            support = support_table(n, "T", param=a0)
+            support = scalar_table("D", n, (s for s in pool if not k_odd_sandwiches(s, a0)))
             for J in (I, I.remove(0)):
                 got = support.quotient_poly(J)
                 want = table.quotient_poly(J)
@@ -294,11 +306,12 @@ def check_additivity(ctx: CheckContext) -> Iterator[CheckRow]:
     if "D" not in ctx.families:
         return
     for n in range(2, ctx.cap("D", 7) + 1):
-        total = bad = 0
-        for sigma in chessboard_elements(n):
-            total += 1
-            if not check_L_additivity(sigma):
-                bad += 1
+        plan = sweep_plan("D", n)
+        rows = chessboard_rows(n)
+        bad = sum(
+            np.count_nonzero(~additive_rows(plan, rows, mask)) for mask in plan.masks.tolist()
+        )
+        total = len(rows) * len(plan.masks)
         yield _row("additivity-chessboard", "D", n, "", bad == 0,
                    f"{total} chessboard elements")
 

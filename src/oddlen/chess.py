@@ -8,6 +8,11 @@ literal scans and the set-level product factorizations behind the
 closed formulas.  A restricted support is a pool of elements: its
 descent table is built once, by the scalar oracle genfun.scalar_table,
 and every quotient sum over it is a table read.
+
+Chessboard elements are enumerated as arrays: absolute-value rows on
+which i + P[i] has one parity, crossed with sign masks.  The additivity
+of the odd length over the sorting factorization is tested on those
+arrays, with every odd length read from the sweep plan.
 """
 
 from __future__ import annotations
@@ -15,14 +20,15 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .genfun import DescentTable, check_budget, scalar_table
+import numpy as np
+
+from .genfun import DescentTable, SweepPlan, check_budget, perm_table, scalar_table, sweep_plan
 from .indexset import IndexSet, is_compressed
 from .sperm import (
     SignedPerm,
     compose,
     direct_product,
     in_quotient,
-    odd_length,
     parabolic_factorize,
     signings,
 )
@@ -48,29 +54,21 @@ def is_chessboard(sigma: SignedPerm) -> bool:
     return chess_class(sigma) is not None
 
 
-def chessboard_elements(n: int, family: str = "D") -> Iterator[SignedPerm]:
-    """All chessboard elements of the group, by parity class.
+def chessboard_rows(n: int) -> np.ndarray:
+    """Absolute-value rows (int8 permutations of range(n), in lexicographic
+    order) on which i + P[i] has one parity for every position i."""
+    perms = perm_table(n)
+    parity = (perms + np.arange(n, dtype=np.int8)) % 2
+    return perms[(parity == parity[:, :1]).all(axis=1)]
 
-    Positions and absolute values split by parity, so each class is a
-    pair of smaller permutations crossed with sign masks.
-    """
+
+def chessboard_elements(n: int, family: str = "D") -> Iterator[SignedPerm]:
+    """All chessboard elements of the group: the chessboard rows under
+    every sign mask of the family."""
     if family not in ("A", "D"):
         raise ValueError("chessboard enumeration covers families A and D")
-    for cls in (0, 1):
-        odd_vals = [v for v in range(1, n + 1) if v % 2 == 1]
-        even_vals = [v for v in range(1, n + 1) if v % 2 == 0]
-        odd_pos = [i for i in range(1, n + 1) if (i + cls) % 2 == 1]
-        even_pos = [i for i in range(1, n + 1) if (i + cls) % 2 == 0]
-        if len(odd_vals) != len(odd_pos):
-            continue
-        for po in permutations(odd_vals):
-            for pe in permutations(even_vals):
-                base = [0] * n
-                for p, v in zip(odd_pos, po):
-                    base[p - 1] = v
-                for p, v in zip(even_pos, pe):
-                    base[p - 1] = v
-                yield from signings(base, family)
+    for row in chessboard_rows(n):
+        yield from signings([int(v) + 1 for v in row], family)
 
 
 def odd_sandwiches(sigma: SignedPerm, c: int) -> list[Sandwich]:
@@ -172,15 +170,39 @@ def support_sum(
     return support_table(n, support, family=family, param=param).quotient_poly(index_set)
 
 
+def sorting_factors(rows: np.ndarray, mask: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The parabolic factorization sigma = u . v with J = {1..n-1} of each
+    absolute-value row under one sign mask.
+
+    u has no descents in J, so it lists the entries of sigma in increasing
+    order: its k negative entries come first and its sign mask is
+    (1 << k) - 1.  v is unsigned, and v(i) is the rank of sigma(i).
+    Returns the absolute-value rows of u, the sign mask of u and the rows
+    of v.
+    """
+    neg = (mask >> np.arange(rows.shape[1])) & 1
+    entries = (rows.astype(np.int64) + 1) * (1 - 2 * neg)
+    order = np.argsort(entries, axis=1)
+    u = np.abs(np.take_along_axis(entries, order, axis=1)) - 1
+    return u, (1 << int(neg.sum())) - 1, np.argsort(order, axis=1)
+
+
+def additive_rows(plan: SweepPlan, rows: np.ndarray, mask: int) -> np.ndarray:
+    """Whether the odd length splits over sorting_factors, L(sigma) =
+    L(u) + L(v), for each row under one sign mask of D_n; plan is the D_n
+    sweep plan, and all three odd lengths are read from it."""
+    u, u_mask, v = sorting_factors(rows, mask)
+    odd = plan.stats(rows, mask)[1]
+    return odd == plan.stats(u, u_mask)[1] + plan.stats(v, 0)[1]
+
+
 def check_L_additivity(sigma: SignedPerm) -> bool:
     """Whether the odd length splits over the parabolic factorization
-    that sorts all entries (labels 1..n-1)."""
-    n = sigma.n
+    that sorts all entries (labels 1..n-1): additive_rows on one row."""
     if not sigma.in_D:
         raise ValueError("additivity check needs an even number of negative entries")
-    tail = IndexSet.of(n, range(1, n))
-    u, v = parabolic_factorize(sigma, tail, "D")
-    return odd_length(sigma, "D") == odd_length(u, "D") + odd_length(v, "D")
+    row = np.array([[abs(v) - 1 for v in sigma.images]])
+    return bool(additive_rows(sweep_plan("D", sigma.n), row, sigma.sign_mask)[0])
 
 
 def _gaps(index_set: IndexSet) -> list[int]:

@@ -121,7 +121,7 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _perm_table(s: int) -> np.ndarray:
+def perm_table(s: int) -> np.ndarray:
     """The s! permutations of range(s) as int8 rows, in lexicographic order."""
     table = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, s + 1):
@@ -133,7 +133,7 @@ def _perm_table(s: int) -> np.ndarray:
 
 
 @dataclass
-class _SweepPlan:
+class SweepPlan:
     """Weights and lookup tables for one family and rank."""
 
     n: int
@@ -144,8 +144,28 @@ class _SweepPlan:
     const: np.ndarray     # (2 * nmasks,) constant parts, length | odd length
     lut: np.ndarray       # (2**(n-1), nmasks) histogram key of each descent word
 
+    def stats(self, perms: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
+        """Length and odd length of every absolute-value row of perms (each
+        a permutation of range(n)) under one sign mask, read off the
+        sweep's own weights: G(P) @ weights + const in the mask's columns."""
+        k = int(np.searchsorted(self.masks, mask))
+        if k == len(self.masks) or self.masks[k] != mask:
+            raise ValueError(f"sign mask {mask} is outside the group")
+        cols = [k, len(self.masks) + k]
+        left, right = np.array(_pairs(self.n), dtype=np.intp).reshape(-1, 2).T
+        g = (perms[:, left] > perms[:, right]).astype(np.float32)
+        both = (g @ self.weights[:, cols] + self.const[cols]).astype(np.int64)
+        return both[:, 0], both[:, 1]
 
-def _build_plan(family: str, n: int) -> _SweepPlan:
+
+def sweep_plan(family: str, n: int) -> SweepPlan:
+    """The sweep's plan for one group within BUDGET, for per-element reads
+    through SweepPlan.stats."""
+    check_budget(family, n)
+    return _build_plan(family, n)
+
+
+def _build_plan(family: str, n: int) -> SweepPlan:
     masks = _sign_masks(family, n)
     nmasks = masks.shape[0]
     neg = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float32)  # (nmasks, n)
@@ -189,7 +209,7 @@ def _build_plan(family: str, n: int) -> _SweepPlan:
     elif family == "D" and n >= 2:
         dmask |= (g[:, 0] * (mp - pm)[0] + (pm + mm)[0]).astype(np.int64)  # pair (0, 1)
 
-    return _SweepPlan(
+    return SweepPlan(
         n=n,
         masks=masks,
         width=width,
@@ -206,13 +226,13 @@ def _columns(rows: list[tuple[int, int, int]]) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(-1, 3).T
 
 
-def _sweep_range(plan: _SweepPlan, start: int, stop: int) -> np.ndarray:
+def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     """Histogram (descent mask, length parity, odd length) over the prefix
     blocks [start, stop), crossed with all sign masks."""
     n, s = plan.n, plan.suffix
     p = n - s
     nmasks = plan.masks.shape[0]
-    base = _perm_table(s)
+    base = perm_table(s)
     counts = np.zeros((1 << n) * 2 * plan.width, dtype=np.int64)
 
     pairs = _pairs(n)
@@ -319,7 +339,7 @@ def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable
     return DescentTable(family, n, buckets)
 
 
-def _sweep_worker(job: tuple[_SweepPlan, int, int]) -> np.ndarray:
+def _sweep_worker(job: tuple[SweepPlan, int, int]) -> np.ndarray:
     return _sweep_range(*job)
 
 

@@ -4,12 +4,21 @@ computed straight from the definitions.
 This module is the ground-truth oracle: heights come from an exact linear
 solve against the simple-root basis, and lengths from counting positive
 roots sent negative, with no combinatorial shortcuts.
+
+Every root coordinate is -1, 0 or 1, and so is every coordinate of its
+image under a signed permutation.  A vector c of such coordinates has the
+balanced-ternary key sum_j c_j 3^j, which is one-to-one, and the key of -c
+is minus the key of c.  Root counts run over arrays: a block of elements
+sharing one sign mask sends every positive root to a key at once, and a
+root counts when minus its image's key is a positive root's key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .sperm import SignedPerm
 
@@ -62,7 +71,8 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
     heights: tuple[int, ...]
     simple_roots: tuple[tuple[int, tuple[int, ...]], ...]  # (label, coords)
-    _pos_set: frozenset[tuple[int, ...]] = field(repr=False)
+    _coords: np.ndarray = field(repr=False)   # (roots, n) int8 positive-root coordinates
+    _keys: np.ndarray = field(repr=False)     # balanced-ternary keys of the positive roots
     _odd_idx: tuple[int, ...] = field(repr=False)
 
 
@@ -98,60 +108,52 @@ def build_root_system(family: str, n: int) -> RootSystem:
         raise ValueError(f"unknown family {family!r}")
     basis = [coords for _, coords in simples]
     heights = tuple(_solve_height(basis, r) for r in roots)
+    coords = np.array(roots, dtype=np.int8).reshape(-1, n)
     return RootSystem(
         family=family,
         n=n,
         positive_roots=tuple(roots),
         heights=heights,
         simple_roots=tuple(simples),
-        _pos_set=frozenset(roots),
+        _coords=coords,
+        _keys=coords @ 3 ** np.arange(n, dtype=np.int64),
         _odd_idx=tuple(k for k, h in enumerate(heights) if h % 2 == 1),
     )
 
 
-def _check_compat(rs: RootSystem, sigma: SignedPerm) -> None:
-    if sigma.n != rs.n:
+def root_counts(rs: RootSystem, perms: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive roots, and odd-height positive roots, sent to negative roots
+    by each element of a block.
+
+    Row P of perms (a permutation of range(n)) under the sign mask is the
+    element with sigma(i) = -(P[i-1] + 1) where bit i-1 of mask is set and
+    P[i-1] + 1 elsewhere.  It sends e_i to sgn(sigma(i)) e_{P[i-1]+1}, so
+    root r goes to the vector with sgn(sigma(i)) r_i at coordinate P[i-1]:
+    its key is the signed coordinate matrix times 3^P.
+    """
+    n = rs.n
+    if perms.ndim != 2 or perms.shape[1] != n:
         raise ValueError("degree mismatch")
-    if not sigma.in_family(rs.family):
+    if mask >> n or (rs.family == "A" and mask) or (rs.family == "D" and bin(mask).count("1") % 2):
         raise ValueError("element outside the family's group")
+    sign = 1 - 2 * ((mask >> np.arange(n)) & 1)
+    keys = (rs._coords * sign) @ (3 ** perms.astype(np.int64)).T  # (roots, rows)
+    hits = np.isin(-keys, rs._keys)
+    return hits.sum(axis=0), hits[list(rs._odd_idx)].sum(axis=0)
 
 
-def _image(sigma: SignedPerm, root: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # w(e_i) = sgn(sigma(i)) e_{|sigma(i)|}, extended linearly.
-    out = [0] * n
-    for i, c in enumerate(root):
-        if c:
-            v = sigma.images[i]
-            if v > 0:
-                out[v - 1] += c
-            else:
-                out[-v - 1] -= c
-    return tuple(out)
+def _one_row(rs: RootSystem, sigma: SignedPerm) -> tuple[np.ndarray, np.ndarray]:
+    return root_counts(rs, np.array([[abs(v) - 1 for v in sigma.images]]), sigma.sign_mask)
 
 
 def length_via_roots(rs: RootSystem, sigma: SignedPerm) -> int:
     """Count of positive roots sent to negative roots."""
-    _check_compat(rs, sigma)
-    pos, n = rs._pos_set, rs.n
-    count = 0
-    for root in rs.positive_roots:
-        img = _image(sigma, root, n)
-        if tuple(-c for c in img) in pos:
-            count += 1
-    return count
+    return int(_one_row(rs, sigma)[0][0])
 
 
 def odd_length_via_roots(rs: RootSystem, sigma: SignedPerm) -> int:
     """Count of odd-height positive roots sent to negative roots."""
-    _check_compat(rs, sigma)
-    pos, n = rs._pos_set, rs.n
-    count = 0
-    roots = rs.positive_roots
-    for k in rs._odd_idx:
-        img = _image(sigma, roots[k], n)
-        if tuple(-c for c in img) in pos:
-            count += 1
-    return count
+    return int(_one_row(rs, sigma)[1][0])
 
 
 def odd_root_count(family: str, n: int) -> int:

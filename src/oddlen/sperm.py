@@ -88,6 +88,11 @@ class SignedPerm:
         return sum(1 for v in self.images if v < 0)
 
     @property
+    def sign_mask(self) -> int:
+        """Bit i-1 is set where sigma(i) is negative."""
+        return sum(1 << i for i, v in enumerate(self.images) if v < 0)
+
+    @property
     def in_S(self) -> bool:
         return self.neg_count == 0
 

@@ -1,7 +1,10 @@
 """Every named identity check passes at the fast tier."""
 
+from dataclasses import replace
+
 import pytest
 
+from oddlen import checks, chess, genfun
 from oddlen.checks import CHECKS, CheckContext, run_checks
 
 
@@ -37,3 +40,53 @@ def test_rank_cap_restricts_sweeps(fast_ctx):
     small = CheckContext(nmax={"A": 3, "B": 3, "D": 3}, families=("A", "B", "D"))
     rows = list(CHECKS["a-closed-match"](small))
     assert rows and max(r.n for r in rows) == 3
+
+
+# Planted faults: each comparison must fail when one side is broken.
+SMALL = {"A": 4, "B": 3, "D": 4}
+
+
+def _failing(name):
+    rows = list(CHECKS[name](CheckContext(nmax=dict(SMALL))))
+    return rows, [r for r in rows if not r.ok]
+
+
+def test_root_oracle_catches_a_perturbed_odd_length_weight(monkeypatch):
+    build = genfun._build_plan
+
+    def broken(family, n):
+        plan = build(family, n)
+        if n >= 2:
+            plan.weights[0, len(plan.masks)] += 1  # pair (1, 2), first mask, odd length
+        return plan
+
+    monkeypatch.setattr(genfun, "_build_plan", broken)
+    rows, bad = _failing("root-oracle")
+    assert {(r.family, r.n) for r in bad} == {(r.family, r.n) for r in rows if r.n >= 2}
+
+
+def test_root_oracle_catches_a_missing_positive_root(monkeypatch):
+    build = checks.build_root_system
+
+    def missing_root(family, n):
+        rs = build(family, n)
+        return replace(rs, _keys=rs._keys[1:])
+
+    monkeypatch.setattr(checks, "build_root_system", missing_root)
+    rows, bad = _failing("root-oracle")
+    # Every group with a root fails: all but A1 and D1.
+    assert {(r.family, r.n) for r in bad} == {
+        (r.family, r.n) for r in rows if r.n >= 2 or r.family == "B"
+    }
+
+
+def test_additivity_catches_an_unsorted_factor(monkeypatch):
+    factors = chess.sorting_factors
+
+    def unsorted(rows, mask):
+        _, u_mask, v = factors(rows, mask)
+        return rows, u_mask, v
+
+    monkeypatch.setattr(chess, "sorting_factors", unsorted)
+    rows, bad = _failing("additivity-chessboard")
+    assert rows and bad

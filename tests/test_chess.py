@@ -1,23 +1,37 @@
 """Chessboard elements, odd sandwiches, and support factorizations."""
 
+import numpy as np
 import pytest
 
 from oddlen.chess import (
     Sandwich,
+    additive_rows,
     check_L_additivity,
     check_set_factorization,
     chess_class,
     chessboard_elements,
+    chessboard_rows,
     in_H,
     in_T,
     is_chessboard,
     k_odd_sandwiches,
     odd_sandwiches,
+    sorting_factors,
     support_sum,
     support_table,
 )
+from oddlen.genfun import sweep_plan
 from oddlen.indexset import IndexSet
-from oddlen.sperm import SignedPerm, compose, ell_and_odd, in_quotient, label_mask
+from oddlen.sperm import (
+    SignedPerm,
+    compose,
+    elements,
+    ell_and_odd,
+    in_quotient,
+    label_mask,
+    odd_length,
+    parabolic_factorize,
+)
 from oddlen.zpoly import ZERO, IntPoly
 
 
@@ -36,6 +50,13 @@ class TestChessboard:
         assert [
             len(list(chessboard_elements(n, family="A"))) for n in (2, 3, 4, 5)
         ] == [2, 2, 8, 12]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rows_enumerate_exactly_the_chessboard_elements(self, n):
+        want = {s for s in elements("D", n) if is_chessboard(s)}
+        got = list(chessboard_elements(n))
+        assert len(got) == len(want) and set(got) == want
+        assert len(chessboard_rows(n)) << (n - 1) == len(want)
 
     def test_family_guard(self):
         with pytest.raises(ValueError):
@@ -84,7 +105,40 @@ class TestLAdditivity:
         assert check_L_additivity(SignedPerm.identity(4))
 
     def test_known_violation(self):
-        assert not check_L_additivity(SignedPerm.from_text("-1 -3 2 4"))
+        sigma = SignedPerm.from_text("-1 -3 2 4")
+        assert not check_L_additivity(sigma)
+        assert not _scalar_additivity(sigma)
+
+
+def _scalar_additivity(sigma):
+    """The reference: odd lengths of the loop-built parabolic factorization."""
+    u, v = parabolic_factorize(sigma, IndexSet.of(sigma.n, range(1, sigma.n)), "D")
+    return odd_length(sigma, "D") == odd_length(u, "D") + odd_length(v, "D")
+
+
+def _element_rows(n):
+    """Every element of D_n as (absolute-value row, sign mask, element)."""
+    for sigma in elements("D", n):
+        yield np.array([[abs(v) - 1 for v in sigma.images]]), sigma.sign_mask, sigma
+
+
+class TestSortingFactorization:
+    def test_matches_parabolic_factorize_on_d5(self):
+        J = IndexSet.of(5, range(1, 5))
+        for row, mask, sigma in _element_rows(5):
+            u_rows, u_mask, v_rows = sorting_factors(row, mask)
+            u = SignedPerm(tuple(
+                -(int(x) + 1) if u_mask >> i & 1 else int(x) + 1 for i, x in enumerate(u_rows[0])
+            ))
+            v = SignedPerm(tuple(int(x) + 1 for x in v_rows[0]))
+            assert (u, v) == parabolic_factorize(sigma, J, "D"), sigma
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_array_additivity_matches_the_scalar_formula(self, n):
+        # D4 holds the off-chessboard counterexample -1 -3 2 4.
+        plan = sweep_plan("D", n)
+        for row, mask, sigma in _element_rows(n):
+            assert bool(additive_rows(plan, row, mask)[0]) == _scalar_additivity(sigma), sigma
 
 
 def _filtered_sum(family, I, pool):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -197,6 +198,19 @@ class TestVerify:
         code, _, err = run(["verify", "--workers", workers, "--only", "remark-values"], capsys)
         assert code == 2
         assert "--workers" in err
+
+    # SHA-256 of the rows file written by FAST_ROWS_ARGV.  Any change to a
+    # row, its order or the number format changes it; a deliberate change
+    # of the rows updates it in the same commit.
+    FAST_ROWS_ARGV = ["verify", "--tier", "fast", "--workers", "1", "--format", "json"]
+    FAST_ROWS_SHA256 = "075bfda0612d3b6e0eccdeb5f666a3dcfcf33bcef0bab2a57ddfb8effb439697"
+
+    def test_fast_tier_rows_digest(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.json"
+        code, _, err = run(self.FAST_ROWS_ARGV + ["-o", str(out_path)], capsys)
+        assert code == 0
+        assert "1779 rows, 0 failures" in err
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.FAST_ROWS_SHA256
 
     def test_injected_failure_exits_4(self, capsys, monkeypatch):
         def bad_check(ctx):

@@ -5,13 +5,14 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddlen.genfun import (
     BUDGET,
     BudgetError,
     DescentTable,
     _build_plan,
-    _perm_table,
     _sweep_range,
     M_of,
     brute_filtered,
@@ -23,9 +24,11 @@ from oddlen.genfun import (
     closed_poly,
     conjecture_rhs,
     conjecture_set,
+    perm_table,
     pinned_table,
     resolve_workers,
     scalar_table,
+    sweep_plan,
 )
 from oddlen.indexset import IndexSet, components
 from oddlen.rootsys import odd_root_count
@@ -150,7 +153,7 @@ class TestSweepKernel:
     def test_perm_table_is_lexicographic(self, s):
         from itertools import permutations
 
-        table = _perm_table(s)
+        table = perm_table(s)
         assert table.dtype == np.int8
         assert [tuple(row) for row in table] == list(permutations(range(s)))
 
@@ -176,6 +179,47 @@ class TestSweepKernel:
             scalar_table("D", 3, [SignedPerm.identity(4)])
         with pytest.raises(ValueError):
             scalar_table("A", 3, [SignedPerm.from_text("-1 2 3")])
+
+
+@st.composite
+def family_elements(draw):
+    """A family and a random element of it at a rank in 1..BUDGET."""
+    family = draw(st.sampled_from(sorted(BUDGET)))
+    n = draw(st.integers(1, BUDGET[family]))
+    values = draw(st.permutations(range(1, n + 1)))
+    signs = [1] * n
+    if family != "A":
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        if family == "D" and signs.count(-1) % 2:
+            signs[0] = -signs[0]
+    return family, SignedPerm(tuple(v * s for v, s in zip(values, signs)))
+
+
+class TestPlanReads:
+    @given(family_elements())
+    @settings(deadline=None)
+    def test_plan_reads_match_scalar_statistics(self, drawn):
+        """The sweep plan's per-element read against scalar ell_and_odd.
+
+        Ranks stop at BUDGET, not at sperm.MAX_DEGREE: the plan carries a
+        descent lookup table of 2**(n-1) words by every sign mask, which
+        outgrows memory long before rank 16.
+        """
+        family, sigma = drawn
+        row = np.array([[abs(v) - 1 for v in sigma.images]])
+        length, odd = sweep_plan(family, sigma.n).stats(row, sigma.sign_mask)
+        assert (int(length[0]), int(odd[0])) == ell_and_odd(sigma, family)
+
+    def test_stats_rejects_masks_outside_the_group(self):
+        rows = perm_table(3)
+        with pytest.raises(ValueError):
+            sweep_plan("A", 3).stats(rows, 1)
+        with pytest.raises(ValueError):
+            sweep_plan("D", 3).stats(rows, 0b100)
+
+    def test_sweep_plan_respects_the_budget(self):
+        with pytest.raises(BudgetError):
+            sweep_plan("D", BUDGET["D"] + 1)
 
 
 class TestClosedForms:

@@ -1,14 +1,17 @@
 """Root-system construction and root-counting length statistics."""
 
+import numpy as np
 import pytest
 
+from oddlen.genfun import perm_table
 from oddlen.rootsys import (
     build_root_system,
     length_via_roots,
     odd_length_via_roots,
     odd_root_count,
+    root_counts,
 )
-from oddlen.sperm import SignedPerm, elements, ell, odd_length
+from oddlen.sperm import SignedPerm, elements, ell, ell_and_odd, odd_length
 
 
 class TestConstruction:
@@ -60,3 +63,39 @@ class TestLengthAgreement:
         w0 = SignedPerm.from_text("-1 -2 -3")
         assert length_via_roots(rs, w0) == 9
         assert odd_length_via_roots(rs, w0) == odd_root_count("B", 3)
+
+
+class TestArrayCounts:
+    @pytest.mark.parametrize("family, n", [("A", 7), ("B", 5), ("D", 6)])
+    def test_scalar_statistics_match_root_counts(self, family, n):
+        """The scalar pair statistics against the array root counts on every
+        element, at the ranks the root-oracle check covers."""
+        rs = build_root_system(family, n)
+        perms = perm_table(n)
+        index = {row: k for k, row in enumerate(map(tuple, perms.tolist()))}
+        counts = {}
+        for sigma in elements(family, n):
+            mask = sigma.sign_mask
+            if mask not in counts:
+                counts[mask] = np.stack(root_counts(rs, perms, mask), axis=1)
+            k = index[tuple(abs(v) - 1 for v in sigma.images)]
+            assert tuple(counts[mask][k]) == ell_and_odd(sigma, family), sigma
+
+    def test_rejects_masks_outside_the_family(self):
+        perms = perm_table(3)
+        with pytest.raises(ValueError):
+            root_counts(build_root_system("A", 3), perms, 1)
+        with pytest.raises(ValueError):
+            root_counts(build_root_system("D", 3), perms, 0b100)
+        with pytest.raises(ValueError):
+            root_counts(build_root_system("B", 3), perms, 0b1000)
+        with pytest.raises(ValueError):
+            root_counts(build_root_system("B", 4), perms, 0)
+
+    def test_block_rows_match_one_row_reads(self):
+        rs = build_root_system("D", 4)
+        perms = perm_table(4)
+        lengths, odds = root_counts(rs, perms, 0b0110)
+        for row, l, o in zip(perms.tolist(), lengths, odds):
+            sigma = SignedPerm(tuple(-(v + 1) if i in (1, 2) else v + 1 for i, v in enumerate(row)))
+            assert (length_via_roots(rs, sigma), odd_length_via_roots(rs, sigma)) == (l, o)
