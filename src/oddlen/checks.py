@@ -5,12 +5,13 @@ index set, yielding a row per verified instance.  Brute-force sweeps respect
 the per-family rank bounds in the context (the verify tiers); closed-form
 checks are cheap and always run at their intrinsic ranges.
 
-Every enumerated sum is a descent-table read.  The full group's tables come
-from the sweep and are cached in the context; a restricted support
-(chessboard, sandwich-free) or a pinned entry is a smaller pool of elements
-whose table is built once, before the loop over index sets, and read for
-each set in it.  The per-element checks (root counts, additivity) run on
-arrays of absolute-value rows, one sign mask at a time.
+Every enumerated sum is a descent-table read, and every table is the sweep
+plan's one histogram over (rows x sign masks) arrays.  The full group's
+tables come from the sweep and are cached in the context; a restricted
+support (chessboard, sandwich-free) or a pinned entry is a filter on rows
+and masks whose table is built once, before the loop over index sets, and
+read for each set in it.  The per-element checks (root counts, additivity)
+run on arrays of absolute-value rows, one sign mask at a time.
 """
 
 from dataclasses import dataclass, field
@@ -56,17 +57,14 @@ from .genfun import (
     M_of,
     perm_table,
     pinned_table,
-    scalar_table,
     sweep_plan,
 )
 from .chess import (
     additive_rows,
     chess_class,
-    chessboard_elements,
     chessboard_rows,
     check_L_additivity,
     check_set_factorization as set_product_holds,
-    k_odd_sandwiches,
     support_table,
 )
 
@@ -290,10 +288,9 @@ def check_support_positional(ctx: CheckContext) -> Iterator[CheckRow]:
         return
     for n in range(4, ctx.cap("D", 7) + 1):
         table = ctx.table("D", n)
-        pool = list(chessboard_elements(n))
         for a0 in range(2, n - 1):
             I = IndexSet.full(n).remove(a0)
-            support = scalar_table("D", n, (s for s in pool if not k_odd_sandwiches(s, a0)))
+            support = support_table(n, "T", param=a0)
             for J in (I, I.remove(0)):
                 got = support.quotient_poly(J)
                 want = table.quotient_poly(J)

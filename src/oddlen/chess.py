@@ -3,16 +3,13 @@
 The sign-twisted quotient polynomials are supported on small structured
 subsets of the group: chessboard elements, then chessboard elements
 whose final segment has no odd sandwiches, then chessboard elements
-with no k-odd sandwiches.  This module provides those predicates as
-literal scans and the set-level product factorizations behind the
-closed formulas.  A restricted support is a pool of elements: its
-descent table is built once, by the scalar oracle genfun.scalar_table,
-and every quotient sum over it is a table read.
-
-Chessboard elements are enumerated as arrays: absolute-value rows on
-which i + P[i] has one parity, crossed with sign masks.  The additivity
-of the odd length over the sorting factorization is tested on those
-arrays, with every odd length read from the sweep plan.
+with no k-odd sandwiches.  The sandwich predicates come twice: literal
+scans of one SignedPerm (the scalar oracles) and filters over
+absolute-value rows and sign masks.  A restricted support is
+chessboard_rows (the rows with one parity of i + P[i]) under such a
+filter, and its descent table is one SweepPlan.table call.  Odd-length
+additivity over the sorting factorization runs on the same arrays; the
+set-level product factorizations materialize sets of SignedPerms.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .genfun import DescentTable, SweepPlan, check_budget, perm_table, scalar_table, sweep_plan
+from .genfun import DescentTable, SweepPlan, perm_table, sweep_plan
 from .indexset import IndexSet, is_compressed
 from .sperm import (
     SignedPerm,
@@ -137,29 +134,63 @@ def in_T(sigma: SignedPerm, a0: int) -> bool:
     return is_chessboard(sigma) and not k_odd_sandwiches(sigma, a0)
 
 
-def support_table(
-    n: int, support: str, *, family: str = "D", param: int | None = None
-) -> DescentTable:
-    """Descent table of a restricted support.
+def k_sandwich_free(rows: np.ndarray, k: int) -> np.ndarray:
+    """Array form of k_odd_sandwiches: whether each absolute-value row has
+    no k-odd sandwich.  Signs play no part, so this filters rows."""
+    n = rows.shape[1]
+    if not 1 <= k <= n - 1:
+        raise ValueError("position bound out of range")
+    inside = np.argsort(rows, axis=1) < k  # inside[:, v]: value v+1 sits at a position <= k
+    free = np.ones(len(rows), dtype=bool)
+    for r in range(n):
+        for top in range(r + 2, n, 2):
+            free &= ~(inside[:, r] & inside[:, top] & ~inside[:, r + 1 : top].any(axis=1))
+    return free
 
-    support is one of "chessboard", "H" (the elements passing
-    in_H(sigma, param)) or "T" (those passing in_T(sigma, param)).
-    """
+
+def window_sandwich_free(rows: np.ndarray, masks: np.ndarray, c: int) -> np.ndarray:
+    """Array form of odd_sandwiches: whether each absolute-value row under
+    each sign mask has no odd sandwich in its final segment from position
+    c, as a (rows, masks) filter."""
+    n = rows.shape[1]
+    if not 1 <= c <= n - 1:
+        raise ValueError("segment start out of range")
+    where = np.argsort(rows, axis=1)  # position of each value
+    window = where >= c - 1
+    neg = (masks[None, :, None] >> where[:, None, :]) & 1 == 1  # sign of each value
+    low = rows[:, c - 1 :].min(axis=1)
+    free = np.ones((len(rows), len(masks)), dtype=bool)
+    for r in range(n):
+        for top in range(r + 2, n, 2):
+            mids = window[:, None, r + 1 : top]
+            flips = neg[:, :, r + 1 : top] != neg[:, :, r, None]
+            same = neg[:, :, r] == neg[:, :, top]
+            sandwich = np.where(same, ~(mids & ~flips).any(axis=2),
+                                (low == r)[:, None] & ~(mids & flips).any(axis=2))
+            free &= ~(window[:, r] & window[:, top])[:, None] | ~sandwich
+    return free
+
+
+def support_table(n: int, support: str, *, family: str = "D",
+                  param: int | None = None) -> DescentTable:
+    """Descent table of a restricted support: the chessboard rows crossed
+    with the family's sign masks, all of them for "chessboard", those
+    passing in_H(sigma, param) for "H", or in_T(sigma, param) for "T"."""
     if family not in ("A", "D"):
         raise ValueError("support sums cover families A and D")
-    check_budget(family, n)
-    if support == "chessboard":
-        pool = chessboard_elements(n, family)
-    elif support in ("H", "T"):
-        if family != "D":
-            raise ValueError("sandwich supports are defined on family D")
-        if param is None:
-            raise ValueError(f"support {support!r} needs a parameter")
-        sandwiches = odd_sandwiches if support == "H" else k_odd_sandwiches
-        pool = (s for s in chessboard_elements(n) if not sandwiches(s, param))
-    else:
+    if support not in ("chessboard", "H", "T"):
         raise ValueError(f"unknown support {support!r}")
-    return scalar_table(family, n, pool)
+    plan = sweep_plan(family, n)
+    rows = chessboard_rows(n)
+    if support == "chessboard":
+        return plan.table(family, rows)
+    if family != "D":
+        raise ValueError("sandwich supports are defined on family D")
+    if param is None:
+        raise ValueError(f"support {support!r} needs a parameter")
+    if support == "H":
+        return plan.table(family, rows, window_sandwich_free(rows, plan.masks, param))
+    return plan.table(family, rows, k_sandwich_free(rows, param)[:, None])
 
 
 def support_sum(
@@ -242,30 +273,12 @@ def _check_H_factorization(n: int, index_set: IndexSet) -> bool:
     m = n - a0
     k_set = IndexSet.of(m, [i for i in range(1, m) if (i + a0) not in gaps[1:]])
 
-    lhs = {
-        s
-        for s in chessboard_elements(n)
-        if in_quotient(s, index_set, "D") and not odd_sandwiches(s, c)
-    }
-    left = {
-        s
-        for s in chessboard_elements(n)
-        if in_quotient(s, j_set, "D") and not odd_sandwiches(s, c)
-    }
-    right = set()
+    pool = [s for s in chessboard_elements(n) if not odd_sandwiches(s, c)]
     head = SignedPerm.identity(a0)
-    for p in permutations(range(1, m + 1)):
-        tail = SignedPerm(tuple(p))
-        if not in_quotient(tail, k_set, "A"):
-            continue
-        t = direct_product(head, tail)
-        if is_chessboard(t):
-            right.add(t)
-
-    product = {compose(u, t) for u in left for t in right}
-    proj_left = {parabolic_factorize(s, j_set, "D")[0] for s in lhs}
-    proj_right = {parabolic_factorize(s, j_set, "D")[1] for s in lhs}
-    return product == lhs and proj_left == left and proj_right == right
+    tails = (SignedPerm(p) for p in permutations(range(1, m + 1)))
+    products = (direct_product(head, t) for t in tails if in_quotient(t, k_set, "A"))
+    right = {t for t in products if is_chessboard(t)}
+    return _product_holds(pool, index_set, j_set, right, j_set)
 
 
 def _check_T_factorization(n: int, index_set: IndexSet) -> bool:
@@ -278,17 +291,7 @@ def _check_T_factorization(n: int, index_set: IndexSet) -> bool:
     if a0 % 2 == 0 or n % 2 == 0:
         raise ValueError("the T factorization needs the gap and the rank both odd")
 
-    reduced = index_set.remove(0)
-    lhs = {
-        s
-        for s in chessboard_elements(n)
-        if in_quotient(s, reduced, "D") and not k_odd_sandwiches(s, a0)
-    }
-    left = {
-        s
-        for s in chessboard_elements(n)
-        if in_quotient(s, index_set, "D") and not k_odd_sandwiches(s, a0)
-    }
+    pool = [s for s in chessboard_elements(n) if not k_odd_sandwiches(s, a0)]
     head_quotient = IndexSet.of(a0, range(1, a0))
     tail = SignedPerm.identity(n - a0)
     right = {
@@ -296,9 +299,18 @@ def _check_T_factorization(n: int, index_set: IndexSet) -> bool:
         for d in chessboard_elements(a0)
         if in_quotient(d, head_quotient, "D")
     }
-
-    product = {compose(u, t) for u in left for t in right}
     head_set = IndexSet.of(n, range(a0))
-    proj_left = {parabolic_factorize(s, head_set, "D")[0] for s in lhs}
-    proj_right = {parabolic_factorize(s, head_set, "D")[1] for s in lhs}
-    return product == lhs and proj_left == left and proj_right == right
+    return _product_holds(pool, index_set.remove(0), index_set, right, head_set)
+
+
+def _product_holds(pool: list[SignedPerm], lhs_set: IndexSet, left_set: IndexSet,
+                   right: set[SignedPerm], J: IndexSet) -> bool:
+    """Whether the lhs_set quotient elements of pool are exactly the
+    products u . t of its left_set quotient elements u with t in right,
+    and the J-parabolic factorization of each splits it that way."""
+    lhs = {s for s in pool if in_quotient(s, lhs_set, "D")}
+    left = {s for s in pool if in_quotient(s, left_set, "D")}
+    product = {compose(u, t) for u in left for t in right}
+    factors = [parabolic_factorize(s, J, "D") for s in lhs]
+    split = ({u for u, _ in factors}, {v for _, v in factors})
+    return product == lhs and split == (left, right)

@@ -200,14 +200,14 @@ def cmd_table(args) -> int:
             "n": args.n,
             "buckets": [
                 {"set": [i for i in range(args.n) if mask >> i & 1],
-                 "coeffs": list(table.buckets.get(mask, IntPoly()).coeffs)}
+                 "coeffs": list(table.bucket(mask).coeffs)}
                 for mask in masks
             ],
         }
         print(json.dumps(rec))
     else:
         for mask in masks:
-            poly = table.buckets.get(mask, IntPoly())
+            poly = table.bucket(mask)
             print(f"{{{set_text(mask)}}}: {poly if not poly.is_zero else 0}")
     return 0
 

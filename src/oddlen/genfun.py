@@ -1,12 +1,13 @@
 """Sign-twisted generating functions over parabolic quotients.
 
 Both computation routes live here: the closed product formulas and a
-brute-force sweep over the full group.  The sweep buckets every element
-by descent set once, so all 2^n quotients of one group cost a single
-enumeration plus a subset-sum (zeta) transform over the buckets.
-scalar_table builds the same buckets one element at a time from any
-pool of elements; it is the independent oracle for the sweep, and it
-serves the restricted sums (pinned entries here, supports in chess).
+brute-force sweep over the full group.  A DescentTable is one int64
+array counting elements by (descent mask, length parity, odd length),
+so all 2^n quotients of one group cost one SweepPlan.histogram plus a
+subset-sum (zeta) transform.  The sweep feeds the histogram prefix
+blocks of the group, and SweepPlan.table any rows under a (row, mask)
+filter: the restricted sums (pinned entries here, supports in chess).
+scalar_table, with no caller in the package, is the independent oracle.
 
 The sweep is array-native.  An element is an absolute-value row P (a
 permutation of 0..n-1) under one of the family's sign masks, and every
@@ -46,7 +47,6 @@ the length parity and the odd length.
 from __future__ import annotations
 
 import os
-from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, permutations
@@ -56,8 +56,9 @@ from typing import Iterable
 import numpy as np
 
 from .indexset import IndexSet, components, m_of, C_poly, tilde
-from .sperm import FAMILIES, SignedPerm, descent_set, ell_and_odd, label_mask, signings
-from .zpoly import ONE, ZERO, IntPoly, alt_product, q_multinomial
+from .rootsys import odd_root_count
+from .sperm import FAMILIES, SignedPerm, descent_set, ell_and_odd, label_mask
+from .zpoly import ONE, IntPoly, alt_product, q_multinomial
 
 BUDGET = {"A": 10, "B": 8, "D": 8}
 
@@ -152,15 +153,42 @@ class SweepPlan:
         if k == len(self.masks) or self.masks[k] != mask:
             raise ValueError(f"sign mask {mask} is outside the group")
         cols = [k, len(self.masks) + k]
-        left, right = np.array(_pairs(self.n), dtype=np.intp).reshape(-1, 2).T
-        g = (perms[:, left] > perms[:, right]).astype(np.float32)
-        both = (g @ self.weights[:, cols] + self.const[cols]).astype(np.int64)
+        both = (_greater(perms) @ self.weights[:, cols] + self.const[cols]).astype(np.int64)
         return both[:, 0], both[:, 1]
+
+    def histogram(self, block: np.ndarray, words: np.ndarray,
+                  keep: np.ndarray | None = None) -> np.ndarray:
+        """Flat (descent mask, length parity, odd length) histogram of a
+        block of rows under every sign mask, given each row's
+        G @ weights + const and adjacent-comparison word.  keep,
+        broadcast to (rows, masks), drops the elements where it is False."""
+        nmasks = len(self.masks)
+        keys = block[:, :nmasks].astype(np.int64)  # length
+        keys &= 1
+        keys *= self.width
+        np.add(keys, block[:, nmasks:], out=keys, casting="unsafe")  # odd length
+        keys += self.lut[words]
+        if keep is not None:
+            keys = keys[np.broadcast_to(keep, keys.shape)]
+        return np.bincount(keys.ravel(), minlength=(1 << self.n) * 2 * self.width)
+
+    def table(self, family: str, rows: np.ndarray, keep: np.ndarray | None = None) -> DescentTable:
+        """Descent table of the absolute-value rows crossed with every sign
+        mask, restricted to the (row, mask) elements that keep allows."""
+        word = ((rows[:, :-1] > rows[:, 1:]).astype(np.intp) << np.arange(self.n - 1)).sum(1)
+        counts = self.histogram(_greater(rows) @ self.weights + self.const, word, keep)
+        return DescentTable(family, self.n, counts.reshape(1 << self.n, 2, self.width))
+
+
+def _greater(perms: np.ndarray) -> np.ndarray:
+    """G(P): the comparisons [P[i] > P[j]] over position pairs i < j."""
+    left, right = np.array(_pairs(perms.shape[1]), dtype=np.intp).reshape(-1, 2).T
+    return (perms[:, left] > perms[:, right]).astype(np.float32)
 
 
 def sweep_plan(family: str, n: int) -> SweepPlan:
     """The sweep's plan for one group within BUDGET, for per-element reads
-    through SweepPlan.stats."""
+    (SweepPlan.stats) and tables over chosen rows (SweepPlan.table)."""
     check_budget(family, n)
     return _build_plan(family, n)
 
@@ -231,7 +259,6 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     blocks [start, stop), crossed with all sign masks."""
     n, s = plan.n, plan.suffix
     p = n - s
-    nmasks = plan.masks.shape[0]
     base = perm_table(s)
     counts = np.zeros((1 << n) * 2 * plan.width, dtype=np.int64)
 
@@ -249,8 +276,6 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
 
     block = shared
     buffer = np.empty_like(shared)
-    keys = np.empty((len(base), nmasks), dtype=np.int64)
-    odd = np.empty_like(keys)
     for prefix in islice(permutations(range(n), p), start, stop):
         rank = [v - sum(u < v for u in prefix) for v in prefix]
         bits = word
@@ -264,39 +289,34 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
                 block += (values[head_l] > values[head_r]).astype(np.float32) @ plan.weights[fixed]
             head_word = sum(int(prefix[k] > prefix[k + 1]) << k for k in range(p - 1))
             bits = word + head_word + (steps[rank[-1]][:, 0].astype(np.intp) << (p - 1))
-
-        np.copyto(keys, block[:, :nmasks], casting="unsafe")  # length
-        keys &= 1
-        keys *= plan.width
-        np.copyto(odd, block[:, nmasks:], casting="unsafe")
-        keys += odd
-        keys += plan.lut[bits]
-        counts += np.bincount(keys.ravel(), minlength=counts.size)
+        counts += plan.histogram(block, bits)
     return counts
 
 
 @dataclass
 class DescentTable:
-    """All 2^n sign-twisted quotient polynomials of one group, stored as
-    per-descent-set buckets with a lazy subset-sum transform."""
+    """All 2^n sign-twisted quotient polynomials of one group, or of a pool
+    of its elements, as counts by (descent mask, length parity, odd
+    length) with a lazy subset-sum transform of the signed counts."""
 
     family: str
     n: int
-    buckets: dict[int, IntPoly]
-    _zeta: list[IntPoly] | None = field(default=None, repr=False)
+    counts: np.ndarray  # int64, (2**n, 2, width)
+    _zeta: np.ndarray | None = field(default=None, repr=False)
 
-    def _zeta_table(self) -> list[IntPoly]:
+    def _zeta_table(self) -> np.ndarray:
         if self._zeta is None:
-            table = [ZERO] * (1 << self.n)
-            for mask, poly in self.buckets.items():
-                table[mask] = poly
+            # Yates: one in-place add per bit, over the masks with that bit set.
+            zeta = self.counts[:, 0] - self.counts[:, 1]
             for bit in range(self.n):
-                step = 1 << bit
-                for t in range(1 << self.n):
-                    if t & step:
-                        table[t] = table[t] + table[t ^ step]
-            self._zeta = table
+                halves = zeta.reshape(-1, 2, 1 << bit, zeta.shape[-1])
+                halves[:, 1] += halves[:, 0]
+            self._zeta = zeta
         return self._zeta
+
+    def bucket(self, mask: int) -> IntPoly:
+        """Signed sum over the elements whose descent mask is exactly mask."""
+        return IntPoly((self.counts[mask, 0] - self.counts[mask, 1]).tolist())
 
     def quotient_poly(self, index_set: IndexSet) -> IntPoly:
         """Sum of (-1)^length x^(odd length) over the minimal coset
@@ -306,7 +326,7 @@ class DescentTable:
         labels = label_mask(self.family, self.n)
         if index_set.mask & ~labels:
             raise ValueError("index set contains labels outside the generator range")
-        return self._zeta_table()[labels & ~index_set.mask]
+        return IntPoly(self._zeta_table()[labels & ~index_set.mask].tolist())
 
     def group_poly(self) -> IntPoly:
         return self.quotient_poly(IndexSet(self.n, 0))
@@ -327,16 +347,7 @@ def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             parts = list(pool.map(_sweep_worker, jobs))
         counts = np.sum(parts, axis=0)
-
-    table = counts.reshape(1 << n, 2, plan.width)
-    buckets: dict[int, IntPoly] = {}
-    for mask in range(1 << n):
-        even = table[mask, 0]
-        oddp = table[mask, 1]
-        if not even.any() and not oddp.any():
-            continue
-        buckets[mask] = IntPoly(int(e) - int(o) for e, o in zip(even, oddp))
-    return DescentTable(family, n, buckets)
+    return DescentTable(family, n, counts.reshape(1 << n, 2, plan.width))
 
 
 def _sweep_worker(job: tuple[SweepPlan, int, int]) -> np.ndarray:
@@ -348,43 +359,35 @@ def brute_quotient(family: str, n: int, index_set: IndexSet, workers: int | None
 
 
 def scalar_table(family: str, n: int, pool: Iterable[SignedPerm]) -> DescentTable:
-    """Descent table of any pool of group elements, summed one element at
-    a time.
-
-    This is the independent scalar oracle: lengths come from sperm's pair
-    statistics and descents from sperm.descent_set, sharing nothing with
-    the sweep.  Restricted and pinned-entry sums are tables over smaller
-    pools, read through the same subset-sum transform.
-    """
-    terms: dict[int, Counter[int]] = defaultdict(Counter)
+    """Descent table of any pool of group elements, one element at a time:
+    the independent scalar oracle for SweepPlan.table.  Lengths come from
+    sperm's pair statistics, descents from sperm.descent_set and the
+    width from the root system, sharing nothing with the sweep."""
+    counts = np.zeros((1 << n, 2, odd_root_count(family, n) + 1), dtype=np.int64)
     for sigma in pool:
         if sigma.n != n:
             raise ValueError("pool element of the wrong degree")
         l, odd = ell_and_odd(sigma, family)
-        terms[descent_set(sigma, family).mask][odd] += -1 if l & 1 else 1
-    buckets = {mask: IntPoly(c[k] for k in range(max(c) + 1)) for mask, c in terms.items()}
-    return DescentTable(family, n, buckets)
+        counts[descent_set(sigma, family).mask, l & 1, odd] += 1
+    return DescentTable(family, n, counts)
 
 
 def pinned_table(family: str, n: int, pin: tuple[int, int]) -> DescentTable:
     """Descent table of the elements with a pinned entry.
 
     pin = (b, v) keeps only elements mapping b to v, where b is a
-    position in [1, n] and v is n or -n.
+    position in [1, n] and v is n or -n: the rows with P[b-1] = n-1
+    under the sign masks whose bit b-1 is the sign of v.
     """
-    check_budget(family, n)
     b, v = pin
     if not 1 <= b <= n:
         raise ValueError("constraint position out of range")
     if abs(v) != n:
         raise ValueError("constraint value must be n or -n")
-    pool = (
-        sigma
-        for perm in permutations(range(1, n))
-        for sigma in signings(perm[: b - 1] + (n,) + perm[b - 1 :], family)
-        if sigma(b) == v
-    )
-    return scalar_table(family, n, pool)
+    plan = sweep_plan(family, n)
+    rows = perm_table(n)
+    keep = (plan.masks >> (b - 1) & 1) == (v < 0)
+    return plan.table(family, rows[rows[:, b - 1] == n - 1], keep)
 
 
 def brute_filtered(
@@ -435,9 +438,9 @@ def closed_D(n: int, index_set: IndexSet) -> IntPoly:
     if index_set.n != n:
         raise ValueError("index set rank mismatch")
     full = label_mask("D", n)
-    if index_set.mask & ~full and not (n == 1 and index_set.mask == 1):
-        raise ValueError("type D index sets use labels 0..n-1")
-    if index_set.mask == full or (n == 1 and index_set.mask == 1):
+    if index_set.mask & ~full:
+        raise ValueError("type D index sets use labels 0..n-1 (none at n = 1)")
+    if index_set.mask == full:
         return ONE
     if index_set.is_empty:
         return alt_product(2, n, square=True)

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from oddlen import checks, chess, genfun
@@ -90,3 +91,34 @@ def test_additivity_catches_an_unsorted_factor(monkeypatch):
     monkeypatch.setattr(chess, "sorting_factors", unsorted)
     rows, bad = _failing("additivity-chessboard")
     assert rows and bad
+
+
+def test_support_positional_catches_an_off_by_one_position_bound(monkeypatch):
+    free = chess.k_sandwich_free
+    monkeypatch.setattr(chess, "k_sandwich_free", lambda rows, k: free(rows, k + 1))
+    rows, bad = _failing("support-positional")
+    assert rows and bad == rows
+
+
+def test_support_window_catches_an_over_restrictive_filter(monkeypatch):
+    free = chess.window_sandwich_free
+
+    def strict(rows, masks, c):
+        return free(rows, masks, c) & free(rows, masks, c - 1)
+
+    monkeypatch.setattr(chess, "window_sandwich_free", strict)
+    rows, bad = _failing("support-window")
+    assert rows and bad == rows
+
+
+def test_support_rows_miss_a_permissive_filter(monkeypatch):
+    """A filter that keeps everything leaves the chessboard support, whose
+    sums equal the quotient sums too: all full-tier rows pass, and only
+    the element-wise tests in test_chess.py guard against such a fault."""
+    monkeypatch.setattr(chess, "window_sandwich_free",
+                        lambda rows, masks, c: np.ones((len(rows), len(masks)), dtype=bool))
+    monkeypatch.setattr(chess, "k_sandwich_free", lambda rows, k: np.ones(len(rows), dtype=bool))
+    ctx = CheckContext.for_tier("full")
+    for name, count in (("support-window", 22), ("support-positional", 20)):
+        rows = list(CHECKS[name](ctx))
+        assert len(rows) == count and all(r.ok for r in rows)

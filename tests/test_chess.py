@@ -15,12 +15,14 @@ from oddlen.chess import (
     in_T,
     is_chessboard,
     k_odd_sandwiches,
+    k_sandwich_free,
     odd_sandwiches,
     sorting_factors,
     support_sum,
     support_table,
+    window_sandwich_free,
 )
-from oddlen.genfun import sweep_plan
+from oddlen.genfun import perm_table, sweep_plan
 from oddlen.indexset import IndexSet
 from oddlen.sperm import (
     SignedPerm,
@@ -98,6 +100,33 @@ class TestOddSandwiches:
         assert not in_H(s, 2)
         assert in_T(s, 2)
         assert in_H(SignedPerm.identity(4), 1)
+
+
+class TestArraySandwiches:
+    @pytest.mark.parametrize("n, chessboard", [(5, False), (6, False), (7, True)])
+    def test_filters_match_the_scalar_scans(self, n, chessboard):
+        # Every element of D5 and D6, and every chessboard element of D7.
+        rows = chessboard_rows(n) if chessboard else perm_table(n)
+        masks = sweep_plan("D", n).masks
+        grid = [
+            [SignedPerm(tuple(-(v + 1) if m >> i & 1 else v + 1 for i, v in enumerate(row)))
+             for m in masks.tolist()]
+            for row in rows.tolist()
+        ]
+        for param in range(1, n):
+            k_want = [[not k_odd_sandwiches(s, param) for s in line] for line in grid]
+            w_want = [[not odd_sandwiches(s, param) for s in line] for line in grid]
+            k_got = np.broadcast_to(k_sandwich_free(rows, param)[:, None], (len(rows), len(masks)))
+            assert np.array_equal(k_got, k_want), param
+            assert np.array_equal(window_sandwich_free(rows, masks, param), w_want), param
+
+    @pytest.mark.parametrize("param", [0, 5, -1])
+    def test_parameters_out_of_range(self, param):
+        rows, masks = perm_table(5), sweep_plan("D", 5).masks
+        with pytest.raises(ValueError):
+            k_sandwich_free(rows, param)
+        with pytest.raises(ValueError):
+            window_sandwich_free(rows, masks, param)
 
 
 class TestLAdditivity:

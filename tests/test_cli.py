@@ -64,6 +64,17 @@ class TestGenfun:
         assert code == 0
         assert out.strip()
 
+    @pytest.mark.parametrize("method", ["closed", "brute", "both"])
+    def test_d1_has_no_generators(self, capsys, method):
+        # D_1 is the trivial group: label 0 is outside its (empty) range
+        # for every method, and the empty set gives 1.
+        code, _, err = run(["genfun", "-f", "D", "-n", "1", "-I", "0", "-m", method], capsys)
+        assert code == 2
+        assert "error" in err
+        code, out, _ = run(["genfun", "-f", "D", "-n", "1", "-I", "", "-m", method], capsys)
+        assert code == 0
+        assert out.splitlines()[0].endswith("1")
+
     def test_bad_set_text_exits_2(self, capsys):
         code, _, err = run(["genfun", "-f", "D", "-n", "3", "-I", "9"], capsys)
         assert code == 2
@@ -199,18 +210,24 @@ class TestVerify:
         assert code == 2
         assert "--workers" in err
 
-    # SHA-256 of the rows file written by FAST_ROWS_ARGV.  Any change to a
-    # row, its order or the number format changes it; a deliberate change
-    # of the rows updates it in the same commit.
-    FAST_ROWS_ARGV = ["verify", "--tier", "fast", "--workers", "1", "--format", "json"]
-    FAST_ROWS_SHA256 = "075bfda0612d3b6e0eccdeb5f666a3dcfcf33bcef0bab2a57ddfb8effb439697"
+    # Row count and SHA-256 of the rows file that ROWS_ARGV writes at each
+    # tier.  Any change to a row, its order or the number format changes
+    # them; a deliberate change of the rows updates them in the same commit.
+    ROWS_ARGV = ["verify", "--workers", "1", "--format", "json", "--tier"]
+    ROWS = {
+        "fast": (1779, "075bfda0612d3b6e0eccdeb5f666a3dcfcf33bcef0bab2a57ddfb8effb439697"),
+        "full": (2175, "b3831313c7d5655355dbd76dd6e703269503a309b6a0e7486e8e79469402bcd5"),
+        "extended": (2818, "7d0ebafc0c7908b89de8a0fc5094fc2b6f2316618676f0318ee523f7783da8b0"),
+    }
 
     def test_fast_tier_rows_digest(self, capsys, tmp_path):
-        out_path = tmp_path / "rows.json"
-        code, _, err = run(self.FAST_ROWS_ARGV + ["-o", str(out_path)], capsys)
-        assert code == 0
-        assert "1779 rows, 0 failures" in err
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.FAST_ROWS_SHA256
+        """Every tier's rows, the fast tier first."""
+        for tier, (count, digest) in self.ROWS.items():
+            out_path = tmp_path / f"{tier}.json"
+            code, _, err = run(self.ROWS_ARGV + [tier, "-o", str(out_path)], capsys)
+            assert code == 0, tier
+            assert f"{count} rows, 0 failures" in err, tier
+            assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, tier
 
     def test_injected_failure_exits_4(self, capsys, monkeypatch):
         def bad_check(ctx):
