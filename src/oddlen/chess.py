@@ -8,27 +8,19 @@ scans of one SignedPerm (the scalar oracles) and filters over
 absolute-value rows and sign masks.  A restricted support is
 chessboard_rows (the rows with one parity of i + P[i]) under such a
 filter, and its descent table is one SweepPlan.table call.  Odd-length
-additivity over the sorting factorization runs on the same arrays; the
-set-level product factorizations materialize sets of SignedPerms.
+additivity and the set-level product factorizations run on signed
+one-line arrays of the same rows, split by parabolic_factors.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .genfun import DescentTable, SweepPlan, perm_table, sweep_plan
 from .indexset import IndexSet, is_compressed
-from .sperm import (
-    SignedPerm,
-    compose,
-    direct_product,
-    in_quotient,
-    parabolic_factorize,
-    signings,
-)
+from .sperm import SignedPerm
 from .zpoly import IntPoly
 
 
@@ -57,15 +49,6 @@ def chessboard_rows(n: int) -> np.ndarray:
     perms = perm_table(n)
     parity = (perms + np.arange(n, dtype=np.int8)) % 2
     return perms[(parity == parity[:, :1]).all(axis=1)]
-
-
-def chessboard_elements(n: int, family: str = "D") -> Iterator[SignedPerm]:
-    """All chessboard elements of the group: the chessboard rows under
-    every sign mask of the family."""
-    if family not in ("A", "D"):
-        raise ValueError("chessboard enumeration covers families A and D")
-    for row in chessboard_rows(n):
-        yield from signings([int(v) + 1 for v in row], family)
 
 
 def odd_sandwiches(sigma: SignedPerm, c: int) -> list[Sandwich]:
@@ -201,30 +184,44 @@ def support_sum(
     return support_table(n, support, family=family, param=param).quotient_poly(index_set)
 
 
-def sorting_factors(rows: np.ndarray, mask: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """The parabolic factorization sigma = u . v with J = {1..n-1} of each
-    absolute-value row under one sign mask.
-
-    u has no descents in J, so it lists the entries of sigma in increasing
-    order: its k negative entries come first and its sign mask is
-    (1 << k) - 1.  v is unsigned, and v(i) is the rank of sigma(i).
-    Returns the absolute-value rows of u, the sign mask of u and the rows
-    of v.
-    """
-    neg = (mask >> np.arange(rows.shape[1])) & 1
-    entries = (rows.astype(np.int64) + 1) * (1 - 2 * neg)
-    order = np.argsort(entries, axis=1)
-    u = np.abs(np.take_along_axis(entries, order, axis=1)) - 1
-    return u, (1 << int(neg.sum())) - 1, np.argsort(order, axis=1)
+def parabolic_factors(elems: np.ndarray, J: IndexSet) -> tuple[np.ndarray, np.ndarray]:
+    """sigma = u . v for D_n elements as signed one-line int arrays (one
+    per row), with u free of J-descents and v in W_J; the scalar oracle is
+    sperm.parabolic_factorize.  u sorts each block of positions that J's
+    labels i >= 1 join (i joins i and i+1).  With labels 0 and 1, the head
+    block 1..z of labels 0..z-1 is D_z: u sorts its absolute values and
+    negates the first when the block has an odd number of negatives."""
+    n = elems.shape[1]
+    if 0 in J and 1 not in J:
+        raise ValueError("label 0 is covered only together with label 1")
+    u = elems.astype(np.int64)
+    start = 0
+    for end in range(1, n + 1):
+        if end < n and end in J:
+            continue
+        block = u[:, start:end]
+        if start == 0 and 0 in J:
+            odd = (block < 0).sum(axis=1) % 2 == 1
+            block[:] = np.sort(np.abs(block), axis=1)
+            block[odd, 0] *= -1
+        else:
+            block.sort(axis=1)
+        start = end
+    inverse = np.empty_like(u)
+    np.put_along_axis(inverse, np.abs(u) - 1, np.sign(u) * np.arange(1, n + 1), axis=1)
+    return u, np.sign(elems) * np.take_along_axis(inverse, np.abs(elems) - 1, axis=1)
 
 
 def additive_rows(plan: SweepPlan, rows: np.ndarray, mask: int) -> np.ndarray:
-    """Whether the odd length splits over sorting_factors, L(sigma) =
-    L(u) + L(v), for each row under one sign mask of D_n; plan is the D_n
-    sweep plan, and all three odd lengths are read from it."""
-    u, u_mask, v = sorting_factors(rows, mask)
+    """Whether L(sigma) = L(u) + L(v) over parabolic_factors with J =
+    {1..n-1} for each row under one sign mask of D_n, all three odd lengths
+    read from plan, the D_n sweep plan.  u sorts all entries, so its k
+    negative entries come first and its sign mask is (1 << k) - 1."""
+    n = rows.shape[1]
+    neg = (mask >> np.arange(n)) & 1
+    u, v = parabolic_factors((rows + 1) * (1 - 2 * neg), IndexSet.of(n, range(1, n)))
     odd = plan.stats(rows, mask)[1]
-    return odd == plan.stats(u, u_mask)[1] + plan.stats(v, 0)[1]
+    return odd == plan.stats(np.abs(u) - 1, (1 << int(neg.sum())) - 1)[1] + plan.stats(v - 1, 0)[1]
 
 
 def check_L_additivity(sigma: SignedPerm) -> bool:
@@ -236,13 +233,9 @@ def check_L_additivity(sigma: SignedPerm) -> bool:
     return bool(additive_rows(sweep_plan("D", sigma.n), row, sigma.sign_mask)[0])
 
 
-def _gaps(index_set: IndexSet) -> list[int]:
-    return [i for i in range(index_set.n) if i not in index_set]
-
-
 def check_set_factorization(n: int, index_set: IndexSet, variant: str = "H") -> bool:
-    """Verify a product-set decomposition of a restricted support set
-    by materializing both sides.
+    """Verify a product-set decomposition of a restricted support set on
+    signed one-line arrays of both sides.
 
     variant "H": the no-odd-sandwich set of a compressed index set
     ending at n-1 splits off an unsigned quotient on the tail values.
@@ -263,26 +256,22 @@ def _check_H_factorization(n: int, index_set: IndexSet) -> bool:
         raise ValueError("the H factorization needs a compressed index set")
     if (n - 1) not in index_set or 0 not in index_set:
         raise ValueError("the H factorization needs an index set spanning 0 and n-1")
-    gaps = _gaps(index_set)
-    a0 = gaps[0]
+    a0 = next(i for i in range(n) if i not in index_set)
     if not 2 <= a0 <= n - 2:
         raise ValueError("first gap out of range")
-    c = a0 + 1
 
-    j_set = IndexSet.of(n, [i for i in range(n) if i != a0])
-    m = n - a0
-    k_set = IndexSet.of(m, [i for i in range(1, m) if (i + a0) not in gaps[1:]])
-
-    pool = [s for s in chessboard_elements(n) if not odd_sandwiches(s, c)]
-    head = SignedPerm.identity(a0)
-    tails = (SignedPerm(p) for p in permutations(range(1, m + 1)))
-    products = (direct_product(head, t) for t in tails if in_quotient(t, k_set, "A"))
-    right = {t for t in products if is_chessboard(t)}
-    return _product_holds(pool, index_set, j_set, right, j_set)
+    plan, rows = sweep_plan("D", n), chessboard_rows(n)
+    pool = window_sandwich_free(rows, plan.masks, a0 + 1)
+    j_set = IndexSet.full(n).remove(a0)
+    # Unsigned tails on positions a0+1..n, in the quotient by I's labels past a0.
+    fixed = (rows[:, :a0] == np.arange(a0)).all(axis=1)[:, None] & (plan.masks == 0)
+    right = _elements(plan, rows, fixed, index_set.mask >> (a0 + 1) << (a0 + 1))
+    return _product_holds(_elements(plan, rows, pool, index_set.mask),
+                          _elements(plan, rows, pool, j_set.mask), right, j_set)
 
 
 def _check_T_factorization(n: int, index_set: IndexSet) -> bool:
-    gaps = _gaps(index_set)
+    gaps = [i for i in range(n) if i not in index_set]
     if len(gaps) != 1 or 0 not in index_set or (n - 1) not in index_set:
         raise ValueError("the T factorization needs a single-gap index set")
     a0 = gaps[0]
@@ -291,26 +280,32 @@ def _check_T_factorization(n: int, index_set: IndexSet) -> bool:
     if a0 % 2 == 0 or n % 2 == 0:
         raise ValueError("the T factorization needs the gap and the rank both odd")
 
-    pool = [s for s in chessboard_elements(n) if not k_odd_sandwiches(s, a0)]
-    head_quotient = IndexSet.of(a0, range(1, a0))
-    tail = SignedPerm.identity(n - a0)
-    right = {
-        direct_product(d, tail)
-        for d in chessboard_elements(a0)
-        if in_quotient(d, head_quotient, "D")
-    }
-    head_set = IndexSet.of(n, range(a0))
-    return _product_holds(pool, index_set.remove(0), index_set, right, head_set)
+    plan, rows = sweep_plan("D", n), chessboard_rows(n)
+    pool = k_sandwich_free(rows, a0)[:, None]
+    # Chessboard elements of D_a0 (all of parity class 0, as a0 is odd) in
+    # the quotient by labels 1..a0-1, with the identity on the tail.
+    fixed = (rows[:, a0:] == np.arange(a0, n)).all(axis=1)[:, None] & (plan.masks < 1 << a0)
+    right = _elements(plan, rows, fixed, (1 << a0) - 2)
+    return _product_holds(_elements(plan, rows, pool, index_set.remove(0).mask),
+                          _elements(plan, rows, pool, index_set.mask), right,
+                          IndexSet.of(n, range(a0)))
 
 
-def _product_holds(pool: list[SignedPerm], lhs_set: IndexSet, left_set: IndexSet,
-                   right: set[SignedPerm], J: IndexSet) -> bool:
-    """Whether the lhs_set quotient elements of pool are exactly the
-    products u . t of its left_set quotient elements u with t in right,
-    and the J-parabolic factorization of each splits it that way."""
-    lhs = {s for s in pool if in_quotient(s, lhs_set, "D")}
-    left = {s for s in pool if in_quotient(s, left_set, "D")}
-    product = {compose(u, t) for u in left for t in right}
-    factors = [parabolic_factorize(s, J, "D") for s in lhs]
-    split = ({u for u, _ in factors}, {v for _, v in factors})
-    return product == lhs and split == (left, right)
+def _elements(plan: SweepPlan, rows: np.ndarray, keep: np.ndarray, labels: int) -> np.ndarray:
+    """Signed one-line arrays of the (row, sign mask) elements that keep
+    (broadcast to rows x masks) allows and whose descents avoid labels."""
+    r, k = np.nonzero(keep & (plan.descents(rows) & labels == 0))
+    neg = (plan.masks[k, None] >> np.arange(plan.n)) & 1
+    return (rows[r] + 1) * (1 - 2 * neg)
+
+
+def _product_holds(lhs: np.ndarray, left: np.ndarray, right: np.ndarray, J: IndexSet) -> bool:
+    """Whether the lhs elements are exactly the products u . t of the left
+    elements u with the right elements t, and the J-parabolic factorization
+    of each splits it that way."""
+    n = lhs.shape[1]
+    product = (left[:, np.abs(right) - 1] * np.sign(right)).reshape(-1, n)
+    u, v = parabolic_factors(lhs, J)
+    keys = (2 * n + 1) ** np.arange(n)
+    return all(np.array_equal(np.unique((a + n) @ keys), np.unique((b + n) @ keys))
+               for a, b in ((product, lhs), (u, left), (v, right)))

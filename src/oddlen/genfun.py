@@ -175,9 +175,18 @@ class SweepPlan:
     def table(self, family: str, rows: np.ndarray, keep: np.ndarray | None = None) -> DescentTable:
         """Descent table of the absolute-value rows crossed with every sign
         mask, restricted to the (row, mask) elements that keep allows."""
-        word = ((rows[:, :-1] > rows[:, 1:]).astype(np.intp) << np.arange(self.n - 1)).sum(1)
-        counts = self.histogram(_greater(rows) @ self.weights + self.const, word, keep)
+        counts = self.histogram(_greater(rows) @ self.weights + self.const, _words(rows), keep)
         return DescentTable(family, self.n, counts.reshape(1 << self.n, 2, self.width))
+
+    def descents(self, rows: np.ndarray) -> np.ndarray:
+        """Descent mask of every absolute-value row under every sign mask,
+        read off lut, as a (rows, masks) array."""
+        return self.lut[_words(rows)] // (2 * self.width)
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Adjacent-comparison word of each row: bit k is [P[k] > P[k+1]]."""
+    return ((rows[:, :-1] > rows[:, 1:]).astype(np.intp) << np.arange(rows.shape[1] - 1)).sum(1)
 
 
 def _greater(perms: np.ndarray) -> np.ndarray:
@@ -397,26 +406,28 @@ def brute_filtered(
     return pinned_table(family, n, constraint).quotient_poly(index_set)
 
 
-def closed_A(n: int, index_set: IndexSet) -> IntPoly:
-    """Product formula for the unsigned quotient polynomials."""
+def _closed_labels(family: str, n: int, index_set: IndexSet) -> int:
+    """Check a closed formula's rank and index set; return the label mask."""
     if n < 1:
         raise ValueError("rank must be at least 1")
     if index_set.n != n:
         raise ValueError("index set rank mismatch")
-    if index_set.mask & ~label_mask("A", n):
-        raise ValueError("type A index sets use labels 1..n-1")
+    labels = label_mask(family, n)
+    if index_set.mask & ~labels:
+        raise ValueError(f"index set has labels outside the {family}_{n} generators")
+    return labels
+
+
+def closed_A(n: int, index_set: IndexSet) -> IntPoly:
+    """Product formula for the unsigned quotient polynomials."""
+    _closed_labels("A", n, index_set)
     m = m_of(index_set)
     return C_poly(index_set) * alt_product(2 * m + 2, n)
 
 
 def closed_B(n: int, index_set: IndexSet) -> IntPoly:
     """Product formula for the signed quotient polynomials."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    if index_set.n != n:
-        raise ValueError("index set rank mismatch")
-    if index_set.mask & ~label_mask("B", n):
-        raise ValueError("type B index sets use labels 0..n-1")
+    _closed_labels("B", n, index_set)
     decomp = components(index_set)
     zero = decomp.zero_size
     parts = decomp.other_sizes
@@ -433,13 +444,7 @@ def closed_B(n: int, index_set: IndexSet) -> IntPoly:
 
 def closed_D(n: int, index_set: IndexSet) -> IntPoly:
     """Product formula for the even-signed quotient polynomials."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    if index_set.n != n:
-        raise ValueError("index set rank mismatch")
-    full = label_mask("D", n)
-    if index_set.mask & ~full:
-        raise ValueError("type D index sets use labels 0..n-1 (none at n = 1)")
+    full = _closed_labels("D", n, index_set)
     if index_set.mask == full:
         return ONE
     if index_set.is_empty:

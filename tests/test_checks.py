@@ -82,15 +82,24 @@ def test_root_oracle_catches_a_missing_positive_root(monkeypatch):
 
 
 def test_additivity_catches_an_unsorted_factor(monkeypatch):
-    factors = chess.sorting_factors
-
-    def unsorted(rows, mask):
-        _, u_mask, v = factors(rows, mask)
-        return rows, u_mask, v
-
-    monkeypatch.setattr(chess, "sorting_factors", unsorted)
+    factors = chess.parabolic_factors
+    monkeypatch.setattr(chess, "parabolic_factors", lambda elems, J: (elems, factors(elems, J)[1]))
     rows, bad = _failing("additivity-chessboard")
     assert rows and bad
+
+
+def test_set_factorization_catches_a_dropped_head_sign_fix(monkeypatch):
+    factors = chess.parabolic_factors
+
+    def unsigned_head(elems, J):
+        u, v = factors(elems, J)
+        if 0 in J:
+            u[:, 0] = np.abs(u[:, 0])
+        return u, v
+
+    monkeypatch.setattr(chess, "parabolic_factors", unsigned_head)
+    rows = list(CHECKS["set-factorization"](CheckContext.for_tier("full")))
+    assert len(rows) == 8 and not any(r.ok for r in rows)
 
 
 def test_support_positional_catches_an_off_by_one_position_bound(monkeypatch):
@@ -113,12 +122,22 @@ def test_support_window_catches_an_over_restrictive_filter(monkeypatch):
 
 def test_support_rows_miss_a_permissive_filter(monkeypatch):
     """A filter that keeps everything leaves the chessboard support, whose
-    sums equal the quotient sums too: all full-tier rows pass, and only
-    the element-wise tests in test_chess.py guard against such a fault."""
-    monkeypatch.setattr(chess, "window_sandwich_free",
-                        lambda rows, masks, c: np.ones((len(rows), len(masks)), dtype=bool))
-    monkeypatch.setattr(chess, "k_sandwich_free", lambda rows, k: np.ones(len(rows), dtype=bool))
+    sums equal the quotient sums too: all full-tier support rows pass.
+    The set-factorization rows share the filters and do see the fault."""
     ctx = CheckContext.for_tier("full")
-    for name, count in (("support-window", 22), ("support-positional", 20)):
-        rows = list(CHECKS[name](ctx))
-        assert len(rows) == count and all(r.ok for r in rows)
+    keep_all = {
+        "window_sandwich_free": lambda rows, masks, c: np.ones((len(rows), len(masks)), dtype=bool),
+        "k_sandwich_free": lambda rows, k: np.ones(len(rows), dtype=bool),
+    }
+    with monkeypatch.context() as patch:
+        for name, fn in keep_all.items():
+            patch.setattr(chess, name, fn)
+        for name, count in (("support-window", 22), ("support-positional", 20)):
+            rows = list(CHECKS[name](ctx))
+            assert len(rows) == count and all(r.ok for r in rows)
+    for name, want in (("window_sandwich_free", [(6, "0,1,3,5")]),
+                       ("k_sandwich_free", [(5, "0,1,2,4"), (7, "0,1,2,4,5,6"), (7, "0,1,2,3,4,6")])):
+        with monkeypatch.context() as patch:
+            patch.setattr(chess, name, keep_all[name])
+            bad = [(r.n, r.set_text) for r in CHECKS["set-factorization"](ctx) if not r.ok]
+        assert bad == want, name

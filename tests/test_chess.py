@@ -1,5 +1,7 @@
 """Chessboard elements, odd sandwiches, and support factorizations."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from oddlen.chess import (
     check_L_additivity,
     check_set_factorization,
     chess_class,
-    chessboard_elements,
     chessboard_rows,
     in_H,
     in_T,
@@ -17,13 +18,13 @@ from oddlen.chess import (
     k_odd_sandwiches,
     k_sandwich_free,
     odd_sandwiches,
-    sorting_factors,
+    parabolic_factors,
     support_sum,
     support_table,
     window_sandwich_free,
 )
 from oddlen.genfun import perm_table, sweep_plan
-from oddlen.indexset import IndexSet
+from oddlen.indexset import IndexSet, components, is_compressed
 from oddlen.sperm import (
     SignedPerm,
     compose,
@@ -33,8 +34,15 @@ from oddlen.sperm import (
     label_mask,
     odd_length,
     parabolic_factorize,
+    signings,
 )
 from oddlen.zpoly import ZERO, IntPoly
+
+
+@cache
+def _chessboard_pool(family, n):
+    """The independent scan: every group element that is_chessboard keeps."""
+    return tuple(s for s in elements(family, n) if is_chessboard(s))
 
 
 class TestChessboard:
@@ -46,30 +54,23 @@ class TestChessboard:
         assert not is_chessboard(SignedPerm.from_text("2 1 3"))
 
     def test_counts(self):
-        assert [len(list(chessboard_elements(n))) for n in (2, 3, 4, 5)] == [
-            4, 8, 64, 192,
-        ]
-        assert [
-            len(list(chessboard_elements(n, family="A"))) for n in (2, 3, 4, 5)
-        ] == [2, 2, 8, 12]
+        assert [len(_chessboard_pool("D", n)) for n in (2, 3, 4, 5)] == [4, 8, 64, 192]
+        assert [len(_chessboard_pool("A", n)) for n in (2, 3, 4, 5)] == [2, 2, 8, 12]
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_rows_enumerate_exactly_the_chessboard_elements(self, n):
-        want = {s for s in elements("D", n) if is_chessboard(s)}
-        got = list(chessboard_elements(n))
-        assert len(got) == len(want) and set(got) == want
-        assert len(chessboard_rows(n)) << (n - 1) == len(want)
-
-    def test_family_guard(self):
-        with pytest.raises(ValueError):
-            list(chessboard_elements(3, family="B"))
+        for family in ("A", "D"):
+            want = _chessboard_pool(family, n)
+            got = [s for row in chessboard_rows(n).tolist()
+                   for s in signings([v + 1 for v in row], family)]
+            assert len(got) == len(want) and set(got) == set(want), family
 
     def test_odd_rank_forces_class_zero(self):
-        for s in chessboard_elements(5):
+        for s in _chessboard_pool("D", 5):
             assert chess_class(s) == 0
 
     def test_closed_under_composition(self):
-        elems = list(chessboard_elements(3))
+        elems = _chessboard_pool("D", 3)
         for a in elems:
             for b in elems:
                 assert is_chessboard(compose(a, b))
@@ -152,22 +153,31 @@ def _element_rows(n):
 
 
 class TestSortingFactorization:
-    def test_matches_parabolic_factorize_on_d5(self):
-        J = IndexSet.of(5, range(1, 5))
-        for row, mask, sigma in _element_rows(5):
-            u_rows, u_mask, v_rows = sorting_factors(row, mask)
-            u = SignedPerm(tuple(
-                -(int(x) + 1) if u_mask >> i & 1 else int(x) + 1 for i, x in enumerate(u_rows[0])
-            ))
-            v = SignedPerm(tuple(int(x) + 1 for x in v_rows[0]))
-            assert (u, v) == parabolic_factorize(sigma, J, "D"), sigma
-
     @pytest.mark.parametrize("n", [4, 5])
     def test_array_additivity_matches_the_scalar_formula(self, n):
         # D4 holds the off-chessboard counterexample -1 -3 2 4.
         plan = sweep_plan("D", n)
         for row, mask, sigma in _element_rows(n):
             assert bool(additive_rows(plan, row, mask)[0]) == _scalar_additivity(sigma), sigma
+
+
+class TestParabolicFactors:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_parabolic_factorize_for_every_J(self, n):
+        # Every D_n element against the scalar loop, J = {1..n-1} (the
+        # factorization additive_rows splits over) among the rest.
+        group = list(elements("D", n))
+        elems = np.array([s.images for s in group])
+        for mask in range(1 << n):
+            J = IndexSet(n, mask)
+            if 0 in J and 1 not in J:
+                with pytest.raises(ValueError):
+                    parabolic_factors(elems, J)
+                continue
+            u, v = parabolic_factors(elems, J)
+            for sigma, a, b in zip(group, u.tolist(), v.tolist()):
+                want = parabolic_factorize(sigma, J, "D")
+                assert (SignedPerm(tuple(a)), SignedPerm(tuple(b))) == want, (sigma, J)
 
 
 def _filtered_sum(family, I, pool):
@@ -191,7 +201,7 @@ SUPPORTS = [("A", 5, "chessboard", None), ("D", 5, "chessboard", None)] + [
 class TestSupportSums:
     @pytest.mark.parametrize("family, n, support, param", SUPPORTS)
     def test_table_reads_match_filtered_scans(self, family, n, support, param):
-        pool = list(chessboard_elements(n, family))
+        pool = _chessboard_pool(family, n)
         if support != "chessboard":
             keep = in_H if support == "H" else in_T
             pool = [s for s in pool if keep(s, param)]
@@ -220,6 +230,13 @@ class TestSetFactorizations:
         assert check_set_factorization(6, IndexSet.of(6, [0, 1, 3, 4, 5]), "H")
         assert check_set_factorization(5, IndexSet.of(5, [0, 1, 2, 4]), "H")
         assert check_set_factorization(7, IndexSet.of(7, [0, 1, 2, 4, 5, 6]), "T")
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_every_H_instance_past_the_verify_caps(self, n):
+        # The verify tiers stop the window variant at n = 6.
+        instances = [I for I in map(IndexSet, [n] * (1 << n), range(1 << n))
+                     if n - 1 in I and is_compressed(I) and 2 <= components(I).zero_size <= n - 2]
+        assert instances and all(check_set_factorization(n, I, "H") for I in instances)
 
     def test_hypothesis_validation(self):
         with pytest.raises(ValueError):

@@ -263,6 +263,19 @@ class TestClosedForms:
         J = IndexSet.of(4, [2])
         assert closed_poly("A", 4, J) == closed_A(4, J)
 
+    @pytest.mark.parametrize("family, n, I", [
+        ("A", 3, IndexSet.of(3, [0])),
+        ("D", 1, IndexSet.of(1, [0])),
+        ("A", 3, IndexSet.of(4, [3])),
+        ("B", 3, IndexSet.of(4, [3])),
+        ("D", 3, IndexSet.of(4, [3])),
+    ])
+    def test_each_family_rejects_an_out_of_range_label(self, family, n, I):
+        with pytest.raises(ValueError, match="labels outside|rank mismatch"):
+            closed_poly(family, n, I)
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            closed_poly(family, 0, I)
+
     def test_closed_forms_scale_past_the_enumeration_budget(self):
         assert closed_D(12, IndexSet.of(12, [0, 5])) is not None
         assert closed_A(40, IndexSet.of(40, [7])) is not None
