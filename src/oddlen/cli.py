@@ -23,6 +23,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
+# The cyclotomic test's totient table and peel grow with the degree; past
+# this, `cyclo` refuses the input instead of sizing them from it.
+CYCLO_MAX_DEGREE = 5000
+
 
 def _parse_families(text: str) -> tuple[str, ...]:
     fams = tuple(tok.strip().upper() for tok in text.split(",") if tok.strip())
@@ -163,7 +167,11 @@ def cmd_cyclo(args) -> int:
         n, m = args.trinomial
         if not 1 <= m < n:
             raise ValueError("--trinomial expects 1 <= M < N")
+        if n > CYCLO_MAX_DEGREE:
+            raise ValueError(f"degree {n} exceeds the cyclo limit {CYCLO_MAX_DEGREE}")
         p = IntPoly([1] + [0] * (m - 1) + [2] + [0] * (n - m - 1) + [1])
+    if p.degree > CYCLO_MAX_DEGREE:
+        raise ValueError(f"degree {p.degree} exceeds the cyclo limit {CYCLO_MAX_DEGREE}")
     factors = cyclotomic_factors(p)
 
     if args.format == "json":

@@ -47,6 +47,7 @@ the length parity and the odd length.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, permutations
@@ -55,10 +56,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .indexset import IndexSet, components, m_of, C_poly, tilde
+from .indexset import C_exps, IndexSet, components, m_of, tilde
 from .rootsys import odd_root_count
 from .sperm import FAMILIES, SignedPerm, descent_set, ell_and_odd, label_mask
-from .zpoly import ONE, IntPoly, alt_product, q_multinomial
+from .zpoly import ONE, IntPoly, alt_exps, alt_product, expand
 
 BUDGET = {"A": 10, "B": 8, "D": 8}
 
@@ -421,25 +422,25 @@ def _closed_labels(family: str, n: int, index_set: IndexSet) -> int:
 def closed_A(n: int, index_set: IndexSet) -> IntPoly:
     """Product formula for the unsigned quotient polynomials."""
     _closed_labels("A", n, index_set)
-    m = m_of(index_set)
-    return C_poly(index_set) * alt_product(2 * m + 2, n)
+    exps = C_exps(index_set)
+    exps.update(alt_exps(2 * m_of(index_set) + 2, n))
+    return expand(exps)
 
 
 def closed_B(n: int, index_set: IndexSet) -> IntPoly:
-    """Product formula for the signed quotient polynomials."""
+    """Product formula for the signed quotient polynomials.
+
+    [m; parts]_{x^2} * prod_{j>z} (1 - x^j) / prod_{i<=m} (1 - x^(2i)): the
+    denominator cancels the multinomial's numerator, leaving the parts'
+    x^2-factorials below the line.
+    """
     _closed_labels("B", n, index_set)
     decomp = components(index_set)
-    zero = decomp.zero_size
-    parts = decomp.other_sizes
-    m = sum((z + 1) // 2 for z in parts)
-    top = q_multinomial(m, [(z + 1) // 2 for z in parts], base_exponent=2) if m else ONE
-    num = ONE
-    for j in range(zero + 1, n + 1):
-        num = num * (ONE - IntPoly.monomial(1, j))
-    den = ONE
-    for i in range(1, m + 1):
-        den = den * (ONE - IntPoly.monomial(1, 2 * i))
-    return (top * num).exact_div(den)
+    exps: Counter = Counter(range(decomp.zero_size + 1, n + 1))
+    for z in decomp.other_sizes:
+        for j in range(1, (z + 1) // 2 + 1):
+            exps[2 * j] -= 1
+    return expand(exps)
 
 
 def closed_D(n: int, index_set: IndexSet) -> IntPoly:
@@ -447,37 +448,27 @@ def closed_D(n: int, index_set: IndexSet) -> IntPoly:
     full = _closed_labels("D", n, index_set)
     if index_set.mask == full:
         return ONE
-    if index_set.is_empty:
-        return alt_product(2, n, square=True)
 
     m_orig = m_of(index_set)
     zero = components(index_set).zero_size
     twisted = tilde(index_set)
-    m_t = m_of(twisted)
-
+    exps = C_exps(twisted)
+    exps.update(alt_exps(2 * ((zero + 2) // 2), n))
+    exps.update(alt_exps(2 * m_of(twisted) + 2, n))
+    head = ONE
     if zero >= 2 and zero % 2 == 0:
         if n == 2 * m_orig:
-            head = (
-                ONE
-                + IntPoly.monomial(1, zero)
-                + IntPoly.monomial(2, m_orig)
-            )
+            # (1 + x^z + 2x^m) / (1 + x^m), and 1 + x^m = (1 - x^2m) / (1 - x^m)
+            head = IntPoly.monomial(2, m_orig) + IntPoly.monomial(1, zero) + ONE
+            exps[2 * m_orig] -= 1
+            exps[m_orig] += 1
         elif n > 2 * m_orig:
-            head = ONE + IntPoly.monomial(1, zero)
+            # 1 + x^z = (1 - x^2z) / (1 - x^z)
+            exps[2 * zero] += 1
+            exps[zero] -= 1
         else:
             raise AssertionError("n < 2 m cannot happen for a proper index set")
-    else:
-        head = ONE
-
-    body = (
-        C_poly(twisted)
-        * alt_product(2 * ((zero + 2) // 2), n)
-        * alt_product(2 * m_t + 2, n)
-    )
-    out = head * body
-    if zero >= 2 and zero % 2 == 0 and n == 2 * m_orig:
-        out = out.exact_div(ONE + IntPoly.monomial(1, m_orig))
-    return out
+    return expand(exps, head)
 
 
 def closed_poly(family: str, n: int, index_set: IndexSet) -> IntPoly:

@@ -8,10 +8,11 @@ separately from the rest.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .zpoly import IntPoly, q_multinomial
+from .zpoly import IntPoly, expand, q_multinomial_exps
 
 
 @dataclass(frozen=True, order=True)
@@ -148,10 +149,15 @@ def m_of(I: IndexSet) -> int:
     return sum((z + 1) // 2 for z in components(I).all_sizes)
 
 
+def C_exps(I: IndexSet) -> Counter:
+    """Exponents of C_poly(I) in the (1 - x^d) form of zpoly.expand."""
+    parts = [(z + 1) // 2 for z in components(I).all_sizes]
+    return q_multinomial_exps(sum(parts), parts, base_exponent=2)
+
+
 def C_poly(I: IndexSet) -> IntPoly:
     """The x^2-multinomial over the component sizes (zero component included)."""
-    parts = [(z + 1) // 2 for z in components(I).all_sizes]
-    return q_multinomial(sum(parts), parts, base_exponent=2)
+    return expand(C_exps(I))
 
 
 def compress(I: IndexSet) -> IndexSet:

@@ -2,12 +2,31 @@
 
 Coefficients are Python ints (arbitrary precision, so overflow is impossible
 by construction), stored densely in ascending degree with no trailing zeros.
+
+Every closed product in the package has the form head * prod_d (1 - x^d)^a_d,
+kept as an exponent map {d: a_d}: the q-multinomials, the alternating
+products and the closed formulas of genfun each write one such map and call
+`expand` once.  The degree D of such a product is known in advance, so
+`expand` works modulo x^(D+1), in one list of D + 1 Python ints.
+Multiplying by 1 - x^d is a descending r[i] -= r[i-d] and dividing by it
+an ascending r[i] += r[i-d], one pass each; truncation loses nothing
+because the product is a polynomial of degree D.
+
+Since Phi_k = +-prod_{d|k} (1 - x^d)^mu(k/d), a product of cyclotomic
+polynomials is also +-prod (1 - x^d)^a_d.  `cyclotomic_factors` reads the
+a_d off the low coefficients of its argument, one d at a time, and decides
+from them; its docstring gives the argument.  Trial division by Phi_k is
+left to the tests, as the oracle the peel is checked against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import accumulate
+from math import exp, log
+from operator import add, sub
+from typing import Iterable, Mapping, Sequence
 
 
 def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -194,37 +213,118 @@ def q_factorial(k: int) -> IntPoly:
     return out
 
 
+def _times(r: list[int], d: int, a: int) -> None:
+    """r <- r * (1 - x^d)^a modulo x^len(r), in place; a < 0 divides."""
+    size = len(r)
+    if d >= size:
+        return
+    for _ in range(a):
+        r[d:] = map(sub, r[d:], r[: size - d])
+    for _ in range(-a):
+        if d * d < size:
+            for c in range(d):
+                r[c::d] = accumulate(r[c::d])
+        else:
+            for s in range(d, size, d):
+                r[s : s + d] = map(add, r[s : s + d], r[s - d : s])
+
+
+def _cyclotomic_exponents(exps: Mapping[int, int]) -> dict[int, int]:
+    """The nonzero e_k with prod (1 - x^d)^a_d = +-prod Phi_k^e_k: e_k = sum_{k|d} a_d."""
+    if min(exps, default=1) < 1:
+        raise ValueError("factor exponents are indexed by d >= 1")
+    a = [0] * (max(exps, default=0) + 1)
+    for d, v in exps.items():
+        a[d] = v
+    return {k: e for k in range(1, len(a)) if (e := sum(a[k::k]))}
+
+
+def expand(exps: Mapping[int, int], head: IntPoly = ONE) -> IntPoly:
+    """head * prod_d (1 - x^d)^a_d for exps = {d: a_d}.
+
+    The result must be a polynomial: the product is +-prod Phi_k^e_k with
+    e_k = sum_{k|d} a_d, so Phi_k^(-e_k) must divide head wherever e_k < 0;
+    ValueError otherwise.
+
+    >>> expand({2: 1}).coeffs
+    (1, 0, -1)
+    >>> expand({2: 1, 1: -1}).coeffs
+    (1, 1)
+    >>> str(expand({4: 1, 2: -1}, head=IntPoly([1, 1])))
+    '1 + x + x^2 + x^3'
+    >>> expand({2: -1}, head=IntPoly([1, 1]))
+    Traceback (most recent call last):
+        ...
+    ValueError: the product is no polynomial
+    """
+    for k, e in _cyclotomic_exponents(exps).items():
+        if e < 0:
+            try:
+                head.exact_div(cyclotomic(k) ** -e)
+            except ValueError:
+                raise ValueError("the product is no polynomial") from None
+    if head.is_zero:
+        return ZERO
+    r = list(head.coeffs)
+    r += [0] * sum(d * a for d, a in exps.items())
+    for d, a in exps.items():
+        _times(r, d, a)
+    return IntPoly(r)
+
+
+def q_multinomial_exps(total: int, parts: Sequence[int], base_exponent: int = 1) -> Counter:
+    """Exponents of [total; parts]_q at q = x^base_exponent: the q-factorial
+    of total over those of the parts, with [k]_q! = prod_{j<=k} (1 - q^j) / (1 - q)^k."""
+    if total < 0 or any(p < 0 for p in parts):
+        raise ValueError("negative multinomial argument")
+    if sum(parts) != total:
+        raise ValueError("parts do not sum to total")
+    exps: Counter = Counter()
+    for j in range(1, total + 1):
+        exps[base_exponent * j] += 1
+    for p in parts:
+        for j in range(1, p + 1):
+            exps[base_exponent * j] -= 1
+    return exps
+
+
 def q_multinomial(total: int, parts: Sequence[int], base_exponent: int = 1) -> IntPoly:
-    """[total; parts]_q at q = x^base_exponent, by exact division of q-factorials.
+    """[total; parts]_q at q = x^base_exponent.
 
     >>> q_multinomial(2, [1, 1], 2).coeffs
     (1, 0, 1)
     >>> q_multinomial(3, [1, 2], 1).coeffs
     (1, 1, 1)
     """
-    if total < 0 or any(p < 0 for p in parts):
-        raise ValueError("negative multinomial argument")
-    if sum(parts) != total:
-        raise ValueError("parts do not sum to total")
-    out = q_factorial(total)
-    for p in parts:
-        out = out.exact_div(q_factorial(p))
-    assert all(c >= 0 for c in out.coeffs)
-    return out.subs_x_power(base_exponent) if base_exponent != 1 else out
+    return expand(q_multinomial_exps(total, parts, base_exponent))
+
+
+def alt_exps(lo: int, hi: int, square: bool = False) -> Counter:
+    """Exponents of alt_product: 1 - x^(j/2) for even j, and for odd j
+    1 + x^((j-1)/2) = (1 - x^(j-1)) / (1 - x^((j-1)/2))."""
+    if lo < 2 and lo <= hi:
+        raise ValueError("alternating products start at j = 2")
+    k = 2 if square else 1
+    exps: Counter = Counter()
+    for j in range(lo, hi + 1):
+        if j % 2:
+            exps[j - 1] += k
+            exps[j // 2] -= k
+        else:
+            exps[j // 2] += k
+    return exps
 
 
 def alt_product(lo: int, hi: int, square: bool = False) -> IntPoly:
-    """prod_{j=lo}^{hi} (1 + (-1)^(j-1) x^floor(j/2)); empty product = 1.
+    """prod_{j=lo}^{hi} (1 + (-1)^(j-1) x^floor(j/2)), squared when asked;
+    the empty product is 1 and lo must be at least 2.
 
     >>> alt_product(2, 3).coeffs
     (1, 0, -1)
     >>> alt_product(6, 4).coeffs
     (1,)
     """
-    out = ONE
-    for j in range(lo, hi + 1):
-        out = out * (ONE + IntPoly.monomial(1 if j % 2 else -1, j // 2))
-    return out * out if square else out
+    return expand(alt_exps(lo, hi, square))
 
 
 @lru_cache(maxsize=None)
@@ -260,37 +360,112 @@ def euler_phi(k: int) -> int:
     return out
 
 
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _totient_bound(D: int) -> int:
+    """A power of two past every k with phi(k) <= D.
+
+    Rosser and Schoenfeld (1962, Thm. 15, weakened constant):
+    phi(k) > g(k) = k / (e^gamma log log k + 3 / log log k) for k >= 3, and
+    g increases for k >= 3.  The first power of two with g > D + 1 (the 1
+    absorbs float rounding) therefore bounds max{k : phi(k) <= D}.
+    """
+    k = 64
+    while True:
+        u = log(log(k))
+        if k / (exp(_EULER_GAMMA) * u + 3 / u) > D + 1:
+            return k
+        k *= 2
+
+
+@lru_cache(maxsize=None)
+def _totients(bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """phi(k) for k <= bound, and K[D] = max{k <= bound : phi(k) <= D}.
+
+    K[D] is max{k : phi(k) <= D} whenever _totient_bound(D) <= bound.
+    """
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            phi[p::p] = [v - v // p for v in phi[p::p]]
+    K = [0] * (bound + 1)
+    for k in range(1, bound + 1):
+        K[phi[k]] = k
+    return tuple(phi), tuple(accumulate(K, max))
+
+
+def _peel(r: list[int], D: int, phi: Sequence[int]) -> dict[int, int] | None:
+    """{d: a_d} with r = prod (1 - x^d)^a_d mod x^len(r), where r(0) = 1, or
+    None once the a_d break a bound that degree-D cyclotomic products obey
+    (see cyclotomic_factors).  Consumes r."""
+    exps: dict[int, int] = {}
+    budget = 2 * D
+    for d in range(1, len(r)):
+        t = r[d]
+        if not t:
+            continue
+        budget -= abs(t)
+        if abs(t) * phi[d] > D or budget < 0:
+            return None
+        exps[d] = -t
+        _times(r, d, t)
+        if not any(r[d + 1 :]):
+            break
+    return exps
+
+
 def cyclotomic_factors(p: IntPoly) -> list[int] | None:
-    """Multiset of k with p = +-prod Phi_k, or None when p is no such product.
+    """Ascending multiset of k with p = +-prod Phi_k, or None when p is no
+    such product.
 
     The sign unit makes this equivalent to every root of p being a root of
-    unity.  Trial division ascends k up to max(6, 2 deg(p)^2); any Phi_k
-    dividing the residual satisfies phi(k) <= its degree, which justifies
-    skipping larger k.
+    unity.  Such a p has p(0) = +-1 and reversed coefficients equal to +-p
+    (Phi_1 = x - 1 is antipalindromic, every other Phi_k palindromic); any
+    other p is rejected at once.
+
+    With D = deg p, a factor Phi_k of p has phi(k) <= D, so
+    k <= K(D) = max{k : phi(k) <= D}, read from a cached totient table.
+    Work modulo x^L with L = K(D) + 1 > D.  Divide p by p(0) to get r, then
+    peel d = 1, 2, ...: t = r[d] is the lowest nonconstant coefficient left,
+    so r = (1 - x^d)^a_d * (1 + O(x^(d+1))) with a_d = -t, and multiplying r
+    by (1 - x^d)^t removes it.  Once r = 1 mod x^L, set e_k = sum_{k|d} a_d,
+    so that prod (1 - x^d)^a_d = +-prod Phi_k^e_k.  A first peel modulo
+    x^(D+1) already answers yes when every factor has k <= D; only a no from
+    it is rechecked modulo x^L (a_d depends on r mod x^(d+1) alone, so the
+    bounds below reject in either peel alike).
+
+    Complete: if p = +-prod Phi_k^e_k, Moebius inversion of
+    Phi_k = +-prod_{d|k} (1 - x^d)^mu(k/d) gives a_d = sum_{d|k} mu(k/d) e_k,
+    nonzero only for d <= K(D), and the peel, whose result mod x^L is
+    unique, finds exactly these.  As d | k implies phi(d) <= phi(k),
+    |a_d| phi(d) <= sum_{d|k} e_k phi(k) <= D (so |a_d| <= sum e_k <= D);
+    and sum |a_d| <= sum e_k 2^omega(k) <= 2 sum e_k phi(k) = 2D, since
+    phi(k) >= prod_{q|k} (q - 1) >= 2^(omega(k) - 1).  A peel past either
+    bound rejects early.
+
+    Sound: the answer is yes only when every e_k >= 0 and
+    sum e_k phi(k) = D.  Then p / p(0) and prod Phi_k^e_k (up to sign)
+    agree modulo x^(D+1) or x^L and both have degree D, so they are equal.
+
+    >>> cyclotomic_factors(IntPoly([1, 0, 0, 2, 0, 0, 1]))
+    [2, 2, 6, 6]
+    >>> cyclotomic_factors(IntPoly([1, 0, 3])) is None
+    True
     """
-    if p.is_zero:
+    c = p.coeffs
+    if not c or abs(c[0]) != 1 or (c[::-1] != c and c[::-1] != (-p).coeffs):
         return None
-    if p.coeffs[-1] < 0:
-        p = -p
-    if p.degree == 0:
-        return [] if p.coeffs == (1,) else None
-    if p.coeffs[-1] != 1 or abs(p.coeffs[0]) != 1:
-        return None
-    factors: list[int] = []
-    residual = p
-    for k in range(1, max(6, 2 * p.degree * p.degree) + 1):
-        if residual == ONE:
-            break
-        if k > 6 and euler_phi(k) > residual.degree:
-            continue
-        phi_k = cyclotomic(k)
-        while True:
-            try:
-                residual = residual.exact_div(phi_k)
-            except ValueError:
-                break
-            factors.append(k)
-    return factors if residual == ONE else None
+    D = p.degree
+    phi, K = _totients(_totient_bound(D))
+    for size in (D + 1, K[D] + 1):
+        exps = _peel([v * c[0] for v in c] + [0] * (size - D - 1), D, phi)
+        if exps is None:
+            return None
+        e = _cyclotomic_exponents(exps)
+        if min(e.values(), default=0) >= 0 and sum(v * phi[k] for k, v in e.items()) == D:
+            return [k for k in sorted(e) for _ in range(e[k])]
+    return None
 
 
 def is_cyclotomic_product(p: IntPoly) -> bool:

@@ -105,10 +105,38 @@ class TestCyclo:
         record = json.loads(out)
         assert record["cyclotomicProduct"] is True
         assert record["factors"] == [2, 2, 6, 6]
+        assert out == (
+            '{"coeffs": [1, 0, 0, 2, 0, 0, 1], "cyclotomicProduct": true, '
+            '"factors": [2, 2, 6, 6]}\n'
+        )
 
     def test_trinomial_rejects_bad_split(self, capsys):
         code, _, err = run(["cyclo", "--trinomial", "4", "5"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("args, untouched", [
+        (["--trinomial", "100000", "1"], ("IntPoly", "cyclotomic_factors")),
+        (["--coeffs", ",".join(["1"] + ["0"] * cli.CYCLO_MAX_DEGREE + ["1"])],
+         ("cyclotomic_factors",)),
+    ])
+    def test_degree_past_the_limit_exits_2_first(self, args, untouched, capsys, monkeypatch):
+        """A trinomial is refused before its coefficients are built, and any
+        input before the cyclotomic test starts."""
+        def refuse(*_):
+            raise AssertionError("work started on a refused input")
+
+        for name in untouched:
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(["cyclo", *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the cyclo limit {cli.CYCLO_MAX_DEGREE}" in err
+
+    def test_degree_at_the_limit_is_decided(self, capsys):
+        top = cli.CYCLO_MAX_DEGREE
+        code, out, _ = run(["cyclo", "--trinomial", str(top), str(top // 2)], capsys)
+        assert code == 0
+        assert out.startswith("yes: ")
 
 
 class TestTable:

@@ -1,6 +1,7 @@
 """Generating functions: brute enumeration, closed forms, and budgets."""
 
 import hashlib
+import random
 from math import factorial
 
 import numpy as np
@@ -30,7 +31,7 @@ from oddlen.genfun import (
     scalar_table,
     sweep_plan,
 )
-from oddlen.indexset import IndexSet, components
+from oddlen.indexset import IndexSet, components, m_of, tilde
 from oddlen.rootsys import odd_root_count
 from oddlen.sperm import (
     SignedPerm,
@@ -40,6 +41,7 @@ from oddlen.sperm import (
     label_mask,
 )
 from oddlen.zpoly import ONE, ZERO, IntPoly, alt_product
+from test_zpoly import reference_alt_product, reference_q_multinomial
 
 
 def quotient_elements(family, n, I):
@@ -279,6 +281,88 @@ class TestClosedForms:
     def test_closed_forms_scale_past_the_enumeration_budget(self):
         assert closed_D(12, IndexSet.of(12, [0, 5])) is not None
         assert closed_A(40, IndexSet.of(40, [7])) is not None
+
+
+def reference_closed(family, n, I):
+    """Oracle: the closed formulas built from IntPoly products and exact
+    division, as they were written before exponent maps."""
+    def C(J):
+        parts = [(z + 1) // 2 for z in components(J).all_sizes]
+        return reference_q_multinomial(sum(parts), parts, 2)
+
+    def minus(d):
+        return ONE - IntPoly.monomial(1, d)
+
+    if family == "A":
+        return C(I) * reference_alt_product(2 * m_of(I) + 2, n)
+    decomp = components(I)
+    zero = decomp.zero_size
+    if family == "B":
+        parts = [(z + 1) // 2 for z in decomp.other_sizes]
+        m = sum(parts)
+        out = reference_q_multinomial(m, parts, 2)
+        for j in range(zero + 1, n + 1):
+            out = out * minus(j)
+        for i in range(1, m + 1):
+            out = out.exact_div(minus(2 * i))
+        return out
+    if I.is_full:
+        return ONE
+    if I.is_empty:
+        return reference_alt_product(2, n, square=True)
+    m = m_of(I)
+    head = ONE
+    if zero >= 2 and zero % 2 == 0:
+        head = ONE + IntPoly.monomial(1, zero)
+        if n == 2 * m:
+            head = head + IntPoly.monomial(2, m)
+    twisted = tilde(I)
+    out = head * (
+        C(twisted)
+        * reference_alt_product(2 * ((zero + 2) // 2), n)
+        * reference_alt_product(2 * m_of(twisted) + 2, n)
+    )
+    if zero >= 2 and zero % 2 == 0 and n == 2 * m:
+        out = out.exact_div(ONE + IntPoly.monomial(1, m))
+    return out
+
+
+class TestClosedFormsAgainstProducts:
+    """closed_A/B/D expand one exponent map; reference_closed multiplies."""
+
+    @pytest.mark.parametrize("family", ["A", "B", "D"])
+    def test_every_index_set_up_to_rank_9(self, family):
+        for n in range(1, 10):
+            for I in subsets(family, n):
+                assert closed_poly(family, n, I) == reference_closed(family, n, I), (n, I)
+
+    @pytest.mark.parametrize("family", ["A", "B", "D"])
+    def test_sampled_index_sets_up_to_rank_20(self, family):
+        rng = random.Random(20)
+        for n in range(10, 21):
+            labels = label_mask(family, n)
+            for _ in range(12):
+                I = IndexSet(n, rng.getrandbits(n) & labels)
+                assert closed_poly(family, n, I) == reference_closed(family, n, I), (n, I)
+
+    def test_d_heads_with_an_even_zero_run(self):
+        """Zero run z even >= 2: the trinomial head when n = 2m, else 1 + x^z."""
+        rng = random.Random(2)
+        seen = {"n = 2m": 0, "n > 2m": 0}
+        for n in range(4, 21):
+            for z in range(2, n, 2):
+                for _ in range(6):
+                    rest = rng.getrandbits(n) & ~((2 << z) - 1) & ((1 << n) - 1)
+                    I = IndexSet(n, (1 << z) - 1 | rest)
+                    if I.is_full:
+                        continue
+                    seen["n = 2m" if n == 2 * m_of(I) else "n > 2m"] += 1
+                    assert closed_D(n, I) == reference_closed("D", n, I), (n, I)
+        for n, members in [(18, [*range(16), 17]), (6, [0, 1, 3, 5]), (8, [0, 1, 3, 5, 7])]:
+            I = IndexSet.of(n, members)
+            assert n == 2 * m_of(I)
+            assert closed_D(n, I) == reference_closed("D", n, I)
+        assert min(seen.values()) > 20, seen
 
 
 class TestFiltered:

@@ -1,9 +1,13 @@
 """Integer polynomial arithmetic and cyclotomic machinery."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oddlen import zpoly
 from oddlen.zpoly import (
     ONE,
     X,
@@ -13,6 +17,7 @@ from oddlen.zpoly import (
     cyclotomic,
     cyclotomic_factors,
     euler_phi,
+    expand,
     is_cyclotomic_product,
     q_factorial,
     q_int,
@@ -86,6 +91,78 @@ class TestIntPoly:
         assert IntPoly((1, -1)).subs_x_power(3).coeffs == (1, 0, 0, -1)
 
 
+def reference_q_multinomial(total, parts, base_exponent=1):
+    """Oracle: q-factorials by IntPoly products, then exact division."""
+    out = q_factorial(total)
+    for p in parts:
+        out = out.exact_div(q_factorial(p))
+    return out.subs_x_power(base_exponent)
+
+
+def reference_alt_product(lo, hi, square=False):
+    """Oracle: the alternating product as IntPoly products of binomials."""
+    out = ONE
+    for j in range(lo, hi + 1):
+        out = out * (ONE + IntPoly.monomial(1 if j % 2 else -1, j // 2))
+    return out * out if square else out
+
+
+def trial_division_factors(p):
+    """Oracle: the cyclotomic decision by trial division.
+
+    Divide by Phi_k for ascending k up to max(6, 2 deg(p)^2); phi(k) >=
+    sqrt(k / 2), so no larger Phi_k can divide p, and k with phi(k) above
+    the residual degree are skipped.
+    """
+    if p.is_zero:
+        return None
+    if p.coeffs[-1] < 0:
+        p = -p
+    if p.degree == 0:
+        return [] if p.coeffs == (1,) else None
+    if p.coeffs[-1] != 1 or abs(p.coeffs[0]) != 1:
+        return None
+    factors = []
+    residual = p
+    for k in range(1, max(6, 2 * p.degree * p.degree) + 1):
+        if residual == ONE:
+            break
+        if k > 6 and euler_phi(k) > residual.degree:
+            continue
+        while True:
+            try:
+                residual = residual.exact_div(cyclotomic(k))
+            except ValueError:
+                break
+            factors.append(k)
+    return factors if residual == ONE else None
+
+
+def cyclotomic_product(ks):
+    out = ONE
+    for k in ks:
+        out = out * cyclotomic(k)
+    return out
+
+
+def trinomial(n, m):
+    return ONE + IntPoly.monomial(2, m) + IntPoly.monomial(1, n)
+
+
+def near_misses(count, seed):
+    """Cyclotomic products of degree at most 16 with one coefficient moved by +-1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = cyclotomic_product(rng.choices(range(1, 31), k=rng.randint(1, 3)))
+        if p.degree > 16:
+            continue
+        coeffs = list(p.coeffs)
+        coeffs[rng.randrange(len(coeffs))] += rng.choice((-1, 1))
+        out.append(IntPoly(coeffs))
+    return out
+
+
 class TestQSeries:
     def test_q_int(self):
         assert q_int(1) == ONE
@@ -113,6 +190,61 @@ class TestQSeries:
         assert alt_product(2, 4).coeffs == (1, 0, -2, 0, 1)
         assert alt_product(2, 3, square=True) == alt_product(2, 3) ** 2
         assert alt_product(4, 7, square=True) == alt_product(4, 7) ** 2
+
+    def test_alt_product_starts_at_two(self):
+        assert alt_product(1, 0) == ONE
+        with pytest.raises(ValueError):
+            alt_product(1, 3)
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_alt_product_matches_the_reference_product(self, square):
+        for lo in range(2, 14):
+            for hi in range(lo - 2, 26):
+                assert alt_product(lo, hi, square) == reference_alt_product(lo, hi, square)
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=5), st.integers(1, 3))
+    def test_q_multinomial_matches_the_reference_quotient(self, parts, b):
+        assert q_multinomial(sum(parts), parts, b) == reference_q_multinomial(sum(parts), parts, b)
+
+
+class TestExpand:
+    @given(
+        st.lists(st.integers(1, 12), max_size=6),
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=4),
+    )
+    def test_matches_the_product_of_its_factors(self, numer, blocks):
+        """Factors (1 - x^d), and blocks (1 - x^dj) / (1 - x^d) = [j]_{x^d}."""
+        exps = {}
+        want = ONE
+        for d in numer:
+            exps[d] = exps.get(d, 0) + 1
+            want = want * (ONE - IntPoly.monomial(1, d))
+        for d, j in blocks:
+            exps[d * j] = exps.get(d * j, 0) + 1
+            exps[d] = exps.get(d, 0) - 1
+            want = want * q_int(j).subs_x_power(d)
+        assert expand(exps) == want
+        assert expand(exps, head=IntPoly([3, -1, 2])) == want * IntPoly([3, -1, 2])
+
+    def test_head_may_supply_the_missing_cyclotomic_factors(self):
+        # (1 + x^16 + 2x^9)(1 - x^9)^2 / (1 - x^2): Phi_2 divides the head.
+        head = ONE + IntPoly.monomial(2, 9) + IntPoly.monomial(1, 16)
+        got = expand({9: 2, 2: -1}, head=head)
+        assert got * (ONE - IntPoly.monomial(1, 2)) == head * (ONE - IntPoly.monomial(1, 9)) ** 2
+
+    @pytest.mark.parametrize("exps, head", [
+        ({1: -1}, ONE),
+        ({2: -1}, IntPoly([1, 1])),
+        ({4: 1, 2: -2}, ONE),
+        ({2: -1}, IntPoly([1, 0, 1])),
+    ])
+    def test_rejects_what_is_no_polynomial(self, exps, head):
+        with pytest.raises(ValueError, match="no polynomial"):
+            expand(exps, head=head)
+
+    def test_rejects_a_factor_index_below_one(self):
+        with pytest.raises(ValueError):
+            expand({0: 1})
 
 
 class TestCyclotomic:
@@ -176,3 +308,93 @@ class TestCyclotomic:
                 want = n == 2 * m
                 assert trinomial_cyclotomic(n, m) is want
                 assert is_cyclotomic_product(trinomial) is want
+
+
+class TestPeelAgainstTrialDivision:
+    """cyclotomic_factors peels (1 - x^d) exponents; trial division by Phi_k
+    (trial_division_factors above) is the oracle it must agree with."""
+
+    @given(st.lists(st.integers(1, 60), max_size=4), st.booleans())
+    def test_products_of_cyclotomics_up_to_k_60(self, ks, negate):
+        p = cyclotomic_product(ks)
+        p = -p if negate else p
+        assert cyclotomic_factors(p) == trial_division_factors(p) == sorted(ks)
+
+    @pytest.mark.parametrize("ks", [[14], [14, 1], [30], [15, 30, 2], [60], [42, 1, 1]])
+    def test_factors_with_k_above_the_degree(self, ks):
+        p = cyclotomic_product(ks)
+        assert max(ks) > p.degree
+        assert cyclotomic_factors(p) == trial_division_factors(p) == sorted(ks)
+
+    @pytest.mark.parametrize("ks", [[1] * 5, [2] * 6, [2] * 3 + [6] * 2, [1, 2] * 4])
+    def test_products_at_the_peel_bounds(self, ks):
+        """(1 - x)^D and (1 + x)^D meet |a_d| phi(d) <= D and sum |a_d| <= 2D
+        with equality."""
+        p = cyclotomic_product(ks)
+        assert cyclotomic_factors(p) == trial_division_factors(p) == sorted(ks)
+
+    def test_trinomials_up_to_degree_24(self):
+        for n in range(2, 25):
+            for m in range(1, n):
+                p = trinomial(n, m)
+                got = cyclotomic_factors(p)
+                assert got == trial_division_factors(p)
+                assert (got is not None) is trinomial_cyclotomic(n, m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_misses(self, seed):
+        for p in near_misses(40, seed):
+            assert cyclotomic_factors(p) == trial_division_factors(p)
+
+    def test_sympy_factor_list_agrees(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        # Every Phi_k of degree <= 16 has k <= 60.
+        index = {
+            tuple(sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()): k
+            for k in range(1, 121)
+        }
+        rng = random.Random(7)
+        polys = [trinomial(n, m) for n in range(2, 17) for m in range(1, n)]
+        polys += [cyclotomic_product(rng.choices(range(1, 61), k=3)) for _ in range(20)]
+        polys += near_misses(40, 11)
+        for p in polys:
+            unit, irreducibles = sympy.Poly(p.coeffs[::-1], x).factor_list()
+            want = [] if abs(unit) == 1 else None
+            for f, mult in irreducibles:
+                coeffs = tuple(f.all_coeffs())
+                k = index.get(coeffs, index.get(tuple(-c for c in coeffs)))
+                if want is None or k is None:
+                    want = None
+                    break
+                want += [k] * mult
+            assert cyclotomic_factors(p) == (sorted(want) if want is not None else None), p
+
+    def test_a_peel_truncated_past_the_degree_misses_phi_14(self, monkeypatch):
+        """Planted fault: with L = D + 1 in place of K(D) + 1 the peel cannot
+        see (1 - x^14) and (1 - x^7), so Phi_14 * Phi_1 (degree 7) is lost."""
+        p = cyclotomic_product([14, 1])
+        assert cyclotomic_factors(p) == trial_division_factors(p) == [1, 14]
+        real = zpoly._totients
+
+        def truncated(bound):
+            phi, _ = real(bound)
+            return phi, tuple(range(bound + 1))
+
+        monkeypatch.setattr(zpoly, "_totients", truncated)
+        assert cyclotomic_factors(p) is None
+        assert cyclotomic_factors(p) != trial_division_factors(p)
+
+
+def test_totient_ceiling_matches_brute_force():
+    """K(D) = max{k : phi(k) <= D}; phi(k) >= sqrt(k / 2) bounds the search by 2D^2."""
+    top = 2 * 300 * 300
+    phi = np.arange(top + 1)
+    for q in range(2, top + 1):
+        if phi[q] == q:
+            phi[q::q] -= phi[q::q] // q
+    for D in range(301):
+        small = np.flatnonzero(phi[1 : 2 * D * D + 1] <= D)
+        want = int(small[-1]) + 1 if small.size else 0
+        _, K = zpoly._totients(zpoly._totient_bound(D))
+        assert K[D] == want, D
