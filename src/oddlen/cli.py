@@ -23,9 +23,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
-# The cyclotomic test's totient table and peel grow with the degree; past
-# this, `cyclo` refuses the input instead of sizing them from it.
-CYCLO_MAX_DEGREE = 5000
+# The cyclotomic test's totient table and peel grow with the degree, the
+# peel's worst known case, (1 + x)^D, about as D^3; past this, `cyclo`
+# refuses the input instead of sizing them from it.
+CYCLO_MAX_DEGREE = 2000
 
 
 def _parse_families(text: str) -> tuple[str, ...]:

@@ -25,7 +25,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from math import exp, log
-from operator import add, sub
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -199,20 +199,6 @@ ONE = IntPoly((1,))
 X = IntPoly((0, 1))
 
 
-def q_int(k: int) -> IntPoly:
-    """[k]_q = 1 + q + ... + q^(k-1)."""
-    if k < 0:
-        raise ValueError("negative q-integer")
-    return IntPoly((1,) * k)
-
-
-def q_factorial(k: int) -> IntPoly:
-    out = ONE
-    for j in range(2, k + 1):
-        out = out * q_int(j)
-    return out
-
-
 def _times(r: list[int], d: int, a: int) -> None:
     """r <- r * (1 - x^d)^a modulo x^len(r), in place; a < 0 divides."""
     size = len(r)
@@ -221,12 +207,8 @@ def _times(r: list[int], d: int, a: int) -> None:
     for _ in range(a):
         r[d:] = map(sub, r[d:], r[: size - d])
     for _ in range(-a):
-        if d * d < size:
-            for c in range(d):
-                r[c::d] = accumulate(r[c::d])
-        else:
-            for s in range(d, size, d):
-                r[s : s + d] = map(add, r[s : s + d], r[s - d : s])
+        for c in range(d):
+            r[c::d] = accumulate(r[c::d])
 
 
 def _cyclotomic_exponents(exps: Mapping[int, int]) -> dict[int, int]:
@@ -343,23 +325,6 @@ def cyclotomic(k: int) -> IntPoly:
     return out
 
 
-def euler_phi(k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out, rest, p = 1, k, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            out *= (p - 1) * p ** (e - 1)
-        p += 1
-    if rest > 1:
-        out *= rest - 1
-    return out
-
-
 _EULER_GAMMA = 0.5772156649015329
 
 
@@ -379,20 +344,29 @@ def _totient_bound(D: int) -> int:
         k *= 2
 
 
-@lru_cache(maxsize=None)
-def _totients(bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """phi(k) for k <= bound, and K[D] = max{k <= bound : phi(k) <= D}.
+# [phi, K] of _totients, replaced in place (the module's bindings never
+# change) when a degree needs a larger bound.
+_TOTIENTS: list[tuple[int, ...]] = [(0,), (0,)]
 
-    K[D] is max{k : phi(k) <= D} whenever _totient_bound(D) <= bound.
+
+def _totients(D: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(phi, K): phi(k) for k up to a bound past _totient_bound(D), and
+    K[j] = max{k : phi(k) <= j}, exact for every j <= D.
+
+    One module-level table, built on first use (never at import) and rebuilt
+    larger when a degree needs a larger bound; it never shrinks.
     """
-    phi = list(range(bound + 1))
-    for p in range(2, bound + 1):
-        if phi[p] == p:
-            phi[p::p] = [v - v // p for v in phi[p::p]]
-    K = [0] * (bound + 1)
-    for k in range(1, bound + 1):
-        K[phi[k]] = k
-    return tuple(phi), tuple(accumulate(K, max))
+    bound = _totient_bound(D)
+    if len(_TOTIENTS[0]) <= bound:
+        phi = list(range(bound + 1))
+        for p in range(2, bound + 1):
+            if phi[p] == p:
+                phi[p::p] = [v - v // p for v in phi[p::p]]
+        K = [0] * (bound + 1)
+        for k in range(1, bound + 1):
+            K[phi[k]] = k
+        _TOTIENTS[:] = tuple(phi), tuple(accumulate(K, max))
+    return _TOTIENTS[0], _TOTIENTS[1]
 
 
 def _peel(r: list[int], D: int, phi: Sequence[int]) -> dict[int, int] | None:
@@ -420,9 +394,7 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
     such product.
 
     The sign unit makes this equivalent to every root of p being a root of
-    unity.  Such a p has p(0) = +-1 and reversed coefficients equal to +-p
-    (Phi_1 = x - 1 is antipalindromic, every other Phi_k palindromic); any
-    other p is rejected at once.
+    unity.  Such a p has p(0) = +-1; any other p is rejected at once.
 
     With D = deg p, a factor Phi_k of p has phi(k) <= D, so
     k <= K(D) = max{k : phi(k) <= D}, read from a cached totient table.
@@ -430,10 +402,7 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
     peel d = 1, 2, ...: t = r[d] is the lowest nonconstant coefficient left,
     so r = (1 - x^d)^a_d * (1 + O(x^(d+1))) with a_d = -t, and multiplying r
     by (1 - x^d)^t removes it.  Once r = 1 mod x^L, set e_k = sum_{k|d} a_d,
-    so that prod (1 - x^d)^a_d = +-prod Phi_k^e_k.  A first peel modulo
-    x^(D+1) already answers yes when every factor has k <= D; only a no from
-    it is rechecked modulo x^L (a_d depends on r mod x^(d+1) alone, so the
-    bounds below reject in either peel alike).
+    so that prod (1 - x^d)^a_d = +-prod Phi_k^e_k.
 
     Complete: if p = +-prod Phi_k^e_k, Moebius inversion of
     Phi_k = +-prod_{d|k} (1 - x^d)^mu(k/d) gives a_d = sum_{d|k} mu(k/d) e_k,
@@ -446,7 +415,7 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
 
     Sound: the answer is yes only when every e_k >= 0 and
     sum e_k phi(k) = D.  Then p / p(0) and prod Phi_k^e_k (up to sign)
-    agree modulo x^(D+1) or x^L and both have degree D, so they are equal.
+    agree modulo x^L and both have degree D < L, so they are equal.
 
     >>> cyclotomic_factors(IntPoly([1, 0, 0, 2, 0, 0, 1]))
     [2, 2, 6, 6]
@@ -454,18 +423,17 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
     True
     """
     c = p.coeffs
-    if not c or abs(c[0]) != 1 or (c[::-1] != c and c[::-1] != (-p).coeffs):
+    if not c or abs(c[0]) != 1:
         return None
     D = p.degree
-    phi, K = _totients(_totient_bound(D))
-    for size in (D + 1, K[D] + 1):
-        exps = _peel([v * c[0] for v in c] + [0] * (size - D - 1), D, phi)
-        if exps is None:
-            return None
-        e = _cyclotomic_exponents(exps)
-        if min(e.values(), default=0) >= 0 and sum(v * phi[k] for k, v in e.items()) == D:
-            return [k for k in sorted(e) for _ in range(e[k])]
-    return None
+    phi, K = _totients(D)
+    exps = _peel([v * c[0] for v in c] + [0] * (K[D] - D), D, phi)
+    if exps is None:
+        return None
+    e = _cyclotomic_exponents(exps)
+    if min(e.values(), default=0) < 0 or sum(v * phi[k] for k, v in e.items()) != D:
+        return None
+    return [k for k in sorted(e) for _ in range(e[k])]
 
 
 def is_cyclotomic_product(p: IntPoly) -> bool:

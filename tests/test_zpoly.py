@@ -16,11 +16,8 @@ from oddlen.zpoly import (
     alt_product,
     cyclotomic,
     cyclotomic_factors,
-    euler_phi,
     expand,
     is_cyclotomic_product,
-    q_factorial,
-    q_int,
     q_multinomial,
     trinomial_cyclotomic,
 )
@@ -89,6 +86,34 @@ class TestIntPoly:
     def test_subs_x_power(self):
         assert IntPoly((1, 2, 3)).subs_x_power(2).coeffs == (1, 0, 2, 0, 3)
         assert IntPoly((1, -1)).subs_x_power(3).coeffs == (1, 0, 0, -1)
+
+
+def q_int(k):
+    """[k]_q = 1 + q + ... + q^(k-1), for the reference builds."""
+    return IntPoly((1,) * k)
+
+
+def q_factorial(k):
+    out = ONE
+    for j in range(2, k + 1):
+        out = out * q_int(j)
+    return out
+
+
+def euler_phi(k):
+    """Oracle: phi(k) by trial factorisation of k."""
+    out, rest, p = 1, k, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            out *= (p - 1) * p ** (e - 1)
+        p += 1
+    if rest > 1:
+        out *= rest - 1
+    return out
 
 
 def reference_q_multinomial(total, parts, base_exponent=1):
@@ -272,6 +297,8 @@ class TestCyclotomic:
     def test_euler_phi(self):
         assert [euler_phi(k) for k in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
         assert cyclotomic(36).degree == euler_phi(36)
+        phi, _ = zpoly._totients(300)
+        assert list(phi[1:]) == [euler_phi(k) for k in range(1, len(phi))]
 
     def test_cyclotomic_factors(self):
         assert cyclotomic_factors(IntPoly((1, 0, 2, 0, 1))) == [4, 4]
@@ -377,24 +404,29 @@ class TestPeelAgainstTrialDivision:
         assert cyclotomic_factors(p) == trial_division_factors(p) == [1, 14]
         real = zpoly._totients
 
-        def truncated(bound):
-            phi, _ = real(bound)
-            return phi, tuple(range(bound + 1))
+        def truncated(D):
+            phi, _ = real(D)
+            return phi, tuple(range(len(phi)))
 
         monkeypatch.setattr(zpoly, "_totients", truncated)
         assert cyclotomic_factors(p) is None
         assert cyclotomic_factors(p) != trial_division_factors(p)
 
 
-def test_totient_ceiling_matches_brute_force():
-    """K(D) = max{k : phi(k) <= D}; phi(k) >= sqrt(k / 2) bounds the search by 2D^2."""
+def test_totient_ceiling_matches_brute_force(monkeypatch):
+    """K(D) = max{k : phi(k) <= D}; phi(k) >= sqrt(k / 2) bounds the search
+    by 2D^2.  The table starts empty and grows with D; the last, largest one
+    still answers every smaller degree."""
+    monkeypatch.setattr(zpoly, "_TOTIENTS", [(0,), (0,)])
     top = 2 * 300 * 300
     phi = np.arange(top + 1)
     for q in range(2, top + 1):
         if phi[q] == q:
             phi[q::q] -= phi[q::q] // q
+    wants = []
     for D in range(301):
         small = np.flatnonzero(phi[1 : 2 * D * D + 1] <= D)
-        want = int(small[-1]) + 1 if small.size else 0
-        _, K = zpoly._totients(zpoly._totient_bound(D))
-        assert K[D] == want, D
+        wants.append(int(small[-1]) + 1 if small.size else 0)
+        _, K = zpoly._totients(D)
+        assert K[D] == wants[D], D
+    assert list(K[:301]) == wants
