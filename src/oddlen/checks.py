@@ -1,20 +1,24 @@
 """Named identity checks behind the verify subcommand and the test suite.
 
 Each check sweeps one family of statements over every qualifying rank and
-index set, yielding a row per verified instance.  Brute-force sweeps respect
-the per-family rank bounds in the context (the verify tiers); closed-form
-checks are cheap and always run at their intrinsic ranges.
+index set, yielding a row per verified instance.  Which ranks a check visits
+is decided in one place, the gate `_ranks`: nothing unless the family is
+selected in the context, and for a check that enumerates, no rank past the
+tier bound ctx.nmax[family]; a closed-form check says closed_form=True and
+keeps its intrinsic range.  `_sets` runs over every index set of the gated
+ranks, with the rank's descent table.
 
 Every enumerated sum is a descent-table read, and every table is the sweep
 plan's one histogram over (rows x sign masks) arrays.  The full group's
 tables come from the sweep and are cached in the context; a restricted
 support (chessboard, sandwich-free) or a pinned entry is a filter on rows
-and masks whose table is built once, before the loop over index sets, and
-read for each set in it.  The per-element checks (root counts, additivity)
+and masks whose table is built once per rank and parameter, and read for
+each set that needs it.  The per-element checks (root counts, additivity)
 run on arrays of absolute-value rows, one sign mask at a time.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -49,9 +53,8 @@ from .rootsys import build_root_system, length_via_roots, odd_length_via_roots, 
 from .genfun import (
     DescentTable,
     brute_table,
-    closed_A,
-    closed_B,
     closed_D,
+    closed_poly,
     conjecture_rhs,
     conjecture_set,
     M_of,
@@ -108,9 +111,6 @@ class CheckContext:
     def for_tier(tier: str, **kw) -> "CheckContext":
         return CheckContext(nmax=dict(TIERS[tier]), **kw)
 
-    def cap(self, family: str, hard: int) -> int:
-        return min(self.nmax.get(family, 0), hard)
-
     def table(self, family: str, n: int) -> DescentTable:
         key = (family, n)
         if key not in self.tables:
@@ -129,17 +129,34 @@ class CheckContext:
 
 
 def _row(check: str, family: str, n: int, where, ok: bool, detail: str = "") -> CheckRow:
-    if isinstance(where, IndexSet):
-        where = ",".join(str(i) for i in where.members())
-    return CheckRow(check, family, n, where, "pass" if ok else "fail", detail)
+    return CheckRow(check, family, n, str(where), "pass" if ok else "fail", detail)
 
 
-def _subsets(family: str, n: int) -> Iterator[IndexSet]:
-    """All generator-label subsets in binary-counter order."""
-    lm = label_mask(family, n)
-    for mask in range(1 << n):
-        if mask & ~lm == 0:
-            yield IndexSet(n, mask)
+def _ranks(ctx: CheckContext, family: str, lo: int, hi: int | None = None, step: int = 1,
+           *, closed_form: bool = False) -> range:
+    """The ranks lo, lo+step, ... of family that a check visits: none when
+    the family is not selected, where "-" (no group) always is.  An
+    enumerating check stops at hi and at the tier bound ctx.nmax[family];
+    a closed-form check keeps its intrinsic range up to hi."""
+    if family != "-" and family not in ctx.families:
+        return range(0)
+    top = ctx.nmax.get(family, 0)
+    if hi is not None:
+        top = hi if closed_form else min(hi, top)
+    return range(lo, top + 1, step)
+
+
+def _sets(ctx: CheckContext, family: str, lo: int, hi: int | None = None, step: int = 1,
+          *, closed_form: bool = False) -> Iterator[tuple[int, DescentTable | None, IndexSet]]:
+    """(n, table, I) for every generator-label subset I, in binary-counter
+    order, at each rank n of _ranks; table is the rank's descent table, or
+    None for a closed-form check, which enumerates nothing."""
+    for n in _ranks(ctx, family, lo, hi, step, closed_form=closed_form):
+        table = None if closed_form else ctx.table(family, n)
+        labels = label_mask(family, n)
+        for mask in range(1 << n):
+            if mask & ~labels == 0:
+                yield n, table, IndexSet(n, mask)
 
 
 def _match(check: str, family: str, n: int, where, got: IntPoly, want: IntPoly) -> CheckRow:
@@ -156,7 +173,7 @@ def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
     on every element."""
     hard = {"A": 7, "B": 5, "D": 6}
     for family in ctx.families:
-        for n in range(1, ctx.cap(family, hard[family]) + 1):
+        for n in _ranks(ctx, family, 1, hard[family]):
             rs = build_root_system(family, n)
             plan = sweep_plan(family, n)
             perms = perm_table(n)
@@ -171,6 +188,8 @@ def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
 
 def check_point_values(ctx: CheckContext) -> Iterator[CheckRow]:
     """Hand-checked values: statistics, products, factorizations, one table."""
+    if "D" not in ctx.families:
+        return
     sigma = SignedPerm.from_text("3 -2 5 1 -4")
     pair = ell_and_odd(sigma, "D")
     rs = build_root_system("D", 5)
@@ -230,21 +249,17 @@ def check_point_values(ctx: CheckContext) -> Iterator[CheckRow]:
 # ------------------------------------------------- closed formula sweeps
 
 
-def _closed_match(check: str, family: str, fn) -> Callable[[CheckContext], Iterator[CheckRow]]:
+def _closed_match(check: str, family: str) -> Callable[[CheckContext], Iterator[CheckRow]]:
     def run(ctx: CheckContext) -> Iterator[CheckRow]:
-        if family not in ctx.families:
-            return
-        for n in range(1, ctx.nmax.get(family, 0) + 1):
-            table = ctx.table(family, n)
-            for I in _subsets(family, n):
-                got, want = fn(n, I), table.quotient_poly(I)
-                yield _match(check, family, n, I, got, want)
+        for n, table, I in _sets(ctx, family, 1):
+            got, want = closed_poly(family, n, I), table.quotient_poly(I)
+            yield _match(check, family, n, I, got, want)
     return run
 
 
-check_a_closed = _closed_match("a-closed-match", "A", closed_A)
-check_b_closed = _closed_match("b-closed-match", "B", closed_B)
-check_d_closed = _closed_match("d-closed-match", "D", closed_D)
+check_a_closed = _closed_match("a-closed-match", "A")
+check_b_closed = _closed_match("b-closed-match", "B")
+check_d_closed = _closed_match("d-closed-match", "D")
 
 
 # ------------------------------------------------------- support sweeps
@@ -253,40 +268,30 @@ check_d_closed = _closed_match("d-closed-match", "D", closed_D)
 def check_support_chessboard(ctx: CheckContext) -> Iterator[CheckRow]:
     """Quotient sums are unchanged by restriction to chessboard elements."""
     for family in ("D", "A"):
-        if family not in ctx.families:
-            continue
-        for n in range(1, ctx.cap(family, 6) + 1):
-            table = ctx.table(family, n)
-            support = support_table(n, "chessboard", family=family)
-            for I in _subsets(family, n):
-                got = support.quotient_poly(I)
-                want = table.quotient_poly(I)
-                yield _match("support-chessboard", family, n, I, got, want)
+        support = cache(lambda n: support_table(n, "chessboard", family=family))
+        for n, table, I in _sets(ctx, family, 1, 6):
+            got = support(n).quotient_poly(I)
+            want = table.quotient_poly(I)
+            yield _match("support-chessboard", family, n, I, got, want)
 
 
 def check_support_window(ctx: CheckContext) -> Iterator[CheckRow]:
     """Restriction to elements without odd sandwiches in the value window
     past the head block preserves the quotient sum."""
-    if "D" not in ctx.families:
-        return
-    for n in range(4, ctx.cap("D", 6) + 1):
-        table = ctx.table("D", n)
-        supports = {a0: support_table(n, "H", param=a0 + 1) for a0 in range(2, n - 1)}
-        for I in _subsets("D", n):
-            a0 = components(I).zero_size
-            if not 2 <= a0 <= n - 2:
-                continue
-            got = supports[a0].quotient_poly(I)
-            want = table.quotient_poly(I)
-            yield _match("support-window", "D", n, I, got, want)
+    support = cache(lambda n, a0: support_table(n, "H", param=a0 + 1))
+    for n, table, I in _sets(ctx, "D", 4, 6):
+        a0 = components(I).zero_size
+        if not 2 <= a0 <= n - 2:
+            continue
+        got = support(n, a0).quotient_poly(I)
+        want = table.quotient_poly(I)
+        yield _match("support-window", "D", n, I, got, want)
 
 
 def check_support_positional(ctx: CheckContext) -> Iterator[CheckRow]:
     """Restriction to chessboard elements without positional odd sandwiches
     preserves the quotient sum on single-gap sets."""
-    if "D" not in ctx.families:
-        return
-    for n in range(4, ctx.cap("D", 7) + 1):
+    for n in _ranks(ctx, "D", 4, 7):
         table = ctx.table("D", n)
         for a0 in range(2, n - 1):
             I = IndexSet.full(n).remove(a0)
@@ -300,9 +305,7 @@ def check_support_positional(ctx: CheckContext) -> Iterator[CheckRow]:
 def check_additivity(ctx: CheckContext) -> Iterator[CheckRow]:
     """Odd length splits over the sorting factorization on chessboard
     elements (the off-chessboard counterexample sits in point-values)."""
-    if "D" not in ctx.families:
-        return
-    for n in range(2, ctx.cap("D", 7) + 1):
+    for n in _ranks(ctx, "D", 2, 7):
         plan = sweep_plan("D", n)
         rows = chessboard_rows(n)
         bad = sum(
@@ -319,54 +322,40 @@ def check_additivity(ctx: CheckContext) -> Iterator[CheckRow]:
 def check_zero_one_swap(ctx: CheckContext) -> Iterator[CheckRow]:
     """Adding label 0 or label 1 to a set disjoint from {0, 1} gives the
     same quotient sum."""
-    if "D" not in ctx.families:
-        return
-    for n in range(2, ctx.cap("D", 6) + 1):
-        table = ctx.table("D", n)
-        for I in _subsets("D", n):
-            if 0 in I or 1 in I:
-                continue
-            got = table.quotient_poly(I.add(0))
-            want = table.quotient_poly(I.add(1))
-            yield _match("zero-one-swap", "D", n, I.add(0), got, want)
+    for n, table, I in _sets(ctx, "D", 2, 6):
+        if 0 in I or 1 in I:
+            continue
+        got = table.quotient_poly(I.add(0))
+        want = table.quotient_poly(I.add(1))
+        yield _match("zero-one-swap", "D", n, I.add(0), got, want)
 
 
-def _even_prefix_sets(n: int) -> Iterator[tuple[IndexSet, int]]:
-    """Sets whose head block has even size a0 in [2, n-1] with a0+1 absent."""
-    for I in _subsets("D", n):
+def _even_prefix_sets(ctx: CheckContext, hi: int) -> Iterator[tuple]:
+    """(n, table, I, a0) at ranks 3..hi for the sets whose head block has
+    even size a0 in [2, n-1] with a0+1 absent."""
+    for n, table, I in _sets(ctx, "D", 3, hi):
         a0 = components(I).zero_size
-        if a0 < 2 or a0 % 2 or a0 > n - 1:
-            continue
-        if a0 + 1 <= n - 1 and a0 + 1 in I:
-            continue
-        yield I, a0
+        if 2 <= a0 <= n - 1 and a0 % 2 == 0 and a0 + 1 not in I:
+            yield n, table, I, a0
 
 
 def check_even_prefix_split(ctx: CheckContext) -> Iterator[CheckRow]:
     """Closing an even head block scales the quotient sum by 1 + x^a0."""
-    if "D" not in ctx.families:
-        return
-    for n in range(3, ctx.cap("D", 6) + 1):
-        table = ctx.table("D", n)
-        for I, a0 in _even_prefix_sets(n):
-            got = table.quotient_poly(I)
-            want = (ONE + IntPoly.monomial(1, a0)) * table.quotient_poly(I.add(a0))
-            yield _match("even-prefix-split", "D", n, I, got, want)
+    for n, table, I, a0 in _even_prefix_sets(ctx, 6):
+        got = table.quotient_poly(I)
+        want = (ONE + IntPoly.monomial(1, a0)) * table.quotient_poly(I.add(a0))
+        yield _match("even-prefix-split", "D", n, I, got, want)
 
 
 def check_compression_invariance(ctx: CheckContext) -> Iterator[CheckRow]:
     """A set with a head block of size >= 2 has the same quotient sum as
     its compression."""
-    if "D" not in ctx.families:
-        return
-    for n in range(2, ctx.cap("D", 6) + 1):
-        table = ctx.table("D", n)
-        for I in _subsets("D", n):
-            if components(I).zero_size < 2:
-                continue
-            got = table.quotient_poly(I)
-            want = table.quotient_poly(compress(I))
-            yield _match("compression-invariance", "D", n, I, got, want)
+    for n, table, I in _sets(ctx, "D", 2, 6):
+        if components(I).zero_size < 2:
+            continue
+        got = table.quotient_poly(I)
+        want = table.quotient_poly(compress(I))
+        yield _match("compression-invariance", "D", n, I, got, want)
 
 
 def _windows(n: int, I: IndexSet) -> Iterator[tuple[int, int]]:
@@ -382,156 +371,131 @@ def _windows(n: int, I: IndexSet) -> Iterator[tuple[int, int]]:
 def check_window_shift(ctx: CheckContext) -> Iterator[CheckRow]:
     """Sliding an odd-size interior component one step right (and taking the
     union with the original) preserves quotient and pinned-entry sums."""
-    if "D" not in ctx.families:
-        return
-    for n in range(5, ctx.cap("D", 6) + 1):
-        table = ctx.table("D", n)
-        for I in _subsets("D", n):
-            for i, hi in _windows(n, I):
-                shifted = I.remove(i).add(hi + 1)
-                trio = (I, I.union(shifted), shifted)
-                polys = [table.quotient_poly(J) for J in trio]
-                ok = polys[0] == polys[1] == polys[2]
-                if ok and n <= FILTER_CAP:
-                    for b in range(1, n + 1):
-                        if i <= b <= hi + 2:
-                            continue
-                        for v in (n, -n):
-                            sums = [ctx.pinned("D", n, J, (b, v)) for J in trio]
-                            ok = ok and sums[0] == sums[1] == sums[2]
-                yield _row("window-shift", "D", n, I, ok, f"component [{i},{hi}]")
+    for n, table, I in _sets(ctx, "D", 5, 6):
+        for i, hi in _windows(n, I):
+            shifted = I.remove(i).add(hi + 1)
+            trio = (I, I.union(shifted), shifted)
+            polys = [table.quotient_poly(J) for J in trio]
+            ok = polys[0] == polys[1] == polys[2]
+            if ok and n <= FILTER_CAP:
+                for b in range(1, n + 1):
+                    if i <= b <= hi + 2:
+                        continue
+                    for v in (n, -n):
+                        sums = [ctx.pinned("D", n, J, (b, v)) for J in trio]
+                        ok = ok and sums[0] == sums[1] == sums[2]
+            yield _row("window-shift", "D", n, I, ok, f"component [{i},{hi}]")
 
 
 def check_pinned_entry_sums(ctx: CheckContext) -> Iterator[CheckRow]:
     """Pinned-entry restricted sums: even-head scaling, compression
     invariance, the odd-head descent to rank n-1, and vanishing sums."""
-    if "D" not in ctx.families:
-        return
-    top = ctx.cap("D", FILTER_CAP)
+    for n, _, I, a0 in _even_prefix_sets(ctx, FILTER_CAP):
+        scale = ONE + IntPoly.monomial(1, a0)
+        for b in range(a0 + 2, n + 1):
+            for v in (n, -n):
+                got = ctx.pinned("D", n, I, (b, v))
+                want = scale * ctx.pinned("D", n, I.add(a0), (b, v))
+                yield _row("pinned-entry-sums", "D", n, I, got == want,
+                           f"even head, entry {v} at {b}")
 
-    for n in range(3, top + 1):
-        for I, a0 in _even_prefix_sets(n):
-            scale = ONE + IntPoly.monomial(1, a0)
-            for b in range(a0 + 2, n + 1):
-                for v in (n, -n):
-                    got = ctx.pinned("D", n, I, (b, v))
-                    want = scale * ctx.pinned("D", n, I.add(a0), (b, v))
-                    yield _row("pinned-entry-sums", "D", n, I, got == want,
-                               f"even head, entry {v} at {b}")
+    for n, _, I in _sets(ctx, "D", 2, FILTER_CAP):
+        a0 = components(I).zero_size
+        if a0 < 2:
+            continue
+        got = ctx.pinned("D", n, I, (a0, n))
+        want = ctx.pinned("D", n, compress(I), (a0, n))
+        yield _row("pinned-entry-sums", "D", n, I, got == want,
+                   f"compression, entry {n} at {a0}")
 
-    for n in range(2, top + 1):
-        for I in _subsets("D", n):
-            a0 = components(I).zero_size
-            if a0 < 2:
+    for n, _, I in _sets(ctx, "D", 4, FILTER_CAP):
+        a0 = components(I).zero_size
+        if a0 % 2 == 0 or not 3 <= a0 <= n - 1 or n - 1 in I or not is_compressed(I):
+            continue
+        got = ctx.pinned("D", n, I, (a0, n))
+        scale = IntPoly.monomial(2 if n % 2 else -2, n // 2)
+        want = scale * ctx.quotient("D", n - 1, IndexSet.of(n - 1, I.members()))
+        yield _row("pinned-entry-sums", "D", n, I, got == want,
+                   f"odd head, entry {n} at {a0}")
+
+    for n, _, I in _sets(ctx, "D", 3, FILTER_CAP):
+        for a in range(2, n):
+            if a + 1 <= n - 1 and a + 1 in I:
                 continue
-            got = ctx.pinned("D", n, I, (a0, n))
-            want = ctx.pinned("D", n, compress(I), (a0, n))
-            yield _row("pinned-entry-sums", "D", n, I, got == want,
-                       f"compression, entry {n} at {a0}")
-
-    for n in range(4, top + 1):
-        table = ctx.table("D", n - 1)
-        for I in _subsets("D", n):
-            a0 = components(I).zero_size
-            if a0 % 2 == 0 or not 3 <= a0 <= n - 1:
+            if a == 3 and (0 in I or 1 in I):
                 continue
-            if not is_compressed(I) or I.members()[-1] > n - 2:
+            if a >= 4 and a - 2 in I:
                 continue
-            got = ctx.pinned("D", n, I, (a0, n))
-            scale = IntPoly.monomial(2 if n % 2 else -2, n // 2)
-            want = scale * table.quotient_poly(IndexSet.of(n - 1, I.members()))
-            yield _row("pinned-entry-sums", "D", n, I, got == want,
-                       f"odd head, entry {n} at {a0}")
-
-    for n in range(3, top + 1):
-        for I in _subsets("D", n):
-            for a in range(2, n):
-                if a + 1 <= n - 1 and a + 1 in I:
-                    continue
-                if a == 3 and (0 in I or 1 in I):
-                    continue
-                if a >= 4 and a - 2 in I:
-                    continue
-                ok = all(ctx.pinned("D", n, I, (a, v)).is_zero for v in (n, -n))
-                yield _row("pinned-entry-sums", "D", n, I, ok,
-                           f"vanishing sum at position {a}")
+            ok = all(ctx.pinned("D", n, I, (a, v)).is_zero for v in (n, -n))
+            yield _row("pinned-entry-sums", "D", n, I, ok,
+                       f"vanishing sum at position {a}")
 
 
 def check_odd_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
     """A set with an odd head block of size >= 3 reduces to its compression
     at the rank where the compression is cofinal."""
-    if "D" not in ctx.families:
-        return
-    for n in range(3, ctx.cap("D", 6) + 1):
-        table = ctx.table("D", n)
-        for I in _subsets("D", n):
-            a0 = components(I).zero_size
-            if a0 < 3 or a0 % 2 == 0:
-                continue
-            J = compress(I)
-            m = m_of(J)
-            got = table.quotient_poly(I)
-            want = (
-                ctx.quotient("D", 2 * m - 1, IndexSet.of(2 * m - 1, J.members()))
-                * alt_product(2 * m, n, square=True)
-            )
-            yield _match("odd-prefix-product", "D", n, I, got, want)
+    for n, table, I in _sets(ctx, "D", 3, 6):
+        a0 = components(I).zero_size
+        if a0 < 3 or a0 % 2 == 0:
+            continue
+        J = compress(I)
+        m = m_of(J)
+        got = table.quotient_poly(I)
+        want = (
+            ctx.quotient("D", 2 * m - 1, IndexSet.of(2 * m - 1, J.members()))
+            * alt_product(2 * m, n, square=True)
+        )
+        yield _match("odd-prefix-product", "D", n, I, got, want)
 
 
 def check_even_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
     """A set with an even head block whose compression is not cofinal
     factors through a widened set at a smaller rank."""
-    if "D" not in ctx.families:
-        return
-    for n in range(3, ctx.cap("D", 6) + 1):
-        table = ctx.table("D", n)
-        for I in _subsets("D", n):
-            a0 = components(I).zero_size
-            if a0 < 2 or a0 % 2:
-                continue
-            CJ = compress(I)
-            last = CJ.members()[-1] + 1
-            if last > n - 1:
-                continue
-            gaps = [i for i in range(last) if i not in CJ] + [last]
-            runs = [range(0, gaps[0] + 1)]
-            runs += [range(lo + 2, hi + 1) for lo, hi in zip(gaps, gaps[1:])]
-            J = IndexSet.of(last + 1, [i for run in runs for i in run])
-            got = table.quotient_poly(I)
-            want = (
-                (ONE + IntPoly.monomial(1, a0))
-                * ctx.quotient("D", last + 1, J)
-                * alt_product(last + 2, n, square=True)
-            )
-            yield _match("even-prefix-product", "D", n, I, got, want)
+    for n, table, I in _sets(ctx, "D", 3, 6):
+        a0 = components(I).zero_size
+        if a0 < 2 or a0 % 2:
+            continue
+        CJ = compress(I)
+        last = CJ.members()[-1] + 1
+        if last > n - 1:
+            continue
+        gaps = [i for i in range(last) if i not in CJ] + [last]
+        runs = [range(0, gaps[0] + 1)]
+        runs += [range(lo + 2, hi + 1) for lo, hi in zip(gaps, gaps[1:])]
+        J = IndexSet.of(last + 1, [i for run in runs for i in run])
+        got = table.quotient_poly(I)
+        want = (
+            (ONE + IntPoly.monomial(1, a0))
+            * ctx.quotient("D", last + 1, J)
+            * alt_product(last + 2, n, square=True)
+        )
+        yield _match("even-prefix-product", "D", n, I, got, want)
+
+
+def _compressed_cofinal(I: IndexSet) -> bool:
+    """A compressed set containing n-1 whose head block has size in [2, n-2]."""
+    return 2 <= components(I).zero_size <= I.n - 2 and I.n - 1 in I and is_compressed(I)
 
 
 def check_tail_multinomial_split(ctx: CheckContext) -> Iterator[CheckRow]:
     """A compressed cofinal set splits off a squared-variable multinomial
     against the single-gap set with the same head."""
-    if "D" not in ctx.families:
-        return
-    for n in range(4, ctx.cap("D", 6) + 1):
-        table = ctx.table("D", n)
-        for I in _subsets("D", n):
-            a0 = components(I).zero_size
-            if not 2 <= a0 <= n - 2 or n - 1 not in I or not is_compressed(I):
-                continue
-            gaps = [i for i in range(n) if i not in I]
-            J = IndexSet.full(n).remove(a0)
-            bounds = gaps + [n]
-            parts = [(hi - lo) // 2 for lo, hi in zip(bounds, bounds[1:])]
-            got = table.quotient_poly(I)
-            want = q_multinomial((n - a0) // 2, parts, 2) * table.quotient_poly(J)
-            yield _match("tail-multinomial-split", "D", n, I, got, want)
+    for n, table, I in _sets(ctx, "D", 4, 6):
+        if not _compressed_cofinal(I):
+            continue
+        a0 = components(I).zero_size
+        J = IndexSet.full(n).remove(a0)
+        bounds = [i for i in range(n) if i not in I] + [n]
+        parts = [(hi - lo) // 2 for lo, hi in zip(bounds, bounds[1:])]
+        got = table.quotient_poly(I)
+        want = q_multinomial((n - a0) // 2, parts, 2) * table.quotient_poly(J)
+        yield _match("tail-multinomial-split", "D", n, I, got, want)
 
 
 def check_even_case_recurrence(ctx: CheckContext) -> Iterator[CheckRow]:
     """Single-gap sets with even gap and even rank satisfy a two-term
     recurrence in rank n-1."""
-    if "D" not in ctx.families:
-        return
-    for n in range(4, ctx.cap("D", 8) + 1, 2):
+    for n in _ranks(ctx, "D", 4, 8, 2):
         table = ctx.table("D", n)
         small = ctx.table("D", n - 1)
         for a0 in range(2, n - 1, 2):
@@ -549,16 +513,11 @@ def check_factorizations(ctx: CheckContext) -> Iterator[CheckRow]:
     """Quotient set products: compressed cofinal sets split off an
     unsigned-quotient tail; odd single-gap sets at odd rank split off an
     embedded chessboard head."""
-    if "D" not in ctx.families:
-        return
-    for n in range(4, ctx.cap("D", 6) + 1):
-        for I in _subsets("D", n):
-            a0 = components(I).zero_size
-            if not 2 <= a0 <= n - 2 or n - 1 not in I or not is_compressed(I):
-                continue
-            ok = set_product_holds(n, I, "H")
-            yield _row("set-factorization", "D", n, I, ok, "window variant")
-    for n in range(5, ctx.cap("D", 7) + 1, 2):
+    for n, _, I in _sets(ctx, "D", 4, 6):
+        if _compressed_cofinal(I):
+            yield _row("set-factorization", "D", n, I, set_product_holds(n, I, "H"),
+                       "window variant")
+    for n in _ranks(ctx, "D", 5, 7, 2):
         for a0 in range(3, n - 1, 2):
             I = IndexSet.full(n).remove(a0)
             ok = set_product_holds(n, I, "T")
@@ -567,18 +526,15 @@ def check_factorizations(ctx: CheckContext) -> Iterator[CheckRow]:
 
 def check_quotient_factor_divides(ctx: CheckContext) -> Iterator[CheckRow]:
     """The squared alternating tail divides every closed quotient sum."""
-    if "D" not in ctx.families:
-        return
-    for n in range(3, 8):
-        for I in _subsets("D", n):
-            f = alt_product(2 * m_of(I) + 2, n, square=True)
-            try:
-                closed_D(n, I).exact_div(f)
-                ok = True
-            except ValueError:
-                ok = False
-            yield _row("quotient-factor-divides", "D", n, I, ok,
-                       "" if ok else "tail does not divide")
+    for n, _, I in _sets(ctx, "D", 3, 7, closed_form=True):
+        f = alt_product(2 * m_of(I) + 2, n, square=True)
+        try:
+            closed_D(n, I).exact_div(f)
+            ok = True
+        except ValueError:
+            ok = False
+        yield _row("quotient-factor-divides", "D", n, I, ok,
+                   "" if ok else "tail does not divide")
 
 
 def check_remark_values(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -604,9 +560,7 @@ def check_remark_values(ctx: CheckContext) -> Iterator[CheckRow]:
 def check_conjecture_products(ctx: CheckContext) -> Iterator[CheckRow]:
     """The closed quotient sums of {0,i} and {0,1,i} match the conjectured
     uniform products."""
-    if "D" not in ctx.families:
-        return
-    for n in range(5, 9):
+    for n in _ranks(ctx, "D", 5, 8, closed_form=True):
         for i in range(3, n):
             for with_one in (False, True):
                 I = conjecture_set(n, i, with_one)
@@ -618,38 +572,32 @@ def check_conjecture_products(ctx: CheckContext) -> Iterator[CheckRow]:
 def check_cyclo_classification(ctx: CheckContext) -> Iterator[CheckRow]:
     """A proper-set quotient sum factors into cyclotomics exactly when the
     rank is odd or some odd label (or 0) is missing."""
-    if "D" not in ctx.families:
-        return
-    for n in range(1, 9):
-        for I in _subsets("D", n):
-            if I.is_full:
-                continue
-            got = is_cyclotomic_product(closed_D(n, I))
-            want = not noncyclotomic_condition(I)
-            yield _row("cyclo-classification", "D", n, I, got == want,
-                       "cyclotomic product" if want else "no cyclotomic factorization")
+    for n, _, I in _sets(ctx, "D", 1, 8, closed_form=True):
+        if I.is_full:
+            continue
+        got = is_cyclotomic_product(closed_D(n, I))
+        want = not noncyclotomic_condition(I)
+        yield _row("cyclo-classification", "D", n, I, got == want,
+                   "cyclotomic product" if want else "no cyclotomic factorization")
 
 
 def check_display_form(ctx: CheckContext) -> Iterator[CheckRow]:
     """In the non-factoring case the quotient sum matches the explicit
     trinomial-over-binomial display."""
-    if "D" not in ctx.families:
-        return
-    for n in range(2, 9, 2):
-        for I in _subsets("D", n):
-            if I.is_full or not noncyclotomic_condition(I):
-                continue
-            a0 = components(I).zero_size
-            trinom = ONE + IntPoly.monomial(1, a0) + IntPoly.monomial(2, n // 2)
-            numer = C_poly(I) * trinom * alt_product(a0 + 2, n)
-            want = numer.exact_div(ONE + IntPoly.monomial(1, n // 2))
-            got = closed_D(n, I)
-            yield _match("display-form-match", "D", n, I, got, want)
+    for n, _, I in _sets(ctx, "D", 2, 8, 2, closed_form=True):
+        if I.is_full or not noncyclotomic_condition(I):
+            continue
+        a0 = components(I).zero_size
+        trinom = ONE + IntPoly.monomial(1, a0) + IntPoly.monomial(2, n // 2)
+        numer = C_poly(I) * trinom * alt_product(a0 + 2, n)
+        want = numer.exact_div(ONE + IntPoly.monomial(1, n // 2))
+        got = closed_D(n, I)
+        yield _match("display-form-match", "D", n, I, got, want)
 
 
 def check_trinomial_criterion(ctx: CheckContext) -> Iterator[CheckRow]:
     """x^n + 2x^m + 1 is a cyclotomic product exactly when n = 2m."""
-    for n in range(2, 25):
+    for n in _ranks(ctx, "-", 2, 24, closed_form=True):
         for m in range(1, n):
             p = ONE + IntPoly.monomial(2, m) + IntPoly.monomial(1, n)
             got = is_cyclotomic_product(p)

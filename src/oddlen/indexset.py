@@ -130,15 +130,17 @@ class ComponentDecomp:
 
 
 def components(I: IndexSet) -> ComponentDecomp:
+    """The runs of set bits in I.mask, read off with bit arithmetic."""
     runs: list[tuple[int, int]] = []
-    start = None
-    for i in range(I.n + 1):
-        inside = i < I.n and i in I
-        if inside and start is None:
-            start = i
-        elif not inside and start is not None:
-            runs.append((start, i - 1))
-            start = None
+    mask, lo = I.mask, 0
+    while mask:
+        skip = (mask & -mask).bit_length() - 1  # zeros below the next run
+        mask >>= skip
+        size = (~mask & (mask + 1)).bit_length() - 1  # trailing ones
+        lo += skip
+        runs.append((lo, lo + size - 1))
+        mask >>= size
+        lo += size
     if runs and runs[0][0] == 0:
         return ComponentDecomp(runs[0], tuple(runs[1:]))
     return ComponentDecomp(None, tuple(runs))

@@ -7,6 +7,7 @@ import pytest
 
 from oddlen import checks, chess, genfun
 from oddlen.checks import CHECKS, CheckContext, run_checks
+from oddlen.genfun import BUDGET, BudgetError
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
@@ -30,17 +31,37 @@ def test_run_checks_rejects_unknown_names():
         list(run_checks(ctx, only=["no-such-check"]))
 
 
-def test_family_restriction_drops_family_specific_rows():
-    ctx = CheckContext.for_tier("fast")
-    a_only = CheckContext(nmax=dict(ctx.nmax), families=("A",))
-    rows = list(CHECKS["d-closed-match"](a_only))
-    assert rows == []
+ONE_FAMILY = {f: CheckContext.for_tier("fast", families=(f,)) for f in "ABD"}
 
 
-def test_rank_cap_restricts_sweeps(fast_ctx):
-    small = CheckContext(nmax={"A": 3, "B": 3, "D": 3}, families=("A", "B", "D"))
-    rows = list(CHECKS["a-closed-match"](small))
-    assert rows and max(r.n for r in rows) == 3
+@pytest.mark.parametrize("family", sorted(ONE_FAMILY))
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_family_restriction_drops_family_specific_rows(name, family):
+    """With one family selected, no row names another ('-' names none)."""
+    rows = list(CHECKS[name](ONE_FAMILY[family]))
+    allowed = {family, "-"} if name == "trinomial-criterion" else {family}
+    assert {r.family for r in rows} <= allowed
+
+
+# The fixed cases and the closed-form checks keep their own ranks.
+UNCAPPED = {"point-values", "remark-values", "quotient-factor-divides", "conjecture-products",
+            "cyclo-classification", "display-form-match", "trinomial-criterion"}
+RANK_3 = CheckContext(nmax={"A": 3, "B": 3, "D": 3})
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_rank_cap_restricts_sweeps(name):
+    rows = list(CHECKS[name](RANK_3))
+    if name.endswith("closed-match"):
+        assert max(r.n for r in rows) == 3
+    elif name not in UNCAPPED:
+        assert all(r.n <= 3 for r in rows)
+
+
+def test_closed_match_past_the_budget_raises():
+    ctx = CheckContext(nmax={"D": BUDGET["D"] + 1}, families=("D",))
+    with pytest.raises(BudgetError):
+        list(CHECKS["d-closed-match"](ctx))
 
 
 # Planted faults: each comparison must fail when one side is broken.

@@ -60,6 +60,26 @@ class TestComponents:
         assert d.zero_component is None
         assert d.others == ((2, 3),)
 
+        def label_walk(I):
+            """Maximal runs found by testing each label in turn."""
+            runs, start = [], None
+            for i in range(I.n + 1):
+                inside = i in I
+                if inside and start is None:
+                    start = i
+                elif not inside and start is not None:
+                    runs.append((start, i - 1))
+                    start = None
+            return runs
+
+        for n in range(1, 13):
+            for mask in range(1 << n):
+                I = IndexSet(n, mask)
+                runs = label_walk(I)
+                zero = runs.pop(0) if runs and runs[0][0] == 0 else None
+                d = components(I)
+                assert (d.zero_component, d.others) == (zero, tuple(runs)), I
+
     def test_m_of(self):
         assert m_of(IndexSet.of(4, [])) == 0
         assert m_of(IndexSet.of(4, [0, 1, 3])) == 2
