@@ -169,8 +169,8 @@ def _match(check: str, family: str, n: int, where, got: IntPoly, want: IntPoly) 
 
 
 def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
-    """The sweep plan's length and odd length agree with root-system counts
-    on every element."""
+    """The sweep plan's descent mask, length parity and odd length agree
+    with root-system counts on every element."""
     hard = {"A": 7, "B": 5, "D": 6}
     for family in ctx.families:
         for n in _ranks(ctx, family, 1, hard[family]):
@@ -179,9 +179,10 @@ def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
             perms = perm_table(n)
             bad = 0
             for mask in plan.masks.tolist():
-                got = plan.stats(perms, mask)
-                want = root_counts(rs, perms, mask)
-                bad += np.count_nonzero((got[0] != want[0]) | (got[1] != want[1]))
+                descents, parity, odd = plan.stats(perms, mask)
+                length, want_odd, want_descents = root_counts(rs, perms, mask)
+                bad += np.count_nonzero(
+                    (descents != want_descents) | (parity != length & 1) | (odd != want_odd))
             total = len(perms) * len(plan.masks)
             yield _row("root-oracle", family, n, "", bad == 0, f"{total} elements")
 

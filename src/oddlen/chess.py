@@ -220,8 +220,8 @@ def additive_rows(plan: SweepPlan, rows: np.ndarray, mask: int) -> np.ndarray:
     n = rows.shape[1]
     neg = (mask >> np.arange(n)) & 1
     u, v = parabolic_factors((rows + 1) * (1 - 2 * neg), IndexSet.of(n, range(1, n)))
-    odd = plan.stats(rows, mask)[1]
-    return odd == plan.stats(np.abs(u) - 1, (1 << int(neg.sum())) - 1)[1] + plan.stats(v - 1, 0)[1]
+    odd = plan.stats(rows, mask)[2]
+    return odd == plan.stats(np.abs(u) - 1, (1 << int(neg.sum())) - 1)[2] + plan.stats(v - 1, 0)[2]
 
 
 def check_L_additivity(sigma: SignedPerm) -> bool:

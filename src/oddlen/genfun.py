@@ -10,38 +10,38 @@ filter: the restricted sums (pinned entries here, supports in chess).
 scalar_table, with no caller in the package, is the independent oracle.
 
 The sweep is array-native.  An element is an absolute-value row P (a
-permutation of 0..n-1) under one of the family's sign masks, and every
-pair statistic is linear in the comparisons G[(i, j)] = [P[i] > P[j]]
-over position pairs i < j:
+permutation of 0..n-1) under one of the family's sign masks, binned by one
+key: descent mask * 2 width + length parity * width + odd length.  With
+pp/pm/mp/mm the sign pattern of a pair i < j under a mask, descent mask
+and odd length are linear in the comparisons G = [P[i] > P[j]]: the odd
+length sums (pp - mm + mp - pm) G + 2 (pm + mm) over pairs at odd
+distance (A keeps (pp - mm) G; B adds the signs at odd positions),
+descent label k+1 is (pp - mm) G + pm + mm at pair (k, k+1), and label 0
+is the first sign in B and (mp - pm) G + pm + mm at pair (0, 1) in D.
+The plan folds all of it into one (pairs, masks) matrix and one
+constant, so one float32 product gives it, exactly while every partial
+sum stays below 2**24, as _build_plan asserts.
 
-    inv = G @ (pp - mm)^T + rowsum(pm + mm)
-    nsp = G @ (mp - pm)^T + rowsum(pm + mm)
-
-where pp/pm/mp/mm indicate the sign pattern of the pair under each mask.
-The plan stacks the length and odd-length weights into one
-(pairs, 2 * masks) matrix, so one float32 product gives both.  That is
-exact because every partial sum is an integer, and _build_plan asserts
-that the worst case stays below 2**24.
+The length parity comes from the sign character eps(w) = sgn(P)
+(-1)^(negative entries), the determinant of w as a signed permutation
+matrix.  So eps is a homomorphism, and it sends every generator (a
+transposition, a sign change, or D's transposition with two sign
+changes) to -1: eps(w) = (-1)^length(w).  The parity is therefore
+inv(P) mod 2 xor the mask's parity, and no length is computed.
 
 Rows come in prefix x suffix blocks.  The last s positions run over the
 s! permutations of range(s), built once as an int8 table `base` in
 lexicographic order.  Each (n-s)-prefix, taken in lexicographic order,
 owns the block rest[base], where rest is its sorted complement, so the
 blocks concatenate in itertools' order.  Relabelling by rest is
-monotone, so the comparisons between two suffix positions, and their
-share of the product, are the same in every block and are computed once
-per sweep.  A block adds only the pairs that involve a prefix position:
-prefix against suffix is base < rank (the prefix value's rank within
-rest), and prefix against prefix is a constant.  s is the largest length
-with s! <= min(40320, 2**21 // masks) rows, which bounds a block's
-(rows, masks) arrays; worker processes take contiguous ranges of prefix
-blocks.
-
-Descent sets depend only on the n-1 adjacent comparisons.  The plan
-tabulates lut[word, mask]: the descent mask, with the extra type B/D
-bit, of every adjacent-comparison word under every sign mask, already
-scaled to its histogram key.  A block's keys are then lut[word] plus
-the length parity and the odd length.
+monotone, so the suffix pairs' share of every key is computed once per
+sweep, in one copy per parity of the inversions a prefix adds:
+inv(prefix) plus the ranks of its values within rest.  A block adds the
+pairs that involve a prefix position (prefix against suffix is
+base < rank, prefix against prefix a constant), then one cast and one
+bincount.  s is the largest length with s! <= min(40320, 2**21 // masks)
+rows, which bounds a block's arrays, (masks, rows) so that products run
+along rows; worker processes take contiguous ranges of prefix blocks.
 """
 
 from __future__ import annotations
@@ -136,39 +136,38 @@ def perm_table(s: int) -> np.ndarray:
 
 @dataclass
 class SweepPlan:
-    """Weights and lookup tables for one family and rank."""
+    """The key's linear form, G @ weights + const = descent mask * 2 width +
+    odd length, and the sign masks' parities, for one family and rank."""
 
     n: int
     masks: np.ndarray
     width: int            # odd lengths run over 0..width-1
     suffix: int           # s: the last s positions form the shared suffix
-    weights: np.ndarray   # (npairs, 2 * nmasks) pair weights, length | odd length
-    const: np.ndarray     # (2 * nmasks,) constant parts, length | odd length
-    lut: np.ndarray       # (2**(n-1), nmasks) histogram key of each descent word
+    weights: np.ndarray   # (npairs, nmasks) float32 pair weights of the linear form
+    const: np.ndarray     # (nmasks,) float32 constant part of the linear form
+    parity: np.ndarray    # (nmasks,) uint8: negative entries of each sign mask, mod 2
 
-    def stats(self, perms: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
-        """Length and odd length of every absolute-value row of perms (each
-        a permutation of range(n)) under one sign mask, read off the
-        sweep's own weights: G(P) @ weights + const in the mask's columns."""
+    def keys(self, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """(rows, masks) histogram keys of absolute-value rows under the
+        sign masks cols selects: the linear form plus the parity term."""
+        greater = _greater(rows)
+        keys = greater.astype(np.float32) @ self.weights[:, cols] + self.const[cols]
+        keys += np.float32(self.width) * _parity(greater, self.parity[cols])
+        return keys.astype(np.intp)
+
+    def stats(self, perms: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Descent mask, length parity and odd length of every row of perms
+        under one sign mask, decoded from the key the sweep bins."""
         k = int(np.searchsorted(self.masks, mask))
         if k == len(self.masks) or self.masks[k] != mask:
             raise ValueError(f"sign mask {mask} is outside the group")
-        cols = [k, len(self.masks) + k]
-        both = (_greater(perms) @ self.weights[:, cols] + self.const[cols]).astype(np.int64)
-        return both[:, 0], both[:, 1]
+        high, odd = np.divmod(self.keys(perms, [k])[:, 0], self.width)
+        return high >> 1, high & 1, odd
 
-    def histogram(self, block: np.ndarray, words: np.ndarray,
-                  keep: np.ndarray | None = None) -> np.ndarray:
+    def histogram(self, keys: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
         """Flat (descent mask, length parity, odd length) histogram of a
-        block of rows under every sign mask, given each row's
-        G @ weights + const and adjacent-comparison word.  keep,
-        broadcast to (rows, masks), drops the elements where it is False."""
-        nmasks = len(self.masks)
-        keys = block[:, :nmasks].astype(np.int64)  # length
-        keys &= 1
-        keys *= self.width
-        np.add(keys, block[:, nmasks:], out=keys, casting="unsafe")  # odd length
-        keys += self.lut[words]
+        (rows, masks) array of keys.  keep, broadcast to its shape, drops
+        the elements where it is False."""
         if keep is not None:
             keys = keys[np.broadcast_to(keep, keys.shape)]
         return np.bincount(keys.ravel(), minlength=(1 << self.n) * 2 * self.width)
@@ -176,24 +175,25 @@ class SweepPlan:
     def table(self, family: str, rows: np.ndarray, keep: np.ndarray | None = None) -> DescentTable:
         """Descent table of the absolute-value rows crossed with every sign
         mask, restricted to the (row, mask) elements that keep allows."""
-        counts = self.histogram(_greater(rows) @ self.weights + self.const, _words(rows), keep)
+        counts = self.histogram(self.keys(rows), keep)
         return DescentTable(family, self.n, counts.reshape(1 << self.n, 2, self.width))
 
     def descents(self, rows: np.ndarray) -> np.ndarray:
         """Descent mask of every absolute-value row under every sign mask,
-        read off lut, as a (rows, masks) array."""
-        return self.lut[_words(rows)] // (2 * self.width)
-
-
-def _words(rows: np.ndarray) -> np.ndarray:
-    """Adjacent-comparison word of each row: bit k is [P[k] > P[k+1]]."""
-    return ((rows[:, :-1] > rows[:, 1:]).astype(np.intp) << np.arange(rows.shape[1] - 1)).sum(1)
+        as a (rows, masks) array."""
+        return self.keys(rows) // (2 * self.width)
 
 
 def _greater(perms: np.ndarray) -> np.ndarray:
     """G(P): the comparisons [P[i] > P[j]] over position pairs i < j."""
     left, right = np.array(_pairs(perms.shape[1]), dtype=np.intp).reshape(-1, 2).T
-    return (perms[:, left] > perms[:, right]).astype(np.float32)
+    return perms[:, left] > perms[:, right]
+
+
+def _parity(greater: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """(rows, masks) uint8 length parities: each row's inversion count, read
+    off its comparisons (summed mod 256), xor each sign mask's parity."""
+    return np.bitwise_xor.outer(greater.sum(axis=1, dtype=np.uint8) & 1, flips)
 
 
 def sweep_plan(family: str, n: int) -> SweepPlan:
@@ -217,35 +217,34 @@ def _build_plan(family: str, n: int) -> SweepPlan:
     mp = (neg[:, left] * pos[:, right]).T
     mm = (neg[:, left] * neg[:, right]).T
 
-    w = pp - mm
-    c_pair = np.zeros_like(w)
-    if family != "A":
-        w = w + (mp - pm)
-        c_pair = 2.0 * (pm + mm)
     odd = ((right - left) % 2 == 1)[:, None]
-    weights = np.concatenate([w, w * odd], axis=1)
-    const = np.concatenate([c_pair.sum(axis=0), (c_pair * odd).sum(axis=0)])
+    weights = (pp - mm) * odd
+    const = np.zeros(nmasks, dtype=np.float32)
+    if family != "A":
+        weights += (mp - pm) * odd
+        const += 2.0 * ((pm + mm) * odd).sum(axis=0)
     if family == "B":
-        const += np.concatenate([neg.sum(axis=1), neg[:, 0::2].sum(axis=1)])
-
-    # Every partial sum of G @ weights + const is bounded by this, so the
-    # float32 products are exact integers while it stays below 2**24.
-    worst = np.abs(weights).sum(axis=0, dtype=np.float64) + np.abs(const)
-    if worst.max() >= 1 << 24:
-        raise AssertionError(f"{family}_{n} sums reach {worst.max():.0f}, past float32's 2**24")
-
+        const += neg[:, 0::2].sum(axis=1)
     # Odd lengths lie in 0..width-1.  The bound is attained (by the longest
     # element), so width - 1 is the number of odd-height positive roots.
-    width = int((np.maximum(weights[:, nmasks:], 0).sum(axis=0) + const[nmasks:]).max()) + 1
+    width = int((np.maximum(weights, 0).sum(axis=0) + const).max()) + 1
+
+    # Descent bits (see above), each scaled to its place 2 width << label.
     adj = np.array([pairs.index((k, k + 1)) for k in range(n - 1)], dtype=np.intp)
-    words = np.arange(1 << (n - 1))
-    g = ((words[:, None] >> np.arange(n - 1)) & 1).astype(np.float32)[:, :, None]
-    bits = g * (pp - mm)[adj] + (pm + mm)[adj]  # (nwords, n-1, nmasks): descent at k+1
-    dmask = (bits.astype(np.int64) << np.arange(1, n)[:, None]).sum(axis=1)
+    scale = (2 * width << np.arange(1, n))[:, None].astype(np.float32)
+    weights[adj] += scale * (pp - mm)[adj]
+    const += (scale * (pm + mm)[adj]).sum(axis=0)
     if family == "B":
-        dmask |= neg[:, 0].astype(np.int64)
+        const += 2 * width * neg[:, 0]
     elif family == "D" and n >= 2:
-        dmask |= (g[:, 0] * (mp - pm)[0] + (pm + mm)[0]).astype(np.int64)  # pair (0, 1)
+        weights[0] += 2 * width * (mp - pm)[0]
+        const += 2 * width * (pm + mm)[0]
+
+    # Every partial sum of a key is bounded by this, so the float32 products
+    # and adds are exact integers while it stays below 2**24.
+    worst = np.abs(weights).sum(axis=0, dtype=np.float64) + np.abs(const) + width
+    if worst.max() >= 1 << 24:
+        raise AssertionError(f"{family}_{n} keys reach {worst.max():.0f}, past float32's 2**24")
 
     return SweepPlan(
         n=n,
@@ -254,7 +253,7 @@ def _build_plan(family: str, n: int) -> SweepPlan:
         suffix=_suffix_length(n, nmasks),
         weights=weights,
         const=const,
-        lut=dmask * (2 * width),
+        parity=neg.sum(axis=1).astype(np.uint8) & 1,
     )
 
 
@@ -276,30 +275,31 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     inner, left, right = _columns([(k, i - p, j - p) for k, (i, j) in enumerate(pairs) if i >= p])
     fixed, head_l, head_r = _columns([(k, i, j) for k, (i, j) in enumerate(pairs) if j < p])
     # pairs (i, p..n-1) are consecutive: prefix position i against the suffix
-    cross = [plan.weights[k : k + s] for k in (pairs.index((i, p)) for i in range(p))]
+    cross = [plan.weights[k : k + s].T for k in (pairs.index((i, p)) for i in range(p))]
 
-    shared = (base[:, left] > base[:, right]).astype(np.float32) @ plan.weights[inner] + plan.const
-    word = ((base[:, :-1] > base[:, 1:]).astype(np.intp) << np.arange(p, n - 1)).sum(axis=1)
+    greater = base[:, left] > base[:, right]
+    suffix = plan.weights[inner].T @ greater.T.astype(np.float32) + plan.const[:, None]
+    parity = np.float32(plan.width) * np.ascontiguousarray(_parity(greater, plan.parity).T)
+    # shared[q]: the suffix's share of the keys when the prefix adds q inversions mod 2
+    shared = [suffix + parity, suffix + (plan.width - parity)]
     # steps[r] = [base < r]: how a prefix value with r smaller values in
     # rest compares with each suffix position, as G entries.
-    steps = (base < np.arange(s + 1)[:, None, None]).astype(np.float32)
+    steps = (base.T < np.arange(s + 1)[:, None, None]).astype(np.float32) if p else None
 
-    block = shared
-    buffer = np.empty_like(shared)
+    block = shared[0]
+    buffer = np.empty_like(block)
     for prefix in islice(permutations(range(n), p), start, stop):
-        rank = [v - sum(u < v for u in prefix) for v in prefix]
-        bits = word
         if p:
-            block = np.matmul(steps[rank[0]], cross[0], out=buffer)
+            rank = [v - sum(u < v for u in prefix) for v in prefix]
+            values = np.array(prefix)
+            head = values[head_l] > values[head_r]
+            block = np.matmul(cross[0], steps[rank[0]], out=buffer)
             for r, w in zip(rank[1:], cross[1:]):
-                block += steps[r] @ w
-            block += shared
+                block += w @ steps[r]
+            block += shared[(sum(rank) + int(head.sum())) & 1]
             if fixed.size:
-                values = np.array(prefix)
-                block += (values[head_l] > values[head_r]).astype(np.float32) @ plan.weights[fixed]
-            head_word = sum(int(prefix[k] > prefix[k + 1]) << k for k in range(p - 1))
-            bits = word + head_word + (steps[rank[-1]][:, 0].astype(np.intp) << (p - 1))
-        counts += plan.histogram(block, bits)
+                block += (head.astype(np.float32) @ plan.weights[fixed])[:, None]
+        counts += plan.histogram(block.astype(np.intp))
     return counts
 
 

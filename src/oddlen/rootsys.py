@@ -74,6 +74,7 @@ class RootSystem:
     _coords: np.ndarray = field(repr=False)   # (roots, n) int8 positive-root coordinates
     _keys: np.ndarray = field(repr=False)     # balanced-ternary keys of the positive roots
     _odd_idx: tuple[int, ...] = field(repr=False)
+    _simple_idx: tuple[tuple[int, int], ...] = field(repr=False)  # (label, root index)
 
 
 def build_root_system(family: str, n: int) -> RootSystem:
@@ -118,12 +119,15 @@ def build_root_system(family: str, n: int) -> RootSystem:
         _coords=coords,
         _keys=coords @ 3 ** np.arange(n, dtype=np.int64),
         _odd_idx=tuple(k for k, h in enumerate(heights) if h % 2 == 1),
+        _simple_idx=tuple((label, roots.index(c)) for label, c in simples),
     )
 
 
-def root_counts(rs: RootSystem, perms: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
+def root_counts(rs: RootSystem, perms: np.ndarray,
+                mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive roots, and odd-height positive roots, sent to negative roots
-    by each element of a block.
+    by each element of a block, and its descent mask: bit i is set when the
+    element sends the simple root labelled i to a negative root.
 
     Row P of perms (a permutation of range(n)) under the sign mask is the
     element with sigma(i) = -(P[i-1] + 1) where bit i-1 of mask is set and
@@ -139,10 +143,13 @@ def root_counts(rs: RootSystem, perms: np.ndarray, mask: int) -> tuple[np.ndarra
     sign = 1 - 2 * ((mask >> np.arange(n)) & 1)
     keys = (rs._coords * sign) @ (3 ** perms.astype(np.int64)).T  # (roots, rows)
     hits = np.isin(-keys, rs._keys)
-    return hits.sum(axis=0), hits[list(rs._odd_idx)].sum(axis=0)
+    descents = np.zeros(hits.shape[1], dtype=np.int64)
+    for label, k in rs._simple_idx:
+        descents |= hits[k].astype(np.int64) << label
+    return hits.sum(axis=0), hits[list(rs._odd_idx)].sum(axis=0), descents
 
 
-def _one_row(rs: RootSystem, sigma: SignedPerm) -> tuple[np.ndarray, np.ndarray]:
+def _one_row(rs: RootSystem, sigma: SignedPerm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return root_counts(rs, np.array([[abs(v) - 1 for v in sigma.images]]), sigma.sign_mask)
 
 

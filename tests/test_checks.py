@@ -73,18 +73,48 @@ def _failing(name):
     return rows, [r for r in rows if not r.ok]
 
 
-def test_root_oracle_catches_a_perturbed_odd_length_weight(monkeypatch):
+def _broken_plans(monkeypatch, fault):
+    """Route every sweep plan through fault(plan), then run root-oracle."""
     build = genfun._build_plan
 
     def broken(family, n):
         plan = build(family, n)
-        if n >= 2:
-            plan.weights[0, len(plan.masks)] += 1  # pair (1, 2), first mask, odd length
+        fault(plan)
         return plan
 
     monkeypatch.setattr(genfun, "_build_plan", broken)
-    rows, bad = _failing("root-oracle")
+    return _failing("root-oracle")
+
+
+def test_root_oracle_catches_a_perturbed_odd_length_weight(monkeypatch):
+    def fault(plan):
+        if plan.n >= 2:
+            plan.weights[0, 0] += 1  # pair (1, 2), first mask: one more odd length
+
+    rows, bad = _broken_plans(monkeypatch, fault)
     assert {(r.family, r.n) for r in bad} == {(r.family, r.n) for r in rows if r.n >= 2}
+
+
+def test_root_oracle_catches_a_perturbed_descent_weight(monkeypatch):
+    def fault(plan):
+        if plan.n >= 3:
+            # pair (2, 3), first mask: label 2 no longer read from P[1] > P[2]
+            plan.weights[plan.n - 1, 0] -= 2 * plan.width << 2
+
+    rows, bad = _broken_plans(monkeypatch, fault)
+    assert {(r.family, r.n) for r in bad} == {(r.family, r.n) for r in rows if r.n >= 3}
+
+
+def test_root_oracle_catches_a_flipped_mask_parity(monkeypatch):
+    def fault(plan):
+        if len(plan.masks) > 1:
+            plan.parity[1] ^= 1  # the second sign mask: 0b1 in B, 0b11 in D
+
+    rows, bad = _broken_plans(monkeypatch, fault)
+    # A has one sign mask, and D1 too.
+    assert {(r.family, r.n) for r in bad} == {
+        (r.family, r.n) for r in rows if r.family == "B" or (r.family == "D" and r.n >= 2)
+    }
 
 
 def test_root_oracle_catches_a_missing_positive_root(monkeypatch):

@@ -4,9 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oddlen
 from oddlen import checks, cli
 from oddlen.genfun import closed_poly
 from oddlen.indexset import IndexSet
@@ -259,6 +264,20 @@ class TestVerify:
             assert code == 0, args
             assert f"{count} rows, 0 failures" in err, args
             assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, args
+
+    def test_module_entry_point_writes_the_fast_tier_rows(self):
+        """python -m oddlen runs the same command line, rows and all."""
+        src = Path(oddlen.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "oddlen", "verify", "--tier", "fast", "--format", "json"],
+            capture_output=True, env=env, check=False,
+        )
+        count, digest = self.ROWS["fast"]
+        assert done.returncode == 0, done.stderr
+        assert f"{count} rows, 0 failures" in done.stderr.decode()
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
 
     def test_injected_failure_exits_4(self, capsys, monkeypatch):
         def bad_check(ctx):

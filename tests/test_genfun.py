@@ -35,6 +35,7 @@ from oddlen.indexset import IndexSet, components, m_of, tilde
 from oddlen.rootsys import odd_root_count
 from oddlen.sperm import (
     SignedPerm,
+    descent_set,
     ell_and_odd,
     elements,
     in_quotient,
@@ -156,9 +157,29 @@ class TestSweepKernel:
             for n in range(1, top + 1):
                 plan = _build_plan(family, n)
                 nmasks = plan.masks.shape[0]
-                assert plan.weights.shape == (n * (n - 1) // 2, 2 * nmasks)
-                assert plan.lut.shape == (1 << (n - 1), nmasks)
+                assert plan.weights.shape == (n * (n - 1) // 2, nmasks)
+                assert plan.const.shape == plan.parity.shape == (nmasks,)
                 assert plan.width == odd_root_count(family, n) + 1
+
+    @pytest.mark.parametrize("family, n", [("A", 14), ("D", 12)])
+    def test_plans_past_the_budget_build_under_the_float32_bound(self, family, n):
+        # The chessboard ranks past BUDGET: the plan is one (pairs, masks)
+        # matrix, with no table indexed by descent words, and its reads
+        # still match the scalar statistics.
+        plan = _build_plan(family, n)
+        assert plan.weights.shape == (n * (n - 1) // 2, len(plan.masks))
+        worst = np.abs(plan.weights).sum(axis=0, dtype=np.float64) + np.abs(plan.const)
+        assert (worst + plan.width).max() < 1 << 24
+        assert plan.width == odd_root_count(family, n) + 1
+        rng = np.random.default_rng(n)
+        for mask in rng.choice(plan.masks, 8).tolist():
+            rows = np.array([rng.permutation(n) for _ in range(16)])
+            got = np.stack(plan.stats(rows, mask), axis=1)
+            for row, read in zip(rows.tolist(), got.tolist()):
+                sigma = SignedPerm(tuple(-(v + 1) if mask >> i & 1 else v + 1
+                                         for i, v in enumerate(row)))
+                ell, odd = ell_and_odd(sigma, family)
+                assert read == [descent_set(sigma, family).mask, ell & 1, odd], sigma
 
     def test_suffix_blocks(self):
         assert _build_plan("A", 10).suffix == 8
@@ -217,16 +238,13 @@ class TestPlanReads:
     @given(family_elements())
     @settings(deadline=None)
     def test_plan_reads_match_scalar_statistics(self, drawn):
-        """The sweep plan's per-element read against scalar ell_and_odd.
-
-        Ranks stop at BUDGET, not at sperm.MAX_DEGREE: the plan carries a
-        descent lookup table of 2**(n-1) words by every sign mask, which
-        outgrows memory long before rank 16.
-        """
+        """The sweep plan's per-element read against scalar descent_set and
+        ell_and_odd: its length parity comes from the sign character."""
         family, sigma = drawn
         row = np.array([[abs(v) - 1 for v in sigma.images]])
-        length, odd = sweep_plan(family, sigma.n).stats(row, sigma.sign_mask)
-        assert (int(length[0]), int(odd[0])) == ell_and_odd(sigma, family)
+        got = sweep_plan(family, sigma.n).stats(row, sigma.sign_mask)
+        ell, odd = ell_and_odd(sigma, family)
+        assert tuple(int(x[0]) for x in got) == (descent_set(sigma, family).mask, ell & 1, odd)
 
     def test_stats_rejects_masks_outside_the_group(self):
         rows = perm_table(3)

@@ -11,7 +11,7 @@ from oddlen.rootsys import (
     odd_root_count,
     root_counts,
 )
-from oddlen.sperm import SignedPerm, elements, ell, ell_and_odd, odd_length
+from oddlen.sperm import SignedPerm, descent_set, elements, ell, ell_and_odd, odd_length
 
 
 class TestConstruction:
@@ -68,8 +68,9 @@ class TestLengthAgreement:
 class TestArrayCounts:
     @pytest.mark.parametrize("family, n", [("A", 7), ("B", 5), ("D", 6)])
     def test_scalar_statistics_match_root_counts(self, family, n):
-        """The scalar pair statistics against the array root counts on every
-        element, at the ranks the root-oracle check covers."""
+        """The scalar pair statistics and descent sets against the array
+        root counts on every element, at the ranks the root-oracle check
+        covers."""
         rs = build_root_system(family, n)
         perms = perm_table(n)
         index = {row: k for k, row in enumerate(map(tuple, perms.tolist()))}
@@ -79,7 +80,8 @@ class TestArrayCounts:
             if mask not in counts:
                 counts[mask] = np.stack(root_counts(rs, perms, mask), axis=1)
             k = index[tuple(abs(v) - 1 for v in sigma.images)]
-            assert tuple(counts[mask][k]) == ell_and_odd(sigma, family), sigma
+            want = (*ell_and_odd(sigma, family), descent_set(sigma, family).mask)
+            assert tuple(counts[mask][k]) == want, sigma
 
     def test_rejects_masks_outside_the_family(self):
         perms = perm_table(3)
@@ -95,7 +97,7 @@ class TestArrayCounts:
     def test_block_rows_match_one_row_reads(self):
         rs = build_root_system("D", 4)
         perms = perm_table(4)
-        lengths, odds = root_counts(rs, perms, 0b0110)
+        lengths, odds, _ = root_counts(rs, perms, 0b0110)
         for row, l, o in zip(perms.tolist(), lengths, odds):
             sigma = SignedPerm(tuple(-(v + 1) if i in (1, 2) else v + 1 for i, v in enumerate(row)))
             assert (length_via_roots(rs, sigma), odd_length_via_roots(rs, sigma)) == (l, o)
