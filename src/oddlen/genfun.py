@@ -1,13 +1,13 @@
 """Sign-twisted generating functions over parabolic quotients.
 
 Both computation routes live here: the closed product formulas and a
-brute-force sweep over the full group.  A DescentTable is one int64
+brute-force sweep over half of the group.  A DescentTable is one int64
 array counting elements by (descent mask, length parity, odd length),
-so all 2^n quotients of one group cost one SweepPlan.histogram plus a
-subset-sum (zeta) transform.  The sweep feeds the histogram prefix
-blocks of the group, and SweepPlan.table any rows under a (row, mask)
-filter: the restricted sums (pinned entries here, supports in chess).
-scalar_table, with no caller in the package, is the independent oracle.
+so all 2^n quotients of one group cost one sweep plus a subset-sum
+(zeta) transform.  The sweep feeds SweepPlan.histogram prefix blocks of
+the group, and SweepPlan.table any rows under a (row, mask) filter: the
+restricted sums (pinned entries here, supports in chess).  scalar_table,
+with no caller in the package, is the independent oracle.
 
 The sweep is array-native.  An element is an absolute-value row P (a
 permutation of 0..n-1) under one of the family's sign masks, binned by one
@@ -29,6 +29,38 @@ transposition, a sign change, or D's transposition with two sign
 changes) to -1: eps(w) = (-1)^length(w).  The parity is therefore
 inv(P) mod 2 xor the mask's parity, and no length is computed.
 
+The longest element w0 pairs the group off, so the sweep enumerates one
+element of each pair {w, w'} and _mirror adds the other's key.  Let w'
+be w0 w in A, the values complemented (P -> n-1-P), and w w0 in B and
+D, the same row P with signs flipped: at every position in B and in D
+with even n (w0 = -1), at positions 2..n in D with odd n.  Pair by pair
+of the linear form, with g the comparison:
+- both signs flip (pp <-> mm, pm <-> mp): an odd pair's shares in w and
+  w' (g : 2 - g, 2 - g : g) sum to 2, and a descent bit's (label k+1:
+  g : 1 - g, 1 : 0; D's label 0: 0 : 1, 1 - g : g) to 1;
+- in D with odd n, pairs (0, j) flip only the right sign (pp <-> pm,
+  mp <-> mm): an odd pair sums to 2 again (g : 2 - g), and label 1 of w
+  against label 0 of w' reads g : 1 - g, 1 : 0, 0 : 1, 1 - g : g from
+  pp, pm, mp, mm, so label 0 of w' is 1 minus label 1 of w, and vice
+  versa;
+- in A, g -> 1 - g: an odd pair sums to 1, and so does a descent bit;
+- B's sign terms each sum to 1.
+Summed, odd(w') = width - 1 - odd(w): the longest element attains the
+bound.  The descent mask of w' is labels ^ pi(mask of w), where pi swaps
+labels 0 and 1 in D with odd n and is the identity otherwise, and
+length(w') = length(w0) - length(w) flips the parity with length(w0):
+n(n-1)/2 in A, n^2 in B, n(n-1) in D.  Mirroring is an index map on the
+int64 counts, so it is exact.
+
+Which half is swept: in B and D, the sign masks with bit n-1 clear,
+which are the first half of the sorted masks, since every flip above
+toggles bit n-1.  In A, complementing maps the block of prefix x (below)
+onto that of its complement c(x), and c reverses lexicographic order,
+so the prefixes with x < c(x) are the first half of the blocks; when
+the count is odd, the self-complementary prefix (the empty one, or the
+middle value alone) follows them and is swept without a mirror.  D1,
+with one mask and a trivial w0, is swept whole in the same way.
+
 Rows come in prefix x suffix blocks.  The last s positions run over the
 s! permutations of range(s), built once as an int8 table `base` in
 lexicographic order.  Each (n-s)-prefix, taken in lexicographic order,
@@ -40,8 +72,9 @@ inv(prefix) plus the ranks of its values within rest.  A block adds the
 pairs that involve a prefix position (prefix against suffix is
 base < rank, prefix against prefix a constant), then one cast and one
 bincount.  s is the largest length with s! <= min(40320, 2**21 // masks)
-rows, which bounds a block's arrays, (masks, rows) so that products run
-along rows; worker processes take contiguous ranges of prefix blocks.
+rows over the swept masks, which bounds a block's arrays, (masks, rows)
+so that products run along rows; worker processes take contiguous
+ranges of the swept prefix blocks.
 """
 
 from __future__ import annotations
@@ -142,7 +175,6 @@ class SweepPlan:
     n: int
     masks: np.ndarray
     width: int            # odd lengths run over 0..width-1
-    suffix: int           # s: the last s positions form the shared suffix
     weights: np.ndarray   # (npairs, nmasks) float32 pair weights of the linear form
     const: np.ndarray     # (nmasks,) float32 constant part of the linear form
     parity: np.ndarray    # (nmasks,) uint8: negative entries of each sign mask, mod 2
@@ -250,7 +282,6 @@ def _build_plan(family: str, n: int) -> SweepPlan:
         n=n,
         masks=masks,
         width=width,
-        suffix=_suffix_length(n, nmasks),
         weights=weights,
         const=const,
         parity=neg.sum(axis=1).astype(np.uint8) & 1,
@@ -263,23 +294,40 @@ def _columns(rows: list[tuple[int, int, int]]) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(-1, 3).T
 
 
+def _half(plan: SweepPlan) -> tuple[int, int, int, int]:
+    """The half of the group the sweep enumerates (see above): the number
+    of leading sign-mask columns, the suffix length for that many, the
+    number of leading prefix blocks swept, and how many of those, again
+    leading, _mirror doubles."""
+    ncols = max(1, len(plan.masks) // 2)
+    s = _suffix_length(plan.n, ncols)
+    nblocks = factorial(plan.n) // factorial(s)
+    if len(plan.masks) > 1:  # B and D: the masks with bit n-1 clear, every block
+        return ncols, s, nblocks, nblocks
+    # A, and D1: the prefixes below their complement, then a self-complementary one
+    return ncols, s, (nblocks + 1) // 2, nblocks // 2
+
+
 def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
-    """Histogram (descent mask, length parity, odd length) over the prefix
-    blocks [start, stop), crossed with all sign masks."""
-    n, s = plan.n, plan.suffix
+    """Histograms (descent mask, length parity, odd length) over the swept
+    prefix blocks [start, stop), crossed with the swept sign masks: row 0
+    over the blocks _mirror doubles, row 1 over the rest."""
+    n = plan.n
+    ncols, s, _, nmirrored = _half(plan)
     p = n - s
+    weights, flips = plan.weights[:, :ncols], plan.parity[:ncols]
     base = perm_table(s)
-    counts = np.zeros((1 << n) * 2 * plan.width, dtype=np.int64)
+    counts = np.zeros((2, (1 << n) * 2 * plan.width), dtype=np.int64)
 
     pairs = _pairs(n)
     inner, left, right = _columns([(k, i - p, j - p) for k, (i, j) in enumerate(pairs) if i >= p])
     fixed, head_l, head_r = _columns([(k, i, j) for k, (i, j) in enumerate(pairs) if j < p])
     # pairs (i, p..n-1) are consecutive: prefix position i against the suffix
-    cross = [plan.weights[k : k + s].T for k in (pairs.index((i, p)) for i in range(p))]
+    cross = [weights[k : k + s].T for k in (pairs.index((i, p)) for i in range(p))]
 
     greater = base[:, left] > base[:, right]
-    suffix = plan.weights[inner].T @ greater.T.astype(np.float32) + plan.const[:, None]
-    parity = np.float32(plan.width) * np.ascontiguousarray(_parity(greater, plan.parity).T)
+    suffix = weights[inner].T @ greater.T.astype(np.float32) + plan.const[:ncols, None]
+    parity = np.float32(plan.width) * np.ascontiguousarray(_parity(greater, flips).T)
     # shared[q]: the suffix's share of the keys when the prefix adds q inversions mod 2
     shared = [suffix + parity, suffix + (plan.width - parity)]
     # steps[r] = [base < r]: how a prefix value with r smaller values in
@@ -288,7 +336,7 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
 
     block = shared[0]
     buffer = np.empty_like(block)
-    for prefix in islice(permutations(range(n), p), start, stop):
+    for k, prefix in enumerate(islice(permutations(range(n), p), start, stop), start):
         if p:
             rank = [v - sum(u < v for u in prefix) for v in prefix]
             values = np.array(prefix)
@@ -298,9 +346,30 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
                 block += w @ steps[r]
             block += shared[(sum(rank) + int(head.sum())) & 1]
             if fixed.size:
-                block += (head.astype(np.float32) @ plan.weights[fixed])[:, None]
-        counts += plan.histogram(block.astype(np.intp))
+                block += (head.astype(np.float32) @ weights[fixed])[:, None]
+        counts[int(k >= nmirrored)] += plan.histogram(block.astype(np.intp))
     return counts
+
+
+def _mirror(family: str, n: int, half: np.ndarray) -> np.ndarray:
+    """The (2^n, 2, width) counts of the partners w' of the elements half
+    counts: descent mask m goes to labels ^ pi(m), the parity flips with
+    length(w0), and odd length o goes to width - 1 - o (see above).
+
+    In D3, s0 (descents {0}, length 1, odd length 1) pairs with s0 w0
+    (descents {0, 2}, length 5, odd length 3): labels 0 and 1 swap.
+
+    >>> half = np.zeros((8, 2, 5), dtype=np.int64)
+    >>> half[0b001, 1, 1] = 1
+    >>> [int(k[0]) for k in np.nonzero(_mirror("D", 3, half))]
+    [5, 1, 3]
+    """
+    masks = np.arange(1 << n)
+    if family == "D" and n % 2 and n > 1:
+        masks ^= ((masks ^ masks >> 1) & 1) * 0b11  # swap bits 0 and 1
+    masks ^= label_mask(family, n)
+    flip = {"A": n * (n - 1) // 2, "B": n * n, "D": n * (n - 1)}[family] & 1
+    return half[masks, :: 1 - 2 * flip, ::-1]
 
 
 @dataclass
@@ -343,21 +412,22 @@ class DescentTable:
 
 
 def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable:
-    """Enumerate the whole group once, bucketing by descent set."""
+    """Sweep half the group and add its partners under w0 (see above), so
+    every element is counted once, bucketed by descent set."""
     check_budget(family, n)
     plan = _build_plan(family, n)
-    nperms = factorial(n)
-    nblocks = nperms // factorial(plan.suffix)
-    nworkers = min(resolve_workers(workers), nblocks)
-    if nworkers <= 1 or nperms < 50000:
-        counts = _sweep_range(plan, 0, nblocks)
+    nswept = _half(plan)[2]
+    nworkers = min(resolve_workers(workers), nswept)
+    if nworkers <= 1 or factorial(n) < 50000:
+        counts = _sweep_range(plan, 0, nswept)
     else:
-        bounds = [nblocks * k // nworkers for k in range(nworkers + 1)]
+        bounds = [nswept * k // nworkers for k in range(nworkers + 1)]
         jobs = [(plan, bounds[k], bounds[k + 1]) for k in range(nworkers)]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             parts = list(pool.map(_sweep_worker, jobs))
         counts = np.sum(parts, axis=0)
-    return DescentTable(family, n, counts.reshape(1 << n, 2, plan.width))
+    half, rest = counts.reshape(2, 1 << n, 2, plan.width)
+    return DescentTable(family, n, half + rest + _mirror(family, n, half))
 
 
 def _sweep_worker(job: tuple[SweepPlan, int, int]) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Root systems for the three classical families, with the length statistics
 computed straight from the definitions.
 
-This module is the ground-truth oracle: heights come from an exact linear
-solve against the simple-root basis, and lengths from counting positive
-roots sent negative, with no combinatorial shortcuts.
+This module is the ground-truth oracle: lengths come from counting
+positive roots sent negative, with no combinatorial shortcuts.  Heights
+are the closed forms over the simple roots e_{i+1} - e_i, with e_1 in B
+and e_1 + e_2 in D (i < j, 1-based): e_j - e_i has height j - i, B's e_i
+height i and e_i + e_j height i + j, D's e_i + e_j height i + j - 2.
+The tests check each against an exact linear solve.
 
 Every root coordinate is -1, 0 or 1, and so is every coordinate of its
 image under a signed permutation.  A vector c of such coordinates has the
@@ -16,7 +19,6 @@ root counts when minus its image's key is a positive root's key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,39 +31,6 @@ def _e(i: int, n: int) -> tuple[int, ...]:
 
 def _add(a: tuple[int, ...], b: tuple[int, ...], sb: int) -> tuple[int, ...]:
     return tuple(x + sb * y for x, y in zip(a, b))
-
-
-def _solve_height(simples: list[tuple[int, ...]], root: tuple[int, ...]) -> int:
-    """Expand root over the simple roots; coefficients must be nonnegative ints."""
-    n, k = len(root), len(simples)
-    rows = [[Fraction(simples[j][i]) for j in range(k)] + [Fraction(root[i])] for i in range(n)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, n) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = rows[r][c]
-        rows[r] = [v / scale for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    coeffs = [Fraction(0)] * k
-    for row_idx, c in enumerate(pivots):
-        coeffs[c] = rows[row_idx][k]
-    for i in range(r, n):
-        if rows[i][k]:
-            raise ValueError("root outside the span of the simple roots")
-    total = 0
-    for v in coeffs:
-        if v.denominator != 1 or v < 0:
-            raise ValueError("non-integral or negative simple-root coefficient")
-        total += int(v)
-    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,41 +49,31 @@ class RootSystem:
 def build_root_system(family: str, n: int) -> RootSystem:
     if n < 1:
         raise ValueError("n must be positive")
-    roots: list[tuple[int, ...]] = []
-    simples: list[tuple[int, tuple[int, ...]]] = []
-    if family == "A":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(_add(_e(j, n), _e(i, n), -1))
-        simples = [(i, _add(_e(i + 1, n), _e(i, n), -1)) for i in range(1, n)]
-    elif family == "B":
-        roots = [_e(i, n) for i in range(1, n + 1)]
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(_add(_e(j, n), _e(i, n), -1))
-                roots.append(_add(_e(i, n), _e(j, n), 1))
-        simples = [(0, _e(1, n))] + [
-            (i, _add(_e(i + 1, n), _e(i, n), -1)) for i in range(1, n)
-        ]
-    elif family == "D":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(_add(_e(j, n), _e(i, n), -1))
-                roots.append(_add(_e(i, n), _e(j, n), 1))
-        if n >= 2:
-            simples = [(0, _add(_e(1, n), _e(2, n), 1))] + [
-                (i, _add(_e(i + 1, n), _e(i, n), -1)) for i in range(1, n)
-            ]
-    else:
+    if family not in ("A", "B", "D"):
         raise ValueError(f"unknown family {family!r}")
-    basis = [coords for _, coords in simples]
-    heights = tuple(_solve_height(basis, r) for r in roots)
+    roots: list[tuple[int, ...]] = []
+    heights: list[int] = []
+    if family == "B":
+        roots = [_e(i, n) for i in range(1, n + 1)]
+        heights = list(range(1, n + 1))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            roots.append(_add(_e(j, n), _e(i, n), -1))
+            heights.append(j - i)
+            if family != "A":
+                roots.append(_add(_e(i, n), _e(j, n), 1))
+                heights.append(i + j - 2 * (family == "D"))
+    simples = [(i, _add(_e(i + 1, n), _e(i, n), -1)) for i in range(1, n)]
+    if family == "B":
+        simples.insert(0, (0, _e(1, n)))
+    elif family == "D" and n >= 2:
+        simples.insert(0, (0, _add(_e(1, n), _e(2, n), 1)))
     coords = np.array(roots, dtype=np.int8).reshape(-1, n)
     return RootSystem(
         family=family,
         n=n,
         positive_roots=tuple(roots),
-        heights=heights,
+        heights=tuple(heights),
         simple_roots=tuple(simples),
         _coords=coords,
         _keys=coords @ 3 ** np.arange(n, dtype=np.int64),

@@ -1,5 +1,6 @@
 """Generating functions: brute enumeration, closed forms, and budgets."""
 
+import functools
 import hashlib
 import random
 from math import factorial
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddlen import genfun
 from oddlen.genfun import (
     BUDGET,
     BudgetError,
     DescentTable,
     _build_plan,
+    _half,
+    _mirror,
     _sweep_range,
     M_of,
     brute_filtered,
@@ -49,6 +53,37 @@ def quotient_elements(family, n, I):
     return (s for s in elements(family, n) if in_quotient(s, I, family))
 
 
+# Every rank the unmirrored read covers; TestSweepKernel.GOLDEN covers A10 and B8.
+MIRROR_RANKS = [(f, n) for f, top in (("A", 9), ("B", 7), ("D", 8)) for n in range(1, top + 1)]
+# Two workers split an odd count of swept blocks: A9 sweeps 5 of its 9,
+# A10 45 of 90, and B7 and D7 one block of half the sign masks.
+SPLIT_RANKS = [("A", 9), ("A", 10), ("B", 7), ("D", 7)]
+
+
+@functools.cache
+def unmirrored_counts(family, n):
+    """Every (row x mask) element of the group read through SweepPlan.table:
+    no prefix blocks and no mirror."""
+    return sweep_plan(family, n).table(family, perm_table(n)).counts
+
+
+# Planted mirror faults: each undoes one part of the map on _mirror's output.
+def _no_label_swap(family, n, out):
+    if family == "D" and n % 2 and n > 1:
+        masks = np.arange(1 << n)
+        return out[masks ^ ((masks ^ masks >> 1) & 1) * 0b11]
+    return out
+
+
+def _no_parity_flip(family, n, out):
+    longest = {"A": n * (n - 1) // 2, "B": n * n, "D": n * (n - 1)}[family]
+    return out[:, ::-1] if longest % 2 else out
+
+
+def _unreversed_odd_length(family, n, out):
+    return out[:, :, ::-1]
+
+
 def subsets(family, n):
     full = label_mask(family, n)
     for mask in range(1 << n):
@@ -81,16 +116,16 @@ class TestBruteTable:
                     want = want + IntPoly.monomial(-1 if l % 2 else 1, L)
                 assert t.quotient_poly(I) == want
 
-    def test_worker_split_matches_single_process(self):
-        single = brute_table("D", 7, workers=1)
-        split = brute_table("D", 7, workers=2)
-        assert np.array_equal(single.counts, split.counts)
+    def test_worker_split_matches_single_process(self, monkeypatch):
+        # The worker count from the environment reaches the same split.
+        monkeypatch.setenv("ODDLEN_WORKERS", "2")
+        for family, n in SPLIT_RANKS:
+            single = brute_table(family, n, workers=1)
+            assert np.array_equal(brute_table(family, n).counts, single.counts)
 
-    @pytest.mark.parametrize("family, n", [("A", 9), ("B", 7)])
+    @pytest.mark.parametrize("family, n", SPLIT_RANKS)
     def test_worker_split_on_uneven_block_counts(self, family, n):
-        # A9 has 9 prefix blocks and B7 has one: neither splits evenly in two.
-        nblocks = factorial(n) // factorial(_build_plan(family, n).suffix)
-        assert nblocks % 2 == 1
+        assert _half(_build_plan(family, n))[2] % 2 == 1
         single = brute_table(family, n, workers=1)
         assert np.array_equal(brute_table(family, n, workers=2).counts, single.counts)
 
@@ -104,10 +139,28 @@ class TestBruteTable:
         assert total == t.group_poly()
         assert t.bucket(0b111) == IntPoly.monomial(-1, 6)  # the longest element alone
 
-    @pytest.mark.parametrize("family, n", [("A", 5), ("B", 4), ("D", 5)])
+    @pytest.mark.parametrize("family, n", MIRROR_RANKS)
     def test_plan_table_over_every_row_matches_the_sweep(self, family, n):
-        table = sweep_plan(family, n).table(family, perm_table(n))
-        assert np.array_equal(table.counts, brute_table(family, n).counts)
+        # The half sweep plus its mirror against a read sharing no mirror code.
+        assert np.array_equal(unmirrored_counts(family, n), brute_table(family, n).counts)
+
+    @pytest.mark.parametrize(
+        "fault, failing",
+        [
+            pytest.param(_no_label_swap, ["D3", "D5", "D7"], id="no-label-swap"),
+            pytest.param(_no_parity_flip, ["B1", "B3", "B5", "B7"], id="no-parity-flip"),
+            pytest.param(_unreversed_odd_length,
+                         ["A9"] + [f"B{n}" for n in range(1, 8)] + [f"D{n}" for n in range(2, 9)],
+                         id="unreversed-odd-length"),
+        ],
+    )
+    def test_planted_mirror_faults_fail(self, monkeypatch, fault, failing):
+        # A1-A8 and D1 mirror nothing, so no fault reaches them.
+        mirror = genfun._mirror
+        monkeypatch.setattr(genfun, "_mirror", lambda f, n, half: fault(f, n, mirror(f, n, half)))
+        broken = [f"{f}{n}" for f, n in MIRROR_RANKS
+                  if not np.array_equal(brute_table(f, n).counts, unmirrored_counts(f, n))]
+        assert broken == failing
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -182,10 +235,12 @@ class TestSweepKernel:
                 assert read == [descent_set(sigma, family).mask, ell & 1, odd], sigma
 
     def test_suffix_blocks(self):
-        assert _build_plan("A", 10).suffix == 8
-        assert _build_plan("B", 8).suffix == 7
-        assert _build_plan("D", 8).suffix == 7
-        assert _build_plan("A", 2).suffix == 2
+        # (mask columns, suffix length, blocks swept, blocks mirrored)
+        assert _half(_build_plan("A", 10)) == (1, 8, 45, 45)
+        assert _half(_build_plan("A", 2)) == (1, 2, 1, 0)
+        assert _half(_build_plan("B", 8)) == (128, 7, 8, 8)
+        assert _half(_build_plan("D", 8)) == (64, 7, 8, 8)
+        assert _half(_build_plan("D", 1)) == (1, 1, 1, 0)
 
     @pytest.mark.parametrize("s", [0, 1, 2, 5])
     def test_perm_table_is_lexicographic(self, s):
@@ -196,9 +251,15 @@ class TestSweepKernel:
         assert [tuple(row) for row in table] == list(permutations(range(s)))
 
     def test_prefix_blocks_sum_to_the_whole_sweep(self):
+        # A9 sweeps 5 of its 9 blocks: values 0..3 first, mirrored, then the
+        # self-complementary middle value 4, not mirrored.
         plan = _build_plan("A", 9)
-        whole = _sweep_range(plan, 0, 9)
-        assert np.array_equal(_sweep_range(plan, 0, 4) + _sweep_range(plan, 4, 9), whole)
+        assert _half(plan) == (1, 8, 5, 4)
+        parts = _sweep_range(plan, 0, 2) + _sweep_range(plan, 2, 5)
+        assert np.array_equal(parts, _sweep_range(plan, 0, 5))
+        half, rest = parts.reshape(2, 1 << 9, 2, plan.width)
+        assert (half.sum(), rest.sum()) == (4 * factorial(8), factorial(8))
+        assert np.array_equal(half + rest + _mirror("A", 9, half), unmirrored_counts("A", 9))
 
     @pytest.mark.parametrize(
         "family, n",

@@ -1,5 +1,7 @@
 """Root-system construction and root-counting length statistics."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,41 @@ from oddlen.rootsys import (
     root_counts,
 )
 from oddlen.sperm import SignedPerm, descent_set, elements, ell, ell_and_odd, odd_length
+
+
+def solve_height(simples, root):
+    """Independent oracle for the closed-form heights: expand root over the
+    simple roots by exact Gauss-Jordan elimination; the coefficients must
+    be nonnegative integers, and their sum is the height."""
+    n, k = len(root), len(simples)
+    rows = [[Fraction(simples[j][i]) for j in range(k)] + [Fraction(root[i])] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = rows[r][c]
+        rows[r] = [v / scale for v in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    coeffs = [Fraction(0)] * k
+    for row_idx, c in enumerate(pivots):
+        coeffs[c] = rows[row_idx][k]
+    for i in range(r, n):
+        if rows[i][k]:
+            raise ValueError("root outside the span of the simple roots")
+    total = 0
+    for v in coeffs:
+        if v.denominator != 1 or v < 0:
+            raise ValueError("non-integral or negative simple-root coefficient")
+        total += int(v)
+    return total
 
 
 class TestConstruction:
@@ -31,6 +68,13 @@ class TestConstruction:
             assert len(labels) == len(set(labels))
             for _, coords in rs.simple_roots:
                 assert rs.heights[rs.positive_roots.index(coords)] == 1
+
+    @pytest.mark.parametrize("family", ["A", "B", "D"])
+    def test_closed_form_heights_match_the_linear_solve(self, family):
+        for n in range(1, 11):
+            rs = build_root_system(family, n)
+            basis = [coords for _, coords in rs.simple_roots]
+            assert rs.heights == tuple(solve_height(basis, r) for r in rs.positive_roots)
 
     def test_b2_heights(self):
         rs = build_root_system("B", 2)
