@@ -19,7 +19,7 @@ run on arrays of absolute-value rows, one sign mask at a time.
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -97,19 +97,23 @@ class CheckRow:
 @dataclass
 class CheckContext:
     """Shared rank bounds, the brute-force descent tables by (family, n),
-    and the pinned-entry tables by (family, n, pin)."""
+    and the pinned-entry tables by (family, n, pin).  The families checked
+    are the keys of nmax, in its order."""
 
     nmax: dict[str, int]
-    families: tuple[str, ...] = ("A", "B", "D")
     workers: int | None = None
     tables: dict[tuple[str, int], DescentTable] = field(default_factory=dict)
     _pinned: dict[tuple[str, int, tuple[int, int]], DescentTable] = field(
         default_factory=dict, init=False, repr=False
     )
 
+    @property
+    def families(self) -> tuple[str, ...]:
+        return tuple(self.nmax)
+
     @staticmethod
-    def for_tier(tier: str, **kw) -> "CheckContext":
-        return CheckContext(nmax=dict(TIERS[tier]), **kw)
+    def for_tier(tier: str, families: Iterable[str] = ("A", "B", "D"), **kw) -> "CheckContext":
+        return CheckContext(nmax={f: TIERS[tier][f] for f in families}, **kw)
 
     def table(self, family: str, n: int) -> DescentTable:
         key = (family, n)

@@ -87,17 +87,14 @@ def cmd_genfun(args) -> int:
 
 
 def _verify_context(args) -> tuple[CheckContext, list[str] | None]:
-    families = _parse_families(args.families)
-    nmax = {f: TIERS[args.tier][f] for f in families}
+    ctx = CheckContext.for_tier(args.tier, _parse_families(args.families), workers=args.workers)
     if args.nmax is not None:
         if args.nmax < 1:
             raise ValueError("--nmax must be positive")
-        for f in families:
-            capped = min(args.nmax, TIERS[args.tier][f])
-            if capped < args.nmax:
-                print(f"note: {f} rank capped at {capped} by tier {args.tier}",
-                      file=sys.stderr)
-            nmax[f] = capped
+        for f, top in ctx.nmax.items():
+            if top < args.nmax:
+                print(f"note: {f} rank capped at {top} by tier {args.tier}", file=sys.stderr)
+            ctx.nmax[f] = min(top, args.nmax)
     only = None
     if args.only is not None:
         only = [tok.strip() for tok in args.only.split(",") if tok.strip()]
@@ -106,7 +103,6 @@ def _verify_context(args) -> tuple[CheckContext, list[str] | None]:
             raise ValueError(
                 f"unknown check ids {unknown}; valid ids: {', '.join(CHECKS)}"
             )
-    ctx = CheckContext(nmax=nmax, families=families, workers=args.workers)
     return ctx, only
 
 
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="worker processes for brute-force tables of at least "
                         "50,000 absolute-value rows, which today means A9 and "
-                        "A10 only (default: ODDLEN_WORKERS, else 1)")
+                        "A10 only (default 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cyclo", help="decide cyclotomic-product factorability")

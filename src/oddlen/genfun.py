@@ -52,14 +52,17 @@ length(w') = length(w0) - length(w) flips the parity with length(w0):
 n(n-1)/2 in A, n^2 in B, n(n-1) in D.  Mirroring is an index map on the
 int64 counts, so it is exact.
 
-Which half is swept: in B and D, the sign masks with bit n-1 clear,
-which are the first half of the sorted masks, since every flip above
-toggles bit n-1.  In A, complementing maps the block of prefix x (below)
-onto that of its complement c(x), and c reverses lexicographic order,
-so the prefixes with x < c(x) are the first half of the blocks; when
-the count is odd, the self-complementary prefix (the empty one, or the
-middle value alone) follows them and is swept without a mirror.  D1,
-with one mask and a trivial w0, is swept whole in the same way.
+Which half is swept: in B and D, every prefix block (below) under the
+sign masks with bit n-1 clear, which are the first half of the sorted
+masks, since every flip above toggles bit n-1.  In A, complementing maps
+the block of prefix x onto that of its complement c(x), and c reverses
+lexicographic order, so the prefixes with x < c(x) are the first half of
+the blocks.  No prefix is its own complement: the empty one would be, and
+so would the middle value alone when n is odd, so the sweep keeps one
+prefix position, and two in A with odd n.  Every swept element thus has
+its partner outside the sweep.  The rank-1 groups have no position pair
+to split into prefix and suffix, and brute_table reads them whole
+through SweepPlan.table.
 
 Rows come in prefix x suffix blocks.  The last s positions run over the
 s! permutations of range(s), built once as an int8 table `base` in
@@ -73,13 +76,13 @@ pairs that involve a prefix position (prefix against suffix is
 base < rank, prefix against prefix a constant), then one cast and one
 bincount.  s is the largest length with s! <= min(40320, 2**21 // masks)
 rows over the swept masks, which bounds a block's arrays, (masks, rows)
-so that products run along rows; worker processes take contiguous
-ranges of the swept prefix blocks.
+so that products run along rows, capped to keep the prefix positions
+above; worker processes take contiguous ranges of the swept prefix
+blocks.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -114,22 +117,12 @@ def check_budget(family: str, n: int) -> None:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: an explicit argument wins, then the ODDLEN_WORKERS
-    variable, then 1."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        return workers
-    env = os.environ.get("ODDLEN_WORKERS")
-    if env is None:
+    """Worker count: the argument, or 1 when it is None."""
+    if workers is None:
         return 1
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ValueError("ODDLEN_WORKERS must be an integer") from exc
-    if value < 1:
-        raise ValueError("ODDLEN_WORKERS must be positive")
-    return value
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    return workers
 
 
 def _sign_masks(family: str, n: int) -> np.ndarray:
@@ -294,30 +287,28 @@ def _columns(rows: list[tuple[int, int, int]]) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(-1, 3).T
 
 
-def _half(plan: SweepPlan) -> tuple[int, int, int, int]:
-    """The half of the group the sweep enumerates (see above): the number
-    of leading sign-mask columns, the suffix length for that many, the
-    number of leading prefix blocks swept, and how many of those, again
-    leading, _mirror doubles."""
-    ncols = max(1, len(plan.masks) // 2)
-    s = _suffix_length(plan.n, ncols)
-    nblocks = factorial(plan.n) // factorial(s)
-    if len(plan.masks) > 1:  # B and D: the masks with bit n-1 clear, every block
-        return ncols, s, nblocks, nblocks
-    # A, and D1: the prefixes below their complement, then a self-complementary one
-    return ncols, s, (nblocks + 1) // 2, nblocks // 2
+def _half(plan: SweepPlan) -> tuple[int, int, int]:
+    """The half of a group of rank n >= 2 that the sweep enumerates (see
+    above): the number of leading sign-mask columns, the suffix length for
+    that many, and the number of leading prefix blocks swept.  In B and D
+    w0 pairs the columns, so every block is swept; in A it pairs the
+    blocks, so half of them are."""
+    n, nmasks = plan.n, len(plan.masks)
+    ncols = max(1, nmasks // 2)
+    s = min(_suffix_length(n, ncols), n - 1 - (nmasks == 1 and n % 2))
+    nblocks = factorial(n) // factorial(s)
+    return ncols, s, nblocks // 2 if nmasks == 1 else nblocks
 
 
 def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
-    """Histograms (descent mask, length parity, odd length) over the swept
-    prefix blocks [start, stop), crossed with the swept sign masks: row 0
-    over the blocks _mirror doubles, row 1 over the rest."""
+    """Flat (descent mask, length parity, odd length) histogram over the
+    swept prefix blocks [start, stop), crossed with the swept sign masks."""
     n = plan.n
-    ncols, s, _, nmirrored = _half(plan)
+    ncols, s, _ = _half(plan)
     p = n - s
     weights, flips = plan.weights[:, :ncols], plan.parity[:ncols]
     base = perm_table(s)
-    counts = np.zeros((2, (1 << n) * 2 * plan.width), dtype=np.int64)
+    counts = np.zeros((1 << n) * 2 * plan.width, dtype=np.int64)
 
     pairs = _pairs(n)
     inner, left, right = _columns([(k, i - p, j - p) for k, (i, j) in enumerate(pairs) if i >= p])
@@ -332,22 +323,20 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     shared = [suffix + parity, suffix + (plan.width - parity)]
     # steps[r] = [base < r]: how a prefix value with r smaller values in
     # rest compares with each suffix position, as G entries.
-    steps = (base.T < np.arange(s + 1)[:, None, None]).astype(np.float32) if p else None
+    steps = (base.T < np.arange(s + 1)[:, None, None]).astype(np.float32)
 
-    block = shared[0]
-    buffer = np.empty_like(block)
-    for k, prefix in enumerate(islice(permutations(range(n), p), start, stop), start):
-        if p:
-            rank = [v - sum(u < v for u in prefix) for v in prefix]
-            values = np.array(prefix)
-            head = values[head_l] > values[head_r]
-            block = np.matmul(cross[0], steps[rank[0]], out=buffer)
-            for r, w in zip(rank[1:], cross[1:]):
-                block += w @ steps[r]
-            block += shared[(sum(rank) + int(head.sum())) & 1]
-            if fixed.size:
-                block += (head.astype(np.float32) @ weights[fixed])[:, None]
-        counts[int(k >= nmirrored)] += plan.histogram(block.astype(np.intp))
+    buffer = np.empty_like(suffix)
+    for prefix in islice(permutations(range(n), p), start, stop):
+        rank = [v - sum(u < v for u in prefix) for v in prefix]
+        values = np.array(prefix)
+        head = values[head_l] > values[head_r]
+        block = np.matmul(cross[0], steps[rank[0]], out=buffer)
+        for r, w in zip(rank[1:], cross[1:]):
+            block += w @ steps[r]
+        block += shared[(sum(rank) + int(head.sum())) & 1]
+        if fixed.size:
+            block += (head.astype(np.float32) @ weights[fixed])[:, None]
+        counts += plan.histogram(block.astype(np.intp))
     return counts
 
 
@@ -365,7 +354,7 @@ def _mirror(family: str, n: int, half: np.ndarray) -> np.ndarray:
     [5, 1, 3]
     """
     masks = np.arange(1 << n)
-    if family == "D" and n % 2 and n > 1:
+    if family == "D" and n % 2:
         masks ^= ((masks ^ masks >> 1) & 1) * 0b11  # swap bits 0 and 1
     masks ^= label_mask(family, n)
     flip = {"A": n * (n - 1) // 2, "B": n * n, "D": n * (n - 1)}[family] & 1
@@ -413,21 +402,23 @@ class DescentTable:
 
 def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable:
     """Sweep half the group and add its partners under w0 (see above), so
-    every element is counted once, bucketed by descent set."""
+    every element is counted once, bucketed by descent set.  Rank 1 is
+    read whole."""
     check_budget(family, n)
     plan = _build_plan(family, n)
+    if n == 1:
+        return plan.table(family, perm_table(1))
     nswept = _half(plan)[2]
     nworkers = min(resolve_workers(workers), nswept)
     if nworkers <= 1 or factorial(n) < 50000:
-        counts = _sweep_range(plan, 0, nswept)
+        half = _sweep_range(plan, 0, nswept)
     else:
         bounds = [nswept * k // nworkers for k in range(nworkers + 1)]
         jobs = [(plan, bounds[k], bounds[k + 1]) for k in range(nworkers)]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(_sweep_worker, jobs))
-        counts = np.sum(parts, axis=0)
-    half, rest = counts.reshape(2, 1 << n, 2, plan.width)
-    return DescentTable(family, n, half + rest + _mirror(family, n, half))
+            half = np.sum(list(pool.map(_sweep_worker, jobs)), axis=0)
+    half = half.reshape(1 << n, 2, plan.width)
+    return DescentTable(family, n, half + _mirror(family, n, half))
 
 
 def _sweep_worker(job: tuple[SweepPlan, int, int]) -> np.ndarray:

@@ -52,14 +52,14 @@ class IndexSet:
             piece = piece.strip()
             if not piece:
                 raise ValueError("empty item in index set text")
-            if "-" in piece:
-                lo_s, hi_s = piece.split("-", 1)
-                lo, hi = int(lo_s), int(hi_s)
-                if lo > hi:
-                    raise ValueError(f"bad interval {piece!r}")
-                members.extend(range(lo, hi + 1))
-            else:
-                members.append(int(piece))
+            ends = piece.split("-", 1)
+            try:
+                lo, hi = int(ends[0]), int(ends[-1])
+            except ValueError:
+                raise ValueError(f"bad index set item {piece!r}") from None
+            if lo > hi:
+                raise ValueError(f"bad interval {piece!r}")
+            members.extend(range(lo, hi + 1))
         return IndexSet.of(n, members)
 
     # -- basic set operations --------------------------------------------------

@@ -15,10 +15,8 @@ from oddlen.indexset import IndexSet
 from oddlen.zpoly import IntPoly, is_cyclotomic_product
 
 
-def _ctx(tables, families, workers=None, **nmax):
-    return CheckContext(
-        nmax=nmax, families=tuple(families), workers=workers, tables=tables
-    )
+def _ctx(tables, workers=None, **nmax):
+    return CheckContext(nmax=nmax, workers=workers, tables=tables)
 
 
 def _run(ctx, names):
@@ -44,42 +42,42 @@ def _report(log, num, name, started, bad, nrows, bound=None):
 
 def test_c01_root_oracle_agreement(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "AD", A=7, D=6)
+    ctx = _ctx(shared_tables, A=7, D=6)
     rows, bad = _run(ctx, ["root-oracle"])
     _report(acceptance_log, 1, "root-oracle agreement", started, bad, len(rows), 30)
 
 
 def test_c02_point_values(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "AD", A=4, D=4)
+    ctx = _ctx(shared_tables, A=4, D=4)
     rows, bad = _run(ctx, ["point-values"])
     _report(acceptance_log, 2, "point values", started, bad, len(rows))
 
 
 def test_c03_type_a_closed_formula(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "A", A=8)
+    ctx = _ctx(shared_tables, A=8)
     rows, bad = _run(ctx, ["a-closed-match"])
     _report(acceptance_log, 3, "type A closed formula", started, bad, len(rows), 10)
 
 
 def test_c04_type_b_closed_formula(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "B", B=6)
+    ctx = _ctx(shared_tables, B=6)
     rows, bad = _run(ctx, ["b-closed-match"])
     _report(acceptance_log, 4, "type B closed formula", started, bad, len(rows), 60)
 
 
 def test_c05_type_d_closed_formula(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "D", workers=1, D=7)
+    ctx = _ctx(shared_tables, workers=1, D=7)
     rows, bad = _run(ctx, ["d-closed-match"])
     _report(
         acceptance_log, 5, "type D closed formula", started, bad, len(rows), 60
     )
 
     started = time.perf_counter()
-    ctx8 = _ctx(shared_tables, "D", workers=1, D=8)
+    ctx8 = _ctx(shared_tables, workers=1, D=8)
     table = ctx8.table("D", 8)
     mismatches = 0
     count = 0
@@ -101,7 +99,7 @@ def test_c05_type_d_closed_formula(shared_tables, acceptance_log):
 
 def test_c06_support_restrictions(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "AD", A=6, D=7)
+    ctx = _ctx(shared_tables, A=6, D=7)
     rows, bad = _run(
         ctx, ["support-chessboard", "support-window", "support-positional"]
     )
@@ -110,7 +108,7 @@ def test_c06_support_restrictions(shared_tables, acceptance_log):
 
 def test_c07_structural_identities(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "D", D=6)
+    ctx = _ctx(shared_tables, D=6)
     names = [
         "zero-one-swap",
         "even-prefix-split",
@@ -120,7 +118,7 @@ def test_c07_structural_identities(shared_tables, acceptance_log):
         "tail-multinomial-split",
     ]
     rows, bad = _run(ctx, names)
-    ctx8 = _ctx(shared_tables, "D", D=8)
+    ctx8 = _ctx(shared_tables, D=8)
     recurrence_rows = list(CHECKS["even-case-recurrence"](ctx8))
     rows.extend(recurrence_rows)
     bad.extend(r for r in recurrence_rows if not r.ok)
@@ -129,21 +127,21 @@ def test_c07_structural_identities(shared_tables, acceptance_log):
 
 def test_c08_quotient_multipliers(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "D", D=7)
+    ctx = _ctx(shared_tables, D=7)
     rows, bad = _run(ctx, ["remark-values", "quotient-factor-divides"])
     _report(acceptance_log, 8, "quotient multipliers", started, bad, len(rows))
 
 
 def test_c09_conjectured_products(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "D", D=8)
+    ctx = _ctx(shared_tables, D=8)
     rows, bad = _run(ctx, ["conjecture-products"])
     _report(acceptance_log, 9, "conjectured products", started, bad, len(rows))
 
 
 def test_c10_cyclotomic_classification(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "D", D=8)
+    ctx = _ctx(shared_tables, D=8)
     rows, bad = _run(
         ctx,
         ["cyclo-classification", "display-form-match", "trinomial-criterion"],
@@ -155,7 +153,7 @@ def test_c10_cyclotomic_classification(shared_tables, acceptance_log):
 
 def test_c11_nonfactoring_quotient_value(shared_tables, acceptance_log):
     started = time.perf_counter()
-    ctx = _ctx(shared_tables, "D", D=4)
+    ctx = _ctx(shared_tables, D=4)
     I = IndexSet.of(4, [0, 1, 3])
     enumerated = ctx.quotient("D", 4, I)
     want = IntPoly((1, 0, 2, 0, -3))

@@ -59,7 +59,7 @@ def test_rank_cap_restricts_sweeps(name):
 
 
 def test_closed_match_past_the_budget_raises():
-    ctx = CheckContext(nmax={"D": BUDGET["D"] + 1}, families=("D",))
+    ctx = CheckContext(nmax={"D": BUDGET["D"] + 1})
     with pytest.raises(BudgetError):
         list(CHECKS["d-closed-match"](ctx))
 

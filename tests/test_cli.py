@@ -13,7 +13,7 @@ import pytest
 
 import oddlen
 from oddlen import checks, cli
-from oddlen.genfun import closed_poly
+from oddlen.genfun import brute_table, closed_poly
 from oddlen.indexset import IndexSet
 from oddlen.zpoly import IntPoly
 
@@ -84,6 +84,12 @@ class TestGenfun:
         code, _, err = run(["genfun", "-f", "D", "-n", "3", "-I", "9"], capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("item", ["-1", "a"])
+    def test_malformed_set_item_is_named(self, capsys, item):
+        code, _, err = run(["genfun", "-f", "D", "-n", "3", "-I", item], capsys)
+        assert code == 2
+        assert err.strip() == f"error: bad index set item {item!r}"
 
 
 class TestCyclo:
@@ -298,8 +304,8 @@ class TestUsage:
     def test_bad_family_exits_2(self, capsys):
         assert run(["genfun", "-f", "X", "-n", "3", "-I", ""], capsys)[0] == 2
 
-    def test_workers_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ODDLEN_WORKERS", "2")
-        code, out, _ = run(["genfun", "-f", "D", "-n", "4", "-I", "", "-m", "brute"], capsys)
-        assert code == 0
-        assert out.strip()
+    def test_workers_variable_is_not_read(self, capsys, monkeypatch):
+        # The worker count comes from workers= or --workers alone.
+        monkeypatch.setenv("ODDLEN_WORKERS", "x")
+        assert brute_table("D", 4).counts.sum() == 8 * 4 * 3 * 2
+        assert run(["verify", "--only", "remark-values"], capsys)[0] == 0

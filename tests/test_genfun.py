@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import random
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -55,9 +56,9 @@ def quotient_elements(family, n, I):
 
 # Every rank the unmirrored read covers; TestSweepKernel.GOLDEN covers A10 and B8.
 MIRROR_RANKS = [(f, n) for f, top in (("A", 9), ("B", 7), ("D", 8)) for n in range(1, top + 1)]
-# Two workers split an odd count of swept blocks: A9 sweeps 5 of its 9,
-# A10 45 of 90, and B7 and D7 one block of half the sign masks.
-SPLIT_RANKS = [("A", 9), ("A", 10), ("B", 7), ("D", 7)]
+# Two workers split an odd count of swept blocks: A10 sweeps 45 of its 90,
+# and B7 and D7 all 7 blocks over half the sign masks.
+SPLIT_RANKS = [("A", 10), ("B", 7), ("D", 7)]
 
 
 @functools.cache
@@ -69,7 +70,7 @@ def unmirrored_counts(family, n):
 
 # Planted mirror faults: each undoes one part of the map on _mirror's output.
 def _no_label_swap(family, n, out):
-    if family == "D" and n % 2 and n > 1:
+    if family == "D" and n % 2:
         masks = np.arange(1 << n)
         return out[masks ^ ((masks ^ masks >> 1) & 1) * 0b11]
     return out
@@ -116,12 +117,12 @@ class TestBruteTable:
                     want = want + IntPoly.monomial(-1 if l % 2 else 1, L)
                 assert t.quotient_poly(I) == want
 
-    def test_worker_split_matches_single_process(self, monkeypatch):
-        # The worker count from the environment reaches the same split.
-        monkeypatch.setenv("ODDLEN_WORKERS", "2")
+    def test_worker_split_matches_single_process(self):
+        # The default worker count and a three-way split reach the same table.
         for family, n in SPLIT_RANKS:
             single = brute_table(family, n, workers=1)
             assert np.array_equal(brute_table(family, n).counts, single.counts)
+            assert np.array_equal(brute_table(family, n, workers=3).counts, single.counts)
 
     @pytest.mark.parametrize("family, n", SPLIT_RANKS)
     def test_worker_split_on_uneven_block_counts(self, family, n):
@@ -148,14 +149,16 @@ class TestBruteTable:
         "fault, failing",
         [
             pytest.param(_no_label_swap, ["D3", "D5", "D7"], id="no-label-swap"),
-            pytest.param(_no_parity_flip, ["B1", "B3", "B5", "B7"], id="no-parity-flip"),
+            pytest.param(_no_parity_flip, ["A2", "A3", "A6", "A7", "B3", "B5", "B7"],
+                         id="no-parity-flip"),
             pytest.param(_unreversed_odd_length,
-                         ["A9"] + [f"B{n}" for n in range(1, 8)] + [f"D{n}" for n in range(2, 9)],
+                         [f"A{n}" for n in range(2, 10)] + [f"B{n}" for n in range(2, 8)]
+                         + [f"D{n}" for n in range(2, 9)],
                          id="unreversed-odd-length"),
         ],
     )
     def test_planted_mirror_faults_fail(self, monkeypatch, fault, failing):
-        # A1-A8 and D1 mirror nothing, so no fault reaches them.
+        # The rank-1 groups are read whole, so no fault reaches them.
         mirror = genfun._mirror
         monkeypatch.setattr(genfun, "_mirror", lambda f, n, half: fault(f, n, mirror(f, n, half)))
         broken = [f"{f}{n}" for f, n in MIRROR_RANKS
@@ -168,20 +171,11 @@ class TestBruteTable:
         with pytest.raises(BudgetError):
             brute_quotient("A", BUDGET["A"] + 1, IndexSet.of(BUDGET["A"] + 1, []))
 
-    def test_resolve_workers(self, monkeypatch):
-        monkeypatch.delenv("ODDLEN_WORKERS", raising=False)
+    def test_resolve_workers(self):
         assert resolve_workers(None) == 1
         assert resolve_workers(5) == 5
-        monkeypatch.setenv("ODDLEN_WORKERS", "3")
-        assert resolve_workers(5) == 5
-        assert resolve_workers(1) == 1
-        assert resolve_workers(None) == 3
         with pytest.raises(ValueError):
             resolve_workers(0)
-        monkeypatch.setenv("ODDLEN_WORKERS", "x")
-        assert resolve_workers(2) == 2
-        with pytest.raises(ValueError):
-            resolve_workers(None)
 
 
 def _table_digest(table):
@@ -235,31 +229,37 @@ class TestSweepKernel:
                 assert read == [descent_set(sigma, family).mask, ell & 1, odd], sigma
 
     def test_suffix_blocks(self):
-        # (mask columns, suffix length, blocks swept, blocks mirrored)
-        assert _half(_build_plan("A", 10)) == (1, 8, 45, 45)
-        assert _half(_build_plan("A", 2)) == (1, 2, 1, 0)
-        assert _half(_build_plan("B", 8)) == (128, 7, 8, 8)
-        assert _half(_build_plan("D", 8)) == (64, 7, 8, 8)
-        assert _half(_build_plan("D", 1)) == (1, 1, 1, 0)
+        # (mask columns, suffix length, blocks swept)
+        assert _half(_build_plan("A", 2)) == (1, 1, 1)
+        assert _half(_build_plan("A", 10)) == (1, 8, 45)
+        assert _half(_build_plan("B", 8)) == (128, 7, 8)
+        assert _half(_build_plan("D", 8)) == (64, 7, 8)
+        assert _half(_build_plan("D", 7)) == (32, 6, 7)
+
+    @pytest.mark.parametrize("n", range(2, BUDGET["A"] + 1))
+    def test_a_swept_prefixes_complement_to_the_unswept_blocks(self, n):
+        # w0 complements values, so no swept A block may lack its partner.
+        _, s, nswept = _half(_build_plan("A", n))
+        prefixes = list(permutations(range(n), n - s))
+        partners = {tuple(n - 1 - v for v in x) for x in prefixes[:nswept]}
+        assert partners == set(prefixes[nswept:])
 
     @pytest.mark.parametrize("s", [0, 1, 2, 5])
     def test_perm_table_is_lexicographic(self, s):
-        from itertools import permutations
-
         table = perm_table(s)
         assert table.dtype == np.int8
         assert [tuple(row) for row in table] == list(permutations(range(s)))
 
     def test_prefix_blocks_sum_to_the_whole_sweep(self):
-        # A9 sweeps 5 of its 9 blocks: values 0..3 first, mirrored, then the
-        # self-complementary middle value 4, not mirrored.
+        # A9 sweeps 36 of its 72 two-position prefix blocks, the prefixes
+        # below their complements.
         plan = _build_plan("A", 9)
-        assert _half(plan) == (1, 8, 5, 4)
-        parts = _sweep_range(plan, 0, 2) + _sweep_range(plan, 2, 5)
-        assert np.array_equal(parts, _sweep_range(plan, 0, 5))
-        half, rest = parts.reshape(2, 1 << 9, 2, plan.width)
-        assert (half.sum(), rest.sum()) == (4 * factorial(8), factorial(8))
-        assert np.array_equal(half + rest + _mirror("A", 9, half), unmirrored_counts("A", 9))
+        assert _half(plan) == (1, 7, 36)
+        parts = _sweep_range(plan, 0, 14) + _sweep_range(plan, 14, 36)
+        assert np.array_equal(parts, _sweep_range(plan, 0, 36))
+        assert parts.sum() == factorial(9) // 2
+        half = parts.reshape(1 << 9, 2, plan.width)
+        assert np.array_equal(half + _mirror("A", 9, half), unmirrored_counts("A", 9))
 
     @pytest.mark.parametrize(
         "family, n",
@@ -270,7 +270,7 @@ class TestSweepKernel:
         ],
     )
     def test_edge_ranks_match_scalar_enumeration(self, family, n):
-        # n=1 has no pairs and n=2 has no prefix.
+        # n=1 is read whole, and n=2 splits into one prefix and one suffix position.
         oracle = scalar_table(family, n, elements(family, n))
         assert np.array_equal(oracle.counts, brute_table(family, n).counts)
 
