@@ -9,6 +9,20 @@ the group, and SweepPlan.table any rows under a (row, mask) filter: the
 restricted sums (pinned entries here, supports in chess).  scalar_table,
 with no caller in the package, is the independent oracle.
 
+The closed formulas read an index set I only through a signature of its
+runs, the half-sizes being the sorted nonzero (z+1)//2 over run sizes z
+(indexset.half_sizes): in A the half-sizes of every run of I; in B the
+zero-run size and the half-sizes of the other runs; in D the zero-run
+size and the half-sizes of tilde(I).  closed_A/B/D check the rank and
+labels on every call, then call a core of (n, signature) alone, cached
+without bound: the key counts grow like partitions of n/2 (at n = 12,
+30 in A, 120 in B, 129 in D, against 2,048 to 4,096 sets).  D's key
+needs no m(I): its head reads m(I) only when the zero run has even size
+z >= 2, and then 1 is in I and z is not, so tilde(I) = I minus {0}
+turns the run [0, z-1] into [1, z-1], of half-size (z-1+1)//2 = z/2 =
+(z+1)//2, and leaves the other runs alone: m(I) = m(tilde I), the sum
+of the key's half-sizes.
+
 The sweep is array-native.  An element is an absolute-value row P (a
 permutation of 0..n-1) under one of the family's sign masks, binned by one
 key: descent mask * 2 width + length parity * width + odd length.  With
@@ -86,16 +100,17 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial
 from typing import Iterable
 
 import numpy as np
 
-from .indexset import C_exps, IndexSet, components, m_of, tilde
+from .indexset import IndexSet, components, half_sizes, m_of, tilde
 from .rootsys import odd_root_count
 from .sperm import FAMILIES, SignedPerm, descent_set, ell_and_odd, label_mask
-from .zpoly import ONE, IntPoly, alt_exps, alt_product, expand
+from .zpoly import ONE, IntPoly, alt_exps, alt_product, expand, q_multinomial_exps
 
 BUDGET = {"A": 10, "B": 8, "D": 8}
 
@@ -483,8 +498,14 @@ def _closed_labels(family: str, n: int, index_set: IndexSet) -> int:
 def closed_A(n: int, index_set: IndexSet) -> IntPoly:
     """Product formula for the unsigned quotient polynomials."""
     _closed_labels("A", n, index_set)
-    exps = C_exps(index_set)
-    exps.update(alt_exps(2 * m_of(index_set) + 2, n))
+    return _closed_A(n, half_sizes(components(index_set).all_sizes))
+
+
+@lru_cache(maxsize=None)
+def _closed_A(n: int, halves: tuple[int, ...]) -> IntPoly:
+    m = sum(halves)
+    exps = q_multinomial_exps(m, halves, base_exponent=2)
+    exps.update(alt_exps(2 * m + 2, n))
     return expand(exps)
 
 
@@ -497,9 +518,14 @@ def closed_B(n: int, index_set: IndexSet) -> IntPoly:
     """
     _closed_labels("B", n, index_set)
     decomp = components(index_set)
-    exps: Counter = Counter(range(decomp.zero_size + 1, n + 1))
-    for z in decomp.other_sizes:
-        for j in range(1, (z + 1) // 2 + 1):
+    return _closed_B(n, decomp.zero_size, half_sizes(decomp.other_sizes))
+
+
+@lru_cache(maxsize=None)
+def _closed_B(n: int, zero: int, halves: tuple[int, ...]) -> IntPoly:
+    exps: Counter = Counter(range(zero + 1, n + 1))
+    for h in halves:
+        for j in range(1, h + 1):
             exps[2 * j] -= 1
     return expand(exps)
 
@@ -509,21 +535,26 @@ def closed_D(n: int, index_set: IndexSet) -> IntPoly:
     full = _closed_labels("D", n, index_set)
     if index_set.mask == full:
         return ONE
-
-    m_orig = m_of(index_set)
     zero = components(index_set).zero_size
-    twisted = tilde(index_set)
-    exps = C_exps(twisted)
+    return _closed_D(n, zero, half_sizes(components(tilde(index_set)).all_sizes))
+
+
+@lru_cache(maxsize=None)
+def _closed_D(n: int, zero: int, halves: tuple[int, ...]) -> IntPoly:
+    # m is m(tilde I); the head reads m(I) only when zero is even and >= 2,
+    # and then the two are equal (see the module docstring).
+    m = sum(halves)
+    exps = q_multinomial_exps(m, halves, base_exponent=2)
     exps.update(alt_exps(2 * ((zero + 2) // 2), n))
-    exps.update(alt_exps(2 * m_of(twisted) + 2, n))
+    exps.update(alt_exps(2 * m + 2, n))
     head = ONE
     if zero >= 2 and zero % 2 == 0:
-        if n == 2 * m_orig:
+        if n == 2 * m:
             # (1 + x^z + 2x^m) / (1 + x^m), and 1 + x^m = (1 - x^2m) / (1 - x^m)
-            head = IntPoly.monomial(2, m_orig) + IntPoly.monomial(1, zero) + ONE
-            exps[2 * m_orig] -= 1
-            exps[m_orig] += 1
-        elif n > 2 * m_orig:
+            head = IntPoly.monomial(2, m) + IntPoly.monomial(1, zero) + ONE
+            exps[2 * m] -= 1
+            exps[m] += 1
+        elif n > 2 * m:
             # 1 + x^z = (1 - x^2z) / (1 - x^z)
             exps[2 * zero] += 1
             exps[zero] -= 1

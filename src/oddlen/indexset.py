@@ -8,11 +8,15 @@ separately from the rest.
 
 from __future__ import annotations
 
-from collections import Counter
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .zpoly import IntPoly, expand, q_multinomial_exps
+from .zpoly import IntPoly, q_multinomial
+
+
+# One item of index set text: a label or an interval of labels, in ASCII digits.
+_ITEM = re.compile(r"([0-9]+)(?:-([0-9]+))?")
 
 
 @dataclass(frozen=True, order=True)
@@ -52,11 +56,11 @@ class IndexSet:
             piece = piece.strip()
             if not piece:
                 raise ValueError("empty item in index set text")
-            ends = piece.split("-", 1)
-            try:
-                lo, hi = int(ends[0]), int(ends[-1])
-            except ValueError:
-                raise ValueError(f"bad index set item {piece!r}") from None
+            item = _ITEM.fullmatch(piece)
+            if item is None:
+                raise ValueError(f"bad index set item {piece!r}")
+            lo = int(item[1])
+            hi = lo if item[2] is None else int(item[2])
             if lo > hi:
                 raise ValueError(f"bad interval {piece!r}")
             members.extend(range(lo, hi + 1))
@@ -146,20 +150,21 @@ def components(I: IndexSet) -> ComponentDecomp:
     return ComponentDecomp(None, tuple(runs))
 
 
+def half_sizes(sizes: Iterable[int]) -> tuple[int, ...]:
+    """The nonzero floor((size+1)/2) over component sizes, sorted: the parts
+    of the x^2-multinomials, and all a closed formula reads of those runs."""
+    return tuple(sorted(h for z in sizes if (h := (z + 1) // 2)))
+
+
 def m_of(I: IndexSet) -> int:
     """m = sum over all components (the zero one included) of floor((size+1)/2)."""
-    return sum((z + 1) // 2 for z in components(I).all_sizes)
-
-
-def C_exps(I: IndexSet) -> Counter:
-    """Exponents of C_poly(I) in the (1 - x^d) form of zpoly.expand."""
-    parts = [(z + 1) // 2 for z in components(I).all_sizes]
-    return q_multinomial_exps(sum(parts), parts, base_exponent=2)
+    return sum(half_sizes(components(I).all_sizes))
 
 
 def C_poly(I: IndexSet) -> IntPoly:
     """The x^2-multinomial over the component sizes (zero component included)."""
-    return expand(C_exps(I))
+    parts = half_sizes(components(I).all_sizes)
+    return q_multinomial(sum(parts), parts, base_exponent=2)
 
 
 def compress(I: IndexSet) -> IndexSet:

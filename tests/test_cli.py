@@ -85,7 +85,7 @@ class TestGenfun:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("item", ["-1", "a"])
+    @pytest.mark.parametrize("item", ["-1", "a", "1_0", "+2"])
     def test_malformed_set_item_is_named(self, capsys, item):
         code, _, err = run(["genfun", "-f", "D", "-n", "3", "-I", item], capsys)
         assert code == 2

@@ -362,6 +362,53 @@ class TestClosedForms:
         assert closed_A(40, IndexSet.of(40, [7])) is not None
 
 
+def _closed_digest():
+    # One line per index set of A, B and D at n = 1..12: "<family><n> <mask> <polynomial>".
+    h = hashlib.sha256()
+    for family in "ABD":
+        for n in range(1, 13):
+            for I in subsets(family, n):
+                h.update(f"{family}{n} {I.mask} {closed_poly(family, n, I)}\n".encode())
+    return h.hexdigest()
+
+
+class TestClosedFormMemo:
+    """closed_A/B/D check every call, then read a core cached on the signature."""
+
+    # SHA-256 of every closed form of A, B and D at n = 1..12, as computed
+    # set by set before the closed forms were keyed by signature.
+    CLOSED_SHA256 = "fe2ef8bdef8b52c5c822d5a58ab978651762602a7fca93b479e60fd2b7461ef4"
+
+    def test_every_index_set_up_to_rank_12_digest(self):
+        assert _closed_digest() == self.CLOSED_SHA256
+
+    @pytest.mark.parametrize("family, n, cached, bad, match", [
+        ("A", 8, [2], IndexSet.of(8, [0]), "labels outside"),
+        ("A", 8, [2], IndexSet.of(9, [2]), "rank mismatch"),
+        ("B", 8, [2], IndexSet.of(9, [2]), "rank mismatch"),
+        ("D", 8, [2], IndexSet.of(9, [2]), "rank mismatch"),
+        ("D", 8, [0, 1, 3], IndexSet.of(9, [0, 1, 5]), "rank mismatch"),
+    ])
+    def test_a_cached_key_never_skips_validation(self, family, n, cached, bad, match):
+        # bad has the signature of the cached set, so only the check stops it.
+        closed_poly(family, n, IndexSet.of(n, cached))
+        with pytest.raises(ValueError, match=match):
+            closed_poly(family, n, bad)
+
+    @pytest.mark.parametrize("a, b", [([2], [5]), ([0, 4], [0, 6]), ([0, 1, 3], [0, 1, 5])])
+    def test_equal_keys_share_one_polynomial(self, a, b):
+        I, J = IndexSet.of(8, a), IndexSet.of(8, b)
+        assert closed_D(8, I) is closed_D(8, J)
+        assert closed_D(8, J) == reference_closed("D", 8, J)
+
+    def test_the_d_full_set_builds_no_key(self):
+        before = genfun._closed_D.cache_info()
+        assert closed_D(8, IndexSet.full(8)) is ONE
+        assert closed_D(1, IndexSet.of(1, [])) is ONE
+        after = genfun._closed_D.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def reference_closed(family, n, I):
     """Oracle: the closed formulas built from IntPoly products and exact
     division, as they were written before exponent maps."""

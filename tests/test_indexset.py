@@ -1,5 +1,7 @@
 """Index set parsing, component structure, and compression."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from oddlen.indexset import (
     IndexSet,
     components,
     compress,
+    half_sizes,
     is_compressed,
     m_of,
     noncyclotomic_condition,
@@ -22,12 +25,18 @@ class TestConstruction:
         assert IndexSet.from_text(6, "0-2,4").members() == (0, 1, 2, 4)
         assert IndexSet.from_text(4, "").members() == ()
         assert IndexSet.from_text(4, "3").members() == (3,)
+        assert IndexSet.from_text(12, " 10 , 2-3 ").members() == (2, 3, 10)
 
     def test_from_text_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             IndexSet.from_text(4, "5")
         with pytest.raises(ValueError):
             IndexSet.from_text(3, "junk")
+
+    @pytest.mark.parametrize("item", ["1_0", "+2", "-1", "2-", "0x1", "\uff11", "1-+2"])
+    def test_from_text_items_are_ascii_digit_strings(self, item):
+        with pytest.raises(ValueError, match=re.escape(f"bad index set item {item!r}")):
+            IndexSet.from_text(12, f"0, {item}")
 
     def test_of_and_full(self):
         assert IndexSet.of(4, [2, 0]).members() == (0, 2)
@@ -85,6 +94,12 @@ class TestComponents:
         assert m_of(IndexSet.of(4, [0, 1, 3])) == 2
         assert m_of(IndexSet.full(4)) == 2
         assert m_of(IndexSet.of(7, [0, 2, 3, 5])) == 3
+
+    def test_half_sizes(self):
+        assert half_sizes(()) == ()
+        assert half_sizes((0, 5, 1, 2, 0, 4)) == (1, 1, 2, 3)
+        I = IndexSet.of(7, [0, 2, 3, 5])
+        assert half_sizes(components(I).all_sizes) == (1, 1, 1)
 
     def test_C_poly(self):
         I = IndexSet.of(4, [0, 2])
