@@ -14,7 +14,8 @@ tables come from the sweep and are cached in the context; a restricted
 support (chessboard, sandwich-free) or a pinned entry is a filter on rows
 and masks whose table is built once per rank and parameter, and read for
 each set that needs it.  The per-element checks (root counts, additivity)
-run on arrays of absolute-value rows, one sign mask at a time.
+run on arrays of absolute-value rows under every sign mask at once, in
+blocks of at most rootsys.BLOCK elements per temporary array.
 """
 
 from dataclasses import dataclass, field
@@ -49,11 +50,12 @@ from .sperm import (
     odd_length,
     parabolic_factorize,
 )
-from .rootsys import build_root_system, length_via_roots, odd_length_via_roots, root_counts
+from .rootsys import build_root_system, length_via_roots, odd_length_via_roots, root_counts, spans
 from .genfun import (
     DescentTable,
     brute_table,
     closed_D,
+    closed_factors,
     closed_poly,
     conjecture_rhs,
     conjecture_set,
@@ -174,7 +176,8 @@ def _match(check: str, family: str, n: int, where, got: IntPoly, want: IntPoly) 
 
 def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
     """The sweep plan's descent mask, length parity and odd length agree
-    with root-system counts on every element."""
+    with root-system counts on every element, in blocks of rows under
+    every sign mask at once."""
     hard = {"A": 7, "B": 5, "D": 6}
     for family in ctx.families:
         for n in _ranks(ctx, family, 1, hard[family]):
@@ -182,11 +185,12 @@ def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
             plan = sweep_plan(family, n)
             perms = perm_table(n)
             bad = 0
-            for mask in plan.masks.tolist():
-                descents, parity, odd = plan.stats(perms, mask)
-                length, want_odd, want_descents = root_counts(rs, perms, mask)
+            # a row has a key per sign mask and a comparison per position pair
+            for block in spans(len(perms), max(len(plan.masks), len(plan.weights))):
+                high, odd = np.divmod(plan.keys(perms[block]), plan.width)
+                length, want_odd, want_descents = root_counts(rs, perms[block], plan.masks)
                 bad += np.count_nonzero(
-                    (descents != want_descents) | (parity != length & 1) | (odd != want_odd))
+                    (high >> 1 != want_descents) | (high & 1 != length & 1) | (odd != want_odd))
             total = len(perms) * len(plan.masks)
             yield _row("root-oracle", family, n, "", bad == 0, f"{total} elements")
 
@@ -313,9 +317,8 @@ def check_additivity(ctx: CheckContext) -> Iterator[CheckRow]:
     for n in _ranks(ctx, "D", 2, 7):
         plan = sweep_plan("D", n)
         rows = chessboard_rows(n)
-        bad = sum(
-            np.count_nonzero(~additive_rows(plan, rows, mask)) for mask in plan.masks.tolist()
-        )
+        bad = sum(np.count_nonzero(~additive_rows(plan, rows[block], plan.masks))
+                  for block in spans(len(rows), len(plan.masks)))
         total = len(rows) * len(plan.masks)
         yield _row("additivity-chessboard", "D", n, "", bad == 0,
                    f"{total} chessboard elements")
@@ -580,7 +583,7 @@ def check_cyclo_classification(ctx: CheckContext) -> Iterator[CheckRow]:
     for n, _, I in _sets(ctx, "D", 1, 8, closed_form=True):
         if I.is_full:
             continue
-        got = is_cyclotomic_product(closed_D(n, I))
+        got = closed_factors("D", n, I) is not None
         want = not noncyclotomic_condition(I)
         yield _row("cyclo-classification", "D", n, I, got == want,
                    "cyclotomic product" if want else "no cyclotomic factorization")

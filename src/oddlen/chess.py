@@ -8,8 +8,9 @@ scans of one SignedPerm (the scalar oracles) and filters over
 absolute-value rows and sign masks.  A restricted support is
 chessboard_rows (the rows with one parity of i + P[i]) under such a
 filter, and its descent table is one SweepPlan.table call.  Odd-length
-additivity and the set-level product factorizations run on signed
-one-line arrays of the same rows, split by parabolic_factors.
+additivity (over every sign mask at once, in blocks of at most
+rootsys.BLOCK elements) and the set-level product factorizations run on
+signed one-line arrays of the same rows, split by parabolic_factors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .genfun import DescentTable, SweepPlan, perm_table, sweep_plan
 from .indexset import IndexSet, is_compressed
+from .rootsys import spans
 from .sperm import SignedPerm
 from .zpoly import IntPoly
 
@@ -212,16 +214,30 @@ def parabolic_factors(elems: np.ndarray, J: IndexSet) -> tuple[np.ndarray, np.nd
     return u, np.sign(elems) * np.take_along_axis(inverse, np.abs(elems) - 1, axis=1)
 
 
-def additive_rows(plan: SweepPlan, rows: np.ndarray, mask: int) -> np.ndarray:
+def additive_rows(plan: SweepPlan, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Whether L(sigma) = L(u) + L(v) over parabolic_factors with J =
-    {1..n-1} for each row under one sign mask of D_n, all three odd lengths
-    read from plan, the D_n sweep plan.  u sorts all entries, so its k
-    negative entries come first and its sign mask is (1 << k) - 1."""
+    {1..n-1}, for each row under each sign mask of D_n (a 1-D array), as a
+    (rows, masks) array; all three odd lengths are read from plan, the D_n
+    sweep plan.  u sorts all entries, so its k negative entries come first
+    and its sign mask is (1 << k) - 1: one read per negative count k.  Rows
+    and masks go in blocks of at most BLOCK entries and pair comparisons."""
     n = rows.shape[1]
-    neg = (mask >> np.arange(n)) & 1
-    u, v = parabolic_factors((rows + 1) * (1 - 2 * neg), IndexSet.of(n, range(1, n)))
-    odd = plan.stats(rows, mask)[2]
-    return odd == plan.stats(np.abs(u) - 1, (1 << int(neg.sum())) - 1)[2] + plan.stats(v - 1, 0)[2]
+    cols = plan.columns(masks)
+    J = IndexSet.of(n, range(1, n))
+    out = np.empty((len(rows), len(masks)), dtype=bool)
+    for r in spans(len(rows), n * n):
+        block = rows[r]
+        for c in spans(len(masks), n * n * len(block)):
+            neg = (masks[c, None] >> np.arange(n)) & 1
+            u, v = parabolic_factors(((block[:, None] + 1) * (1 - 2 * neg)).reshape(-1, n), J)
+            split = plan.stats(v - 1, 0)[2]
+            k = np.tile(neg.sum(axis=1), len(block))
+            for negatives in np.unique(k).tolist():
+                at = k == negatives
+                split[at] += plan.stats(np.abs(u[at]) - 1, (1 << negatives) - 1)[2]
+            odd = plan.keys(block, cols[c]) % plan.width
+            out[r, c] = odd == split.reshape(len(block), -1)
+    return out
 
 
 def check_L_additivity(sigma: SignedPerm) -> bool:
@@ -230,7 +246,7 @@ def check_L_additivity(sigma: SignedPerm) -> bool:
     if not sigma.in_D:
         raise ValueError("additivity check needs an even number of negative entries")
     row = np.array([[abs(v) - 1 for v in sigma.images]])
-    return bool(additive_rows(sweep_plan("D", sigma.n), row, sigma.sign_mask)[0])
+    return bool(additive_rows(sweep_plan("D", sigma.n), row, np.array([sigma.sign_mask]))[0, 0])
 
 
 def check_set_factorization(n: int, index_set: IndexSet, variant: str = "H") -> bool:

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genfun", help="print one quotient generating function")
     p.add_argument("-f", "--family", required=True, choices=FAMILIES)
-    p.add_argument("-n", type=int, required=True, help="rank")
+    p.add_argument("-n", type=_positive_int, required=True, help="rank")
     p.add_argument("-I", dest="iset", required=True,
                    help="index set, e.g. '0,2' or '0-2,4' ('' for empty)")
     p.add_argument("-m", "--method", choices=("closed", "brute", "both"),
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="dump a descent-class polynomial table")
     p.add_argument("-f", "--family", required=True, choices=FAMILIES)
-    p.add_argument("-n", type=int, required=True, help="rank")
+    p.add_argument("-n", type=_positive_int, required=True, help="rank")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_table)
 

@@ -14,9 +14,11 @@ runs, the half-sizes being the sorted nonzero (z+1)//2 over run sizes z
 (indexset.half_sizes): in A the half-sizes of every run of I; in B the
 zero-run size and the half-sizes of the other runs; in D the zero-run
 size and the half-sizes of tilde(I).  closed_A/B/D check the rank and
-labels on every call, then call a core of (n, signature) alone, cached
-without bound: the key counts grow like partitions of n/2 (at n = 12,
-30 in A, 120 in B, 129 in D, against 2,048 to 4,096 sets).  D's key
+labels on every call (_closed_key, which then builds the signature) and
+call a core of (n, signature) alone, cached without bound; closed_factors
+caches the core's cyclotomic verdict on the same key.  The key counts
+grow like partitions of n/2 (at n = 12, 30 in A, 120 in B, 129 in D,
+against 2,048 to 4,096 sets).  D's key
 needs no m(I): its head reads m(I) only when the zero run has even size
 z >= 2, and then 1 is in I and z is not, so tilde(I) = I minus {0}
 turns the run [0, z-1] into [1, z-1], of half-size (z-1+1)//2 = z/2 =
@@ -110,7 +112,15 @@ import numpy as np
 from .indexset import IndexSet, components, half_sizes, m_of, tilde
 from .rootsys import odd_root_count
 from .sperm import FAMILIES, SignedPerm, descent_set, ell_and_odd, label_mask
-from .zpoly import ONE, IntPoly, alt_exps, alt_product, expand, q_multinomial_exps
+from .zpoly import (
+    ONE,
+    IntPoly,
+    alt_exps,
+    alt_product,
+    cyclotomic_factors,
+    expand,
+    q_multinomial_exps,
+)
 
 BUDGET = {"A": 10, "B": 8, "D": 8}
 
@@ -195,13 +205,19 @@ class SweepPlan:
         keys += np.float32(self.width) * _parity(greater, self.parity[cols])
         return keys.astype(np.intp)
 
+    def columns(self, masks: np.ndarray) -> np.ndarray:
+        """Column of each sign mask of a 1-D array; ValueError for a mask
+        outside the group."""
+        cols = np.searchsorted(self.masks, masks)
+        found = self.masks[np.minimum(cols, len(self.masks) - 1)] == masks
+        if not found.all():
+            raise ValueError(f"sign mask {masks[~found][0]} is outside the group")
+        return cols
+
     def stats(self, perms: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Descent mask, length parity and odd length of every row of perms
         under one sign mask, decoded from the key the sweep bins."""
-        k = int(np.searchsorted(self.masks, mask))
-        if k == len(self.masks) or self.masks[k] != mask:
-            raise ValueError(f"sign mask {mask} is outside the group")
-        high, odd = np.divmod(self.keys(perms, [k])[:, 0], self.width)
+        high, odd = np.divmod(self.keys(perms, self.columns(np.array([mask])))[:, 0], self.width)
         return high >> 1, high & 1, odd
 
     def histogram(self, keys: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
@@ -483,8 +499,11 @@ def brute_filtered(
     return pinned_table(family, n, constraint).quotient_poly(index_set)
 
 
-def _closed_labels(family: str, n: int, index_set: IndexSet) -> int:
-    """Check a closed formula's rank and index set; return the label mask."""
+def _closed_key(family: str, n: int, index_set: IndexSet) -> tuple | None:
+    """Check a closed formula's rank and index set, and return the
+    signature its core reads (see above): (n, half-sizes) in A, (n, zero
+    run, other half-sizes) in B, (n, zero run, half-sizes of tilde(I)) in
+    D; None for D's full set, whose closed form is 1."""
     if n < 1:
         raise ValueError("rank must be at least 1")
     if index_set.n != n:
@@ -492,13 +511,19 @@ def _closed_labels(family: str, n: int, index_set: IndexSet) -> int:
     labels = label_mask(family, n)
     if index_set.mask & ~labels:
         raise ValueError(f"index set has labels outside the {family}_{n} generators")
-    return labels
+    if family == "D" and index_set.mask == labels:
+        return None
+    decomp = components(index_set)
+    if family == "A":
+        return n, half_sizes(decomp.all_sizes)
+    if family == "B":
+        return n, decomp.zero_size, half_sizes(decomp.other_sizes)
+    return n, decomp.zero_size, half_sizes(components(tilde(index_set)).all_sizes)
 
 
 def closed_A(n: int, index_set: IndexSet) -> IntPoly:
     """Product formula for the unsigned quotient polynomials."""
-    _closed_labels("A", n, index_set)
-    return _closed_A(n, half_sizes(components(index_set).all_sizes))
+    return _closed_A(*_closed_key("A", n, index_set))
 
 
 @lru_cache(maxsize=None)
@@ -516,9 +541,7 @@ def closed_B(n: int, index_set: IndexSet) -> IntPoly:
     denominator cancels the multinomial's numerator, leaving the parts'
     x^2-factorials below the line.
     """
-    _closed_labels("B", n, index_set)
-    decomp = components(index_set)
-    return _closed_B(n, decomp.zero_size, half_sizes(decomp.other_sizes))
+    return _closed_B(*_closed_key("B", n, index_set))
 
 
 @lru_cache(maxsize=None)
@@ -532,11 +555,8 @@ def _closed_B(n: int, zero: int, halves: tuple[int, ...]) -> IntPoly:
 
 def closed_D(n: int, index_set: IndexSet) -> IntPoly:
     """Product formula for the even-signed quotient polynomials."""
-    full = _closed_labels("D", n, index_set)
-    if index_set.mask == full:
-        return ONE
-    zero = components(index_set).zero_size
-    return _closed_D(n, zero, half_sizes(components(tilde(index_set)).all_sizes))
+    key = _closed_key("D", n, index_set)
+    return ONE if key is None else _closed_D(*key)
 
 
 @lru_cache(maxsize=None)
@@ -563,6 +583,9 @@ def _closed_D(n: int, zero: int, halves: tuple[int, ...]) -> IntPoly:
     return expand(exps, head)
 
 
+_CORES = {"A": _closed_A, "B": _closed_B, "D": _closed_D}
+
+
 def closed_poly(family: str, n: int, index_set: IndexSet) -> IntPoly:
     if family == "A":
         return closed_A(n, index_set)
@@ -571,6 +594,19 @@ def closed_poly(family: str, n: int, index_set: IndexSet) -> IntPoly:
     if family == "D":
         return closed_D(n, index_set)
     raise ValueError(f"unknown family {family!r}")
+
+
+def closed_factors(family: str, n: int, index_set: IndexSet) -> tuple[int, ...] | None:
+    """cyclotomic_factors of closed_poly(family, n, index_set), as a tuple:
+    decided once per signature, as the closed form is built."""
+    key = _closed_key(family, n, index_set)
+    return () if key is None else _closed_factors(family, key)
+
+
+@lru_cache(maxsize=None)
+def _closed_factors(family: str, key: tuple) -> tuple[int, ...] | None:
+    factors = cyclotomic_factors(_CORES[family](*key))
+    return None if factors is None else tuple(factors)
 
 
 def M_of(n: int, index_set: IndexSet) -> IntPoly:

@@ -11,14 +11,23 @@ The tests check each against an exact linear solve.
 Every root coordinate is -1, 0 or 1, and so is every coordinate of its
 image under a signed permutation.  A vector c of such coordinates has the
 balanced-ternary key sum_j c_j 3^j, which is one-to-one, and the key of -c
-is minus the key of c.  Root counts run over arrays: a block of elements
-sharing one sign mask sends every positive root to a key at once, and a
-root counts when minus its image's key is a positive root's key.
+is minus the key of c, so |key| <= (3^n - 1)/2.  Root counts run over
+arrays: a block of absolute-value rows under a block of sign masks sends
+every positive root to a key at once, by one float32 product (exact while
+3^n <= 2^24, so up to n = 15), and a root counts when its image's key is
+a negative root's key, read from a dense boolean table indexed by
+key + (3^n - 1)/2.
+
+No temporary array of the per-element checks (here, and the additivity
+pass in chess) holds more than BLOCK elements: spans cuts their rows and
+sign masks into blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +53,27 @@ class RootSystem:
     _keys: np.ndarray = field(repr=False)     # balanced-ternary keys of the positive roots
     _odd_idx: tuple[int, ...] = field(repr=False)
     _simple_idx: tuple[tuple[int, int], ...] = field(repr=False)  # (label, root index)
+
+    @cached_property
+    def _negative(self) -> np.ndarray:
+        """Dense boolean table over the 3^n keys, offset by (3^n - 1)/2:
+        True at the negative roots' keys."""
+        if 3 ** self.n > 1 << 24:
+            raise ValueError(f"rank {self.n} keys are past float32's exact range")
+        table = np.zeros(3 ** self.n, dtype=bool)
+        table[(3 ** self.n - 1) // 2 - self._keys] = True
+        return table
+
+    @cached_property
+    def _readout(self) -> np.ndarray:
+        """(roots, 3) float32 weights turning the roots an element sends
+        negative into its length, odd length and descent mask."""
+        weights = np.zeros((len(self._coords), 3), dtype=np.float32)
+        weights[:, 0] = 1
+        weights[list(self._odd_idx), 1] = 1
+        for label, k in self._simple_idx:
+            weights[k, 2] = 1 << label
+        return weights
 
 
 def build_root_system(family: str, n: int) -> RootSystem:
@@ -82,44 +112,74 @@ def build_root_system(family: str, n: int) -> RootSystem:
     )
 
 
-def root_counts(rs: RootSystem, perms: np.ndarray,
-                mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positive roots, and odd-height positive roots, sent to negative roots
-    by each element of a block, and its descent mask: bit i is set when the
-    element sends the simple root labelled i to a negative root.
+BLOCK = 1 << 17  # elements in any one temporary array of a per-element check
 
-    Row P of perms (a permutation of range(n)) under the sign mask is the
-    element with sigma(i) = -(P[i-1] + 1) where bit i-1 of mask is set and
-    P[i-1] + 1 elsewhere.  It sends e_i to sgn(sigma(i)) e_{P[i-1]+1}, so
-    root r goes to the vector with sgn(sigma(i)) r_i at coordinate P[i-1]:
-    its key is the signed coordinate matrix times 3^P.
+
+def spans(count: int, size: int) -> Iterator[slice]:
+    """Consecutive slices covering range(count), max(1, BLOCK // size)
+    items long: a span of items of size elements each stays within BLOCK."""
+    step = max(1, BLOCK // max(size, 1))
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+def root_counts(rs: RootSystem, perms: np.ndarray,
+                masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive roots, and odd-height positive roots, sent to negative roots
+    by each row of perms under each sign mask of masks (a 1-D array), and
+    its descent mask: bit i is set when the element sends the simple root
+    labelled i to a negative root.  All three are (rows, masks) arrays.
+
+    Row P of perms (a permutation of range(n)) under a sign mask is the
+    element with sigma(i) = -(P[i-1] + 1) where bit i-1 of the mask is set
+    and P[i-1] + 1 elsewhere.  It sends e_i to sgn(sigma(i)) e_{P[i-1]+1},
+    so root r goes to the vector with sgn(sigma(i)) r_i at coordinate
+    P[i-1]: its key is 3^P times the signed coordinate matrix, computed
+    for blocks of rows x masks x roots within BLOCK.
     """
     n = rs.n
+    masks = np.asarray(masks, dtype=np.int64)
     if perms.ndim != 2 or perms.shape[1] != n:
         raise ValueError("degree mismatch")
-    if mask >> n or (rs.family == "A" and mask) or (rs.family == "D" and bin(mask).count("1") % 2):
+    if masks.ndim != 1:
+        raise ValueError("sign masks come as a 1-D array")
+    negatives = (masks[:, None] >> np.arange(n)) & 1
+    if (masks >> n).any() or (rs.family == "A" and masks.any()) or (
+            rs.family == "D" and (negatives.sum(axis=1) % 2).any()):
         raise ValueError("element outside the family's group")
-    sign = 1 - 2 * ((mask >> np.arange(n)) & 1)
-    keys = (rs._coords * sign) @ (3 ** perms.astype(np.int64)).T  # (roots, rows)
-    hits = np.isin(-keys, rs._keys)
-    descents = np.zeros(hits.shape[1], dtype=np.int64)
-    for label, k in rs._simple_idx:
-        descents |= hits[k].astype(np.int64) << label
-    return hits.sum(axis=0), hits[list(rs._odd_idx)].sum(axis=0), descents
+    nroots = len(rs._coords)
+    signs = (1 - 2 * negatives).astype(np.float32)
+    powers = 3 ** np.arange(n, dtype=np.float32)
+    offset = np.float32((3 ** n - 1) // 2)
+    out = [np.empty((len(perms), len(masks)), dtype=np.int64) for _ in range(3)]
+    for rows in spans(len(perms), nroots):
+        block = powers[perms[rows]]
+        # a mask column holds a key per (row, root) and a coordinate per (i, root)
+        for cols in spans(len(masks), nroots * max(len(block), n)):
+            # coordinate i of root r under mask m, at column (m, r)
+            signed = signs[cols].T[:, :, None] * rs._coords.T[:, None, :]
+            nelems = len(block) * signed.shape[1]
+            keys = block @ signed.reshape(n, -1)
+            keys += offset
+            hits = rs._negative[keys.astype(np.intp)].reshape(nelems, nroots)
+            counts = (hits.astype(np.float32) @ rs._readout).reshape(len(block), -1, 3)
+            for k in range(3):
+                out[k][rows, cols] = counts[:, :, k]
+    return tuple(out)
 
 
 def _one_row(rs: RootSystem, sigma: SignedPerm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return root_counts(rs, np.array([[abs(v) - 1 for v in sigma.images]]), sigma.sign_mask)
+    row = np.array([[abs(v) - 1 for v in sigma.images]])
+    return root_counts(rs, row, np.array([sigma.sign_mask]))
 
 
 def length_via_roots(rs: RootSystem, sigma: SignedPerm) -> int:
     """Count of positive roots sent to negative roots."""
-    return int(_one_row(rs, sigma)[0][0])
+    return int(_one_row(rs, sigma)[0][0, 0])
 
 
 def odd_length_via_roots(rs: RootSystem, sigma: SignedPerm) -> int:
     """Count of odd-height positive roots sent to negative roots."""
-    return int(_one_row(rs, sigma)[1][0])
+    return int(_one_row(rs, sigma)[1][0, 0])
 
 
 def odd_root_count(family: str, n: int) -> int:

@@ -1,5 +1,6 @@
 """Every named identity check passes at the fast tier."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from oddlen import checks, chess, genfun
 from oddlen.checks import CHECKS, CheckContext, run_checks
 from oddlen.genfun import BUDGET, BudgetError
+from oddlen.rootsys import build_root_system
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
@@ -132,6 +134,41 @@ def test_root_oracle_catches_a_missing_positive_root(monkeypatch):
     }
 
 
+def _broken_root_systems(monkeypatch, fault):
+    """Route every root system through fault(rs), then run root-oracle."""
+    build = checks.build_root_system
+    monkeypatch.setattr(checks, "build_root_system", lambda family, n: fault(build(family, n)))
+    return _failing("root-oracle")
+
+
+def test_root_oracle_catches_a_wrong_table_entry(monkeypatch):
+    def fault(rs):
+        if len(rs._keys):
+            table = rs._negative.copy()
+            table[(3 ** rs.n - 1) // 2 + rs._keys[0]] = True  # one positive root read as negative
+            rs.__dict__["_negative"] = table
+        return rs
+
+    rows, bad = _broken_root_systems(monkeypatch, fault)
+    # Every group with a root fails (the identity keeps each root): all but A1 and D1.
+    assert {(r.family, r.n) for r in bad} == {
+        (r.family, r.n) for r in rows if r.n >= 2 or r.family == "B"
+    }
+
+
+def test_root_oracle_catches_a_shifted_simple_root_index(monkeypatch):
+    def fault(rs):
+        label, k = rs._simple_idx[-1]
+        shifted = (label, (k + 1) % len(rs._keys))  # the last simple root's next root
+        return replace(rs, _simple_idx=rs._simple_idx[:-1] + (shifted,))
+
+    rows, bad = _broken_root_systems(monkeypatch, lambda rs: fault(rs) if rs._simple_idx else rs)
+    # A2 has one positive root, so the shift lands back on it; B1 has one too.
+    assert {(r.family, r.n) for r in bad} == {
+        (r.family, r.n) for r in rows if len(build_root_system(r.family, r.n)._keys) > 1
+    }
+
+
 def test_additivity_catches_an_unsorted_factor(monkeypatch):
     factors = chess.parabolic_factors
     monkeypatch.setattr(chess, "parabolic_factors", lambda elems, J: (elems, factors(elems, J)[1]))
@@ -192,3 +229,19 @@ def test_support_rows_miss_a_permissive_filter(monkeypatch):
             patch.setattr(chess, name, keep_all[name])
             bad = [(r.n, r.set_text) for r in CHECKS["set-factorization"](ctx) if not r.ok]
         assert bad == want, name
+
+
+@pytest.mark.parametrize("name", ["root-oracle", "additivity-chessboard"])
+def test_full_tier_array_passes_stay_small(name):
+    """Each block of these checks is bounded by rootsys.BLOCK elements, so
+    the whole full-tier pass allocates under 4 MB above its start."""
+    ctx = CheckContext.for_tier("full")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rows = list(CHECKS[name](ctx))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rows and all(r.ok for r in rows)
+    assert peak < 4 << 20, f"{name} peaked at {peak / 2**20:.2f} MB"

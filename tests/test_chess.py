@@ -5,6 +5,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+from oddlen import rootsys
 from oddlen.chess import (
     Sandwich,
     additive_rows,
@@ -158,7 +159,37 @@ class TestSortingFactorization:
         # D4 holds the off-chessboard counterexample -1 -3 2 4.
         plan = sweep_plan("D", n)
         for row, mask, sigma in _element_rows(n):
-            assert bool(additive_rows(plan, row, mask)[0]) == _scalar_additivity(sigma), sigma
+            got = bool(additive_rows(plan, row, np.array([mask]))[0, 0])
+            assert got == _scalar_additivity(sigma), sigma
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_all_masks_at_once_match_one_mask_reads(self, n):
+        """additive_rows over every sign mask against check_L_additivity
+        element by element, on every chessboard element of D_n."""
+        plan, rows = sweep_plan("D", n), chessboard_rows(n)
+        got = additive_rows(plan, rows, plan.masks)
+        assert got.shape == (len(rows), len(plan.masks))
+        for i, row in enumerate(rows.tolist()):
+            for j, mask in enumerate(plan.masks.tolist()):
+                sigma = SignedPerm(tuple(-(v + 1) if mask >> k & 1 else v + 1
+                                         for k, v in enumerate(row)))
+                assert got[i, j] == check_L_additivity(sigma), sigma
+
+    def test_block_size_does_not_change_the_reading(self, monkeypatch):
+        plan, rows = sweep_plan("D", 6), chessboard_rows(6)
+        want = additive_rows(plan, rows, plan.masks)
+        monkeypatch.setattr(rootsys, "BLOCK", 200)  # five rows under one sign mask at a time
+        assert np.array_equal(additive_rows(plan, rows, plan.masks), want)
+
+    def test_off_chessboard_counterexample_still_fails(self):
+        plan = sweep_plan("D", 4)
+        row = np.array([[0, 2, 1, 3]])  # -1 -3 2 4
+        assert not additive_rows(plan, row, np.array([0b0011]))[0, 0]
+        assert not check_L_additivity(SignedPerm.from_text("-1 -3 2 4"))
+
+    def test_masks_outside_the_group_are_rejected(self):
+        with pytest.raises(ValueError, match="outside the group"):
+            additive_rows(sweep_plan("D", 4), perm_table(4), np.array([0, 0b0001]))
 
 
 class TestParabolicFactors:

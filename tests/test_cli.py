@@ -92,6 +92,15 @@ class TestGenfun:
         assert err.strip() == f"error: bad index set item {item!r}"
 
 
+@pytest.mark.parametrize("rank", ["0", "-3"])
+@pytest.mark.parametrize("argv", [["genfun", "-f", "D", "-I", "1"], ["table", "-f", "D"]])
+def test_nonpositive_rank_is_named(capsys, argv, rank):
+    # Parsed as a rank, not read as an index set's bound ("outside [0, -1]").
+    code, _, err = run([*argv, "-n", rank], capsys)
+    assert code == 2
+    assert err.strip().endswith(f"argument -n: expected a positive integer, got {rank!r}")
+
+
 class TestCyclo:
     def test_factoring_coeffs(self, capsys):
         code, out, _ = run(["cyclo", "--coeffs", "1,0,2,0,1"], capsys)

@@ -27,6 +27,7 @@ from oddlen.genfun import (
     closed_A,
     closed_B,
     closed_D,
+    closed_factors,
     closed_poly,
     conjecture_rhs,
     conjecture_set,
@@ -46,7 +47,7 @@ from oddlen.sperm import (
     in_quotient,
     label_mask,
 )
-from oddlen.zpoly import ONE, ZERO, IntPoly, alt_product
+from oddlen.zpoly import ONE, ZERO, IntPoly, alt_product, cyclotomic_factors
 from test_zpoly import reference_alt_product, reference_q_multinomial
 
 
@@ -407,6 +408,62 @@ class TestClosedFormMemo:
         assert closed_D(1, IndexSet.of(1, [])) is ONE
         after = genfun._closed_D.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _verdict_mismatches(family, top=10):
+    """(n, I) where the memoised verdict differs from deciding the closed
+    form set by set, over every index set of family at n = 1..top."""
+    return [(n, I) for n in range(1, top + 1) for I in subsets(family, n)
+            if closed_factors(family, n, I) != _tuple_or_none(cyclotomic_factors(
+                closed_poly(family, n, I)))]
+
+
+def _tuple_or_none(factors):
+    return None if factors is None else tuple(factors)
+
+
+class TestSignatureVerdict:
+    """closed_factors decides each signature's closed form once."""
+
+    @pytest.mark.parametrize("family", ["A", "B", "D"])
+    def test_matches_the_per_set_verdict_up_to_rank_10(self, family):
+        assert _verdict_mismatches(family) == []
+
+    def test_a_memo_keyed_without_the_zero_run_is_caught(self, monkeypatch):
+        # The planted fault: D verdicts shared across zero-run sizes.
+        decide, shared = genfun._closed_factors.__wrapped__, {}
+
+        def without_zero(family, key):
+            return shared.setdefault((family, key[0], key[2]), decide(family, key))
+
+        monkeypatch.setattr(genfun, "_closed_factors", without_zero)
+        assert _verdict_mismatches("D")
+
+    @pytest.mark.parametrize("family, n, cached, bad, match", [
+        ("A", 8, [2], IndexSet.of(8, [0]), "labels outside"),
+        ("A", 8, [2], IndexSet.of(9, [2]), "rank mismatch"),
+        ("B", 8, [2], IndexSet.of(9, [2]), "rank mismatch"),
+        ("D", 8, [2], IndexSet.of(9, [2]), "rank mismatch"),
+        ("D", 8, [0, 1, 3], IndexSet.of(9, [0, 1, 5]), "rank mismatch"),
+    ])
+    def test_a_cached_key_never_skips_validation(self, family, n, cached, bad, match):
+        closed_factors(family, n, IndexSet.of(n, cached))
+        before = genfun._closed_factors.cache_info()
+        closed_factors(family, n, IndexSet.of(n, cached))
+        assert genfun._closed_factors.cache_info().hits == before.hits + 1
+        with pytest.raises(ValueError, match=match):
+            closed_factors(family, n, bad)
+
+    def test_unknown_family_raises(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            closed_factors("C", 3, IndexSet.of(3, [1]))
+
+    def test_the_d_full_set_builds_no_key(self):
+        caches = (genfun._closed_factors, genfun._closed_D)
+        before = [(c.cache_info().hits, c.cache_info().misses) for c in caches]
+        assert closed_factors("D", 8, IndexSet.full(8)) == ()
+        assert closed_factors("D", 1, IndexSet.of(1, [])) == ()
+        assert [(c.cache_info().hits, c.cache_info().misses) for c in caches] == before
 
 
 def reference_closed(family, n, I):

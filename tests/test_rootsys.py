@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oddlen.genfun import perm_table
+from oddlen import rootsys
+from oddlen.genfun import perm_table, sweep_plan
 from oddlen.rootsys import (
     build_root_system,
     length_via_roots,
@@ -110,38 +111,53 @@ class TestLengthAgreement:
 
 
 class TestArrayCounts:
-    @pytest.mark.parametrize("family, n", [("A", 7), ("B", 5), ("D", 6)])
+    @pytest.mark.parametrize("family, n", [("A", 6), ("A", 7), ("B", 5), ("D", 5), ("D", 6)])
     def test_scalar_statistics_match_root_counts(self, family, n):
         """The scalar pair statistics and descent sets against the array
-        root counts on every element, at the ranks the root-oracle check
-        covers."""
+        root counts over blocks of sign masks, on every element, at and
+        below the ranks the root-oracle check covers."""
         rs = build_root_system(family, n)
         perms = perm_table(n)
+        masks = sweep_plan(family, n).masks
         index = {row: k for k, row in enumerate(map(tuple, perms.tolist()))}
-        counts = {}
+        counts = np.stack(root_counts(rs, perms, masks), axis=2)
+        assert counts.shape == (len(perms), len(masks), 3)
+        column = {mask: k for k, mask in enumerate(masks.tolist())}
         for sigma in elements(family, n):
-            mask = sigma.sign_mask
-            if mask not in counts:
-                counts[mask] = np.stack(root_counts(rs, perms, mask), axis=1)
             k = index[tuple(abs(v) - 1 for v in sigma.images)]
             want = (*ell_and_odd(sigma, family), descent_set(sigma, family).mask)
-            assert tuple(counts[mask][k]) == want, sigma
+            assert tuple(counts[k, column[sigma.sign_mask]]) == want, sigma
+
+    @pytest.mark.parametrize("family, n", [("A", 5), ("B", 4), ("D", 5)])
+    def test_block_size_does_not_change_the_counts(self, family, n, monkeypatch):
+        rs = build_root_system(family, n)
+        perms, masks = perm_table(n), sweep_plan(family, n).masks
+        want = root_counts(rs, perms, masks)
+        # 64 elements per block: three to six rows under one sign mask at a time.
+        monkeypatch.setattr(rootsys, "BLOCK", 64)
+        assert len(list(rootsys.spans(len(perms), len(rs._coords)))) > 1
+        for got, expected in zip(root_counts(rs, perms, masks), want):
+            assert np.array_equal(got, expected)
 
     def test_rejects_masks_outside_the_family(self):
         perms = perm_table(3)
+        for family, n, masks in (("A", 3, [1]), ("D", 3, [0, 0b100]),
+                                 ("B", 3, [0b1000]), ("B", 4, [0])):
+            with pytest.raises(ValueError):
+                root_counts(build_root_system(family, n), perms, np.array(masks))
         with pytest.raises(ValueError):
-            root_counts(build_root_system("A", 3), perms, 1)
-        with pytest.raises(ValueError):
-            root_counts(build_root_system("D", 3), perms, 0b100)
-        with pytest.raises(ValueError):
-            root_counts(build_root_system("B", 3), perms, 0b1000)
-        with pytest.raises(ValueError):
-            root_counts(build_root_system("B", 4), perms, 0)
+            root_counts(build_root_system("B", 3), perms, np.array([[0, 1]]))
 
     def test_block_rows_match_one_row_reads(self):
         rs = build_root_system("D", 4)
         perms = perm_table(4)
-        lengths, odds, _ = root_counts(rs, perms, 0b0110)
-        for row, l, o in zip(perms.tolist(), lengths, odds):
+        lengths, odds, _ = root_counts(rs, perms, np.array([0b0110]))
+        for row, l, o in zip(perms.tolist(), lengths[:, 0], odds[:, 0]):
             sigma = SignedPerm(tuple(-(v + 1) if i in (1, 2) else v + 1 for i, v in enumerate(row)))
             assert (length_via_roots(rs, sigma), odd_length_via_roots(rs, sigma)) == (l, o)
+
+    def test_dense_table_marks_exactly_the_negative_roots(self):
+        for family, n in (("A", 4), ("B", 3), ("D", 4)):
+            rs = build_root_system(family, n)
+            offset = (3 ** n - 1) // 2
+            assert sorted(np.flatnonzero(rs._negative) - offset) == sorted(-rs._keys)
