@@ -100,7 +100,6 @@ blocks.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, permutations
@@ -185,10 +184,11 @@ def perm_table(s: int) -> np.ndarray:
     return table
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepPlan:
     """The key's linear form, G @ weights + const = descent mask * 2 width +
-    odd length, and the sign masks' parities, for one family and rank."""
+    odd length, and the sign masks' parities, for one family and rank.
+    Built once per group and shared, so its arrays are read-only."""
 
     n: int
     masks: np.ndarray
@@ -259,6 +259,7 @@ def sweep_plan(family: str, n: int) -> SweepPlan:
     return _build_plan(family, n)
 
 
+@lru_cache(maxsize=None)
 def _build_plan(family: str, n: int) -> SweepPlan:
     masks = _sign_masks(family, n)
     nmasks = masks.shape[0]
@@ -302,14 +303,10 @@ def _build_plan(family: str, n: int) -> SweepPlan:
     if worst.max() >= 1 << 24:
         raise AssertionError(f"{family}_{n} keys reach {worst.max():.0f}, past float32's 2**24")
 
-    return SweepPlan(
-        n=n,
-        masks=masks,
-        width=width,
-        weights=weights,
-        const=const,
-        parity=neg.sum(axis=1).astype(np.uint8) & 1,
-    )
+    parity = neg.sum(axis=1).astype(np.uint8) & 1
+    for array in (masks, weights, const, parity):
+        array.flags.writeable = False
+    return SweepPlan(n=n, masks=masks, width=width, weights=weights, const=const, parity=parity)
 
 
 def _columns(rows: list[tuple[int, int, int]]) -> np.ndarray:
@@ -444,6 +441,10 @@ def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable
     if nworkers <= 1 or factorial(n) < 50000:
         half = _sweep_range(plan, 0, nswept)
     else:
+        # Imported here: multiprocessing adds about 1.4 MB to every process
+        # that imports genfun, and a one-process sweep never needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [nswept * k // nworkers for k in range(nworkers + 1)]
         jobs = [(plan, bounds[k], bounds[k + 1]) for k in range(nworkers)]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:

@@ -15,8 +15,10 @@ because the product is a polynomial of degree D.
 Since Phi_k = +-prod_{d|k} (1 - x^d)^mu(k/d), a product of cyclotomic
 polynomials is also +-prod (1 - x^d)^a_d.  `cyclotomic_factors` reads the
 a_d off the low coefficients of its argument, one d at a time, and decides
-from them; its docstring gives the argument.  Trial division by Phi_k is
-left to the tests, as the oracle the peel is checked against.
+from them: modulo x^(D+1) first, and modulo x^(K(D)+1), past every
+possible factor Phi_k, only when that leaves the answer open.  Its docstring
+gives the argument.  Trial division by Phi_k is left to the tests, as the
+oracle the peel is checked against.
 """
 
 from __future__ import annotations
@@ -398,16 +400,18 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
 
     With D = deg p, a factor Phi_k of p has phi(k) <= D, so
     k <= K(D) = max{k : phi(k) <= D}, read from a cached totient table.
-    Work modulo x^L with L = K(D) + 1 > D.  Divide p by p(0) to get r, then
-    peel d = 1, 2, ...: t = r[d] is the lowest nonconstant coefficient left,
-    so r = (1 - x^d)^a_d * (1 + O(x^(d+1))) with a_d = -t, and multiplying r
+    Work modulo x^L, first with L = D + 1, then if need be with
+    L = K(D) + 1.  Divide p by p(0) to get r, then peel d = 1, 2, ...:
+    t = r[d] is the lowest nonconstant coefficient left, so
+    r = (1 - x^d)^a_d * (1 + O(x^(d+1))) with a_d = -t, and multiplying r
     by (1 - x^d)^t removes it.  Once r = 1 mod x^L, set e_k = sum_{k|d} a_d,
     so that prod (1 - x^d)^a_d = +-prod Phi_k^e_k.
 
     Complete: if p = +-prod Phi_k^e_k, Moebius inversion of
     Phi_k = +-prod_{d|k} (1 - x^d)^mu(k/d) gives a_d = sum_{d|k} mu(k/d) e_k,
-    nonzero only for d <= K(D), and the peel, whose result mod x^L is
-    unique, finds exactly these.  As d | k implies phi(d) <= phi(k),
+    nonzero only for d <= K(D); as (1 - x^d)^a_d = 1 mod x^L for d >= L,
+    the peel, whose result mod x^L is unique, finds exactly the a_d with
+    d < L, at either length.  As d | k implies phi(d) <= phi(k),
     |a_d| phi(d) <= sum_{d|k} e_k phi(k) <= D (so |a_d| <= sum e_k <= D);
     and sum |a_d| <= sum e_k 2^omega(k) <= 2 sum e_k phi(k) = 2D, since
     phi(k) >= prod_{q|k} (q - 1) >= 2^(omega(k) - 1).  A peel past either
@@ -416,6 +420,14 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
     Sound: the answer is yes only when every e_k >= 0 and
     sum e_k phi(k) = D.  Then p / p(0) and prod Phi_k^e_k (up to sign)
     agree modulo x^L and both have degree D < L, so they are equal.
+
+    So the short peel, L = D + 1, settles every yes it finds (sound at any
+    L > D) and every broken bound (it reads true a_d of a product, which
+    obey both).  Only a failed final check, which a product with some
+    factor Phi_k, k > D, can also meet (Phi_14 Phi_1 has degree 7), widens
+    the peel to L = K(D) + 1, where the check decides; and only for a
+    self-reciprocal p, x^D p(1/x) = +-p, as every product is (Phi_1 = x - 1
+    changes sign, and every other Phi_k is a palindrome).
 
     >>> cyclotomic_factors(IntPoly([1, 0, 0, 2, 0, 0, 1]))
     [2, 2, 6, 6]
@@ -427,13 +439,17 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
         return None
     D = p.degree
     phi, K = _totients(D)
-    exps = _peel([v * c[0] for v in c] + [0] * (K[D] - D), D, phi)
-    if exps is None:
-        return None
-    e = _cyclotomic_exponents(exps)
-    if min(e.values(), default=0) < 0 or sum(v * phi[k] for k, v in e.items()) != D:
-        return None
-    return [k for k in sorted(e) for _ in range(e[k])]
+    r = [v * c[0] for v in c]
+    for L in (D + 1, K[D] + 1):
+        exps = _peel(r + [0] * (L - D - 1), D, phi)
+        if exps is None:
+            return None
+        e = _cyclotomic_exponents(exps)
+        if min(e.values(), default=0) >= 0 and sum(v * phi[k] for k, v in e.items()) == D:
+            return [k for k in sorted(e) for _ in range(e[k])]
+        if r[::-1] != r and r[::-1] != [-v for v in r]:
+            return None
+    return None
 
 
 def is_cyclotomic_product(p: IntPoly) -> bool:

@@ -1,6 +1,7 @@
 """Every named identity check passes at the fast tier."""
 
 import tracemalloc
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -76,11 +77,12 @@ def _failing(name):
 
 
 def _broken_plans(monkeypatch, fault):
-    """Route every sweep plan through fault(plan), then run root-oracle."""
+    """Route every sweep plan through fault(plan), applied to a writable copy
+    (the cached plans are read-only), then run root-oracle."""
     build = genfun._build_plan
 
     def broken(family, n):
-        plan = build(family, n)
+        plan = deepcopy(build(family, n))
         fault(plan)
         return plan
 

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import random
+from dataclasses import FrozenInstanceError
 from itertools import permutations
 from math import factorial
 
@@ -318,6 +319,22 @@ class TestPlanReads:
     def test_sweep_plan_respects_the_budget(self):
         with pytest.raises(BudgetError):
             sweep_plan("D", BUDGET["D"] + 1)
+
+    def test_plans_are_built_once_and_read_only(self):
+        plan = sweep_plan("D", 4)
+        assert sweep_plan("D", 4) is plan
+        for array in (plan.masks, plan.weights, plan.const, plan.parity):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(FrozenInstanceError):
+            plan.width = 1
+
+    def test_the_budget_holds_after_a_cached_build(self):
+        _build_plan("D", BUDGET["D"] + 1)
+        with pytest.raises(BudgetError):
+            sweep_plan("D", BUDGET["D"] + 1)
+        with pytest.raises(BudgetError):
+            brute_table("D", BUDGET["D"] + 1)
 
 
 class TestClosedForms:

@@ -8,6 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oddlen import zpoly
+from oddlen.genfun import closed_poly
+from oddlen.indexset import IndexSet
+from oddlen.sperm import label_mask
 from oddlen.zpoly import (
     ONE,
     X,
@@ -411,6 +414,78 @@ class TestPeelAgainstTrialDivision:
         monkeypatch.setattr(zpoly, "_totients", truncated)
         assert cyclotomic_factors(p) is None
         assert cyclotomic_factors(p) != trial_division_factors(p)
+
+
+def closed_forms(top):
+    """The distinct closed quotient sums of A, B and D at ranks 1..top."""
+    forms = {}
+    for family in "ABD":
+        for n in range(1, top + 1):
+            full = label_mask(family, n)
+            for mask in range(1 << n):
+                if mask & ~full == 0:
+                    p = closed_poly(family, n, IndexSet(n, mask))
+                    forms[p.coeffs] = p
+    return list(forms.values())
+
+
+class TestShortPeel:
+    """cyclotomic_factors peels modulo x^(D+1) first and widens to
+    x^(K(D)+1) only when the short peel's final check fails."""
+
+    @pytest.fixture
+    def peel_lengths(self, monkeypatch):
+        lengths = []
+        real = zpoly._peel
+
+        def spy(r, D, phi):
+            lengths.append(len(r))
+            return real(r, D, phi)
+
+        monkeypatch.setattr(zpoly, "_peel", spy)
+        return lengths
+
+    def test_closed_forms_up_to_rank_12_widen_only_past_the_degree(self, peel_lengths):
+        """A yes takes one short peel unless some factor Phi_k has k > D,
+        as Phi_4 = 1 + x^2 has; then the short check fails and one wide
+        peel decides."""
+        widened = []
+        for p in closed_forms(12):
+            peel_lengths.clear()
+            ks = cyclotomic_factors(p)
+            if ks is None:
+                continue
+            D = p.degree
+            if max(ks, default=0) <= D:
+                assert peel_lengths == [D + 1], p
+            else:
+                assert peel_lengths == [D + 1, zpoly._totients(D)[1][D] + 1], p
+                widened.append(p.coeffs)
+        # 1 + x^2 + ... + x^2j and 1 + x^2j, as Phi_4 and Phi_8 are.
+        sums = {(1, 0) * j + (1,) for j in range(1, 6)}
+        binomials = {(1,) + (0,) * (2 * j - 1) + (1,) for j in range(2, 6)}
+        assert sorted(widened) == sorted(sums | binomials)
+
+    def test_trinomials_are_decided_without_widening(self, peel_lengths):
+        """x^n + 2x^m + 1 with n != 2m is no palindrome, so a failed short
+        check rejects it at once."""
+        for n in range(2, 25):
+            for m in range(1, n):
+                peel_lengths.clear()
+                assert (cyclotomic_factors(trinomial(n, m)) is None) is (n != 2 * m)
+                assert peel_lengths == [n + 1], (n, m)
+
+    @pytest.mark.parametrize("ks", [[14, 1], [30], [15, 30, 2]])
+    def test_a_peel_that_never_widens_loses_factors_above_the_degree(
+        self, monkeypatch, peel_lengths, ks
+    ):
+        p = cyclotomic_product(ks)
+        D = p.degree
+        assert cyclotomic_factors(p) == sorted(ks)
+        assert peel_lengths == [D + 1, zpoly._totients(D)[1][D] + 1]
+        spy = zpoly._peel
+        monkeypatch.setattr(zpoly, "_peel", lambda r, D, phi: spy(r[: D + 1], D, phi))
+        assert cyclotomic_factors(p) is None
 
 
 def test_totient_ceiling_matches_brute_force(monkeypatch):
