@@ -533,14 +533,21 @@ def check_factorizations(ctx: CheckContext) -> Iterator[CheckRow]:
 
 
 def check_quotient_factor_divides(ctx: CheckContext) -> Iterator[CheckRow]:
-    """The squared alternating tail divides every closed quotient sum."""
+    """The squared alternating tail divides every closed quotient sum.  The
+    verdict reads n, m(I) and the closed form, which is one cached object
+    per signature but does not fix m(I) (D5's {0, 2} and {0} share one,
+    with m 2 and 1), so it is decided once per triple."""
+    verdicts: dict[tuple[int, int, IntPoly], bool] = {}
     for n, _, I in _sets(ctx, "D", 3, 7, closed_form=True):
-        f = alt_product(2 * m_of(I) + 2, n, square=True)
-        try:
-            closed_D(n, I).exact_div(f)
-            ok = True
-        except ValueError:
-            ok = False
+        m, closed = m_of(I), closed_D(n, I)
+        key = (n, m, closed)
+        if key not in verdicts:
+            try:
+                closed.exact_div(alt_product(2 * m + 2, n, square=True))
+                verdicts[key] = True
+            except ValueError:
+                verdicts[key] = False
+        ok = verdicts[key]
         yield _row("quotient-factor-divides", "D", n, I, ok,
                    "" if ok else "tail does not divide")
 

@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 from contextlib import nullcontext
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 
 from .zpoly import IntPoly, cyclotomic_factors
 from .indexset import IndexSet
@@ -108,14 +109,24 @@ def _verify_context(args) -> tuple[CheckContext, list[str] | None]:
     return ctx, only
 
 
+def _json_rows(rows) -> str:
+    """The rows as json.dumps(records, indent=2) + "\n" writes them, byte for
+    byte, with the C string encoder: an indent sends json.dumps to its pure
+    Python encoder."""
+    if not rows:
+        return "[]\n"
+    q = encode_basestring_ascii
+    records = (
+        f'  {{\n    "check": {q(r.check)},\n    "family": {q(r.family)},\n    "n": {r.n},\n'
+        f'    "set": {q(r.set_text)},\n    "status": {q(r.status)},\n    "detail": {q(r.detail)}\n  }}'
+        for r in rows
+    )
+    return "[\n" + ",\n".join(records) + "\n]\n"
+
+
 def _write_verify(rows, fmt: str, out) -> None:
     if fmt == "json":
-        records = [
-            {"check": r.check, "family": r.family, "n": r.n, "set": r.set_text,
-             "status": r.status, "detail": r.detail}
-            for r in rows
-        ]
-        out.write(json.dumps(records, indent=2) + "\n")
+        out.write(_json_rows(rows))
     elif fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["family", "n", "set", "check", "status"])

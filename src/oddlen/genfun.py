@@ -81,20 +81,36 @@ to split into prefix and suffix, and brute_table reads them whole
 through SweepPlan.table.
 
 Rows come in prefix x suffix blocks.  The last s positions run over the
-s! permutations of range(s), built once as an int8 table `base` in
-lexicographic order.  Each (n-s)-prefix, taken in lexicographic order,
-owns the block rest[base], where rest is its sorted complement, so the
-blocks concatenate in itertools' order.  Relabelling by rest is
+s! permutations of range(s), built once per call as an int8 table `base`
+in lexicographic order.  s is the largest length whose s! rows (at most
+40320) times the swept masks fit FLOATS = 2**21 floats, capped to keep
+the prefix positions above; a block's arrays are (masks, rows), so that
+products run along rows.  Each (n-s)-prefix, taken in lexicographic
+order, owns the block rest[base], where rest is its sorted complement,
+so the blocks concatenate in itertools' order.  Relabelling by rest is
 monotone, so the suffix pairs' share of every key is computed once per
-sweep, in one copy per parity of the inversions a prefix adds:
-inv(prefix) plus the ranks of its values within rest.  A block adds the
-pairs that involve a prefix position (prefix against suffix is
-base < rank, prefix against prefix a constant), then one cast and one
-bincount.  s is the largest length with s! <= min(40320, 2**21 // masks)
-rows over the swept masks, which bounds a block's arrays, (masks, rows)
-so that products run along rows, capped to keep the prefix positions
-above; worker processes take contiguous ranges of the swept prefix
-blocks.
+call, in one copy per parity of the inversions a prefix adds:
+inv(prefix) plus the ranks of its values within rest.
+
+A prefix position whose value has r smaller values in rest adds the term
+cross @ [base < r], which depends on the position and r alone.  So
+positions 1, 2, ... keep a table of their s + 1 terms, built once per
+call while the tables together fit FLOATS floats: within BUDGET every A
+rank with two prefix positions has one, and B and D, with one position,
+have none.  Position 0, the positions past the tables and the prefix
+pairs (a constant per block) make one product, rebuilt only when its
+ranks or the prefix's order change; with at most two positions, position
+0's rank never decreases along the prefixes, so A10 builds it 9 times,
+once per (rank, order), for its 45 blocks.  A block's last add writes
+its keys, cast to intp, into a buffer of up to KEYS = 2**19 keys, which
+one bincount bins when full.
+
+Every work array of a call is a view of one allocation, and nothing
+outlives the call, so a call allocates the same few blocks every time
+and the allocator keeps reusing their pages.  The summation order is not
+SweepPlan.keys', but every partial sum, in any order, is bounded by the
+sum that _build_plan asserts below 2**24, so every key is exact.  Worker
+processes take contiguous ranges of the swept prefix blocks.
 """
 
 from __future__ import annotations
@@ -103,7 +119,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, permutations
-from math import factorial
+from math import factorial, prod
 from typing import Iterable
 
 import numpy as np
@@ -122,6 +138,10 @@ from .zpoly import (
 )
 
 BUDGET = {"A": 10, "B": 8, "D": 8}
+# Bounds on a sweep call's work arrays (see above): the floats of one block,
+# and of the term tables together; the keys binned per bincount.
+FLOATS = 1 << 21
+KEYS = 1 << 19
 
 
 class BudgetError(Exception):
@@ -161,8 +181,8 @@ def _sign_masks(family: str, n: int) -> np.ndarray:
 
 def _suffix_length(n: int, nmasks: int) -> int:
     """Largest s <= n whose s! rows fit a block of
-    min(40320, 2**21 // nmasks) rows."""
-    rows = max(1, min(40320, (1 << 21) // nmasks))
+    min(40320, FLOATS // nmasks) rows."""
+    rows = max(1, min(40320, FLOATS // nmasks))
     s = 1
     while s < n and factorial(s + 1) <= rows:
         s += 1
@@ -328,44 +348,104 @@ def _half(plan: SweepPlan) -> tuple[int, int, int]:
     return ncols, s, nblocks // 2 if nmasks == 1 else nblocks
 
 
+def _term_tables(ncols: int, s: int, p: int) -> int:
+    """How many prefix positions after the first keep a table of their s + 1
+    terms: as many as fit FLOATS floats together."""
+    return min(p - 1, FLOATS // ((s + 1) * ncols * factorial(s)))
+
+
 def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     """Flat (descent mask, length parity, odd length) histogram over the
     swept prefix blocks [start, stop), crossed with the swept sign masks."""
-    n = plan.n
+    n, width = plan.n, plan.width
     ncols, s, _ = _half(plan)
-    p = n - s
+    p, rows = n - s, factorial(s)
     weights, flips = plan.weights[:, :ncols], plan.parity[:ncols]
-    base = perm_table(s)
-    counts = np.zeros((1 << n) * 2 * plan.width, dtype=np.int64)
+    ntab = _term_tables(ncols, s, p)
+    tabled, stacked = range(1, ntab + 1), [0, *range(ntab + 1, p)]
+    nkeys = max(1, KEYS // (ncols * rows))  # blocks binned per bincount
 
     pairs = _pairs(n)
     inner, left, right = _columns([(k, i - p, j - p) for k, (i, j) in enumerate(pairs) if i >= p])
-    fixed, head_l, head_r = _columns([(k, i, j) for k, (i, j) in enumerate(pairs) if j < p])
+    head_pairs = [(i, j) for i, j in pairs if j < p]
+    fixed = weights[[pairs.index(pair) for pair in head_pairs]]
     # pairs (i, p..n-1) are consecutive: prefix position i against the suffix
     cross = [weights[k : k + s].T for k in (pairs.index((i, p)) for i in range(p))]
 
-    greater = base[:, left] > base[:, right]
-    suffix = weights[inner].T @ greater.T.astype(np.float32) + plan.const[:ncols, None]
-    parity = np.float32(plan.width) * np.ascontiguousarray(_parity(greater, flips).T)
-    # shared[q]: the suffix's share of the keys when the prefix adds q inversions mod 2
-    shared = [suffix + parity, suffix + (plan.width - parity)]
-    # steps[r] = [base < r]: how a prefix value with r smaller values in
-    # rest compares with each suffix position, as G entries.
-    steps = (base.T < np.arange(s + 1)[:, None, None]).astype(np.float32)
+    # Every work array is a view of one allocation.  The keys' bytes hold
+    # the suffix comparisons G until the setup has read them.
+    nstep = len(stacked) * s + 1
+    # shared, term, tables, step, mixed, and block (a sum of tabled terms)
+    shapes = [(2, ncols, rows), (ncols, rows), (ntab, s + 1, ncols, rows), (nstep, rows),
+              (ncols, nstep), (ncols if ntab else 0, rows)]
+    nfloats = sum(prod(shape) for shape in shapes)
+    key_bytes = nkeys * ncols * rows * np.dtype(np.intp).itemsize
+    front = max(key_bytes, 4 * len(inner) * rows)
+    memory = np.empty(front + 4 * nfloats + s * rows, dtype=np.uint8)
+    keys = memory[:key_bytes].view(np.intp).reshape(nkeys, ncols, rows)
+    greater = memory[: 4 * len(inner) * rows].view(np.float32).reshape(-1, rows)
+    shared, term, tables, step, mixed, block = _split(
+        memory[front : front + 4 * nfloats].view(np.float32), shapes)
+    base = memory[front + 4 * nfloats :].reshape(s, rows)
 
-    buffer = np.empty_like(suffix)
+    base[...] = perm_table(s).T
+    for k, (i, j) in enumerate(zip(left, right)):
+        np.greater(base[i], base[j], out=greater[k])
+    suffix = np.matmul(weights[inner].T, greater, out=term)
+    suffix += plan.const[:ncols, None]
+    # shared[q]: the suffix's share of the keys when the prefix adds q
+    # inversions mod 2, the parity term being width * (inv(row) xor flips).
+    inversions = np.remainder(greater.sum(axis=0, out=step[0]), 2, out=step[0])
+    np.not_equal(flips[:, None], inversions, out=shared[0])
+    shared[0] *= width
+    np.subtract(width, shared[0], out=shared[1])
+    shared += suffix
+    # tables[t, r]: the term of position tabled[t] at rank r, cross @ [base < r]:
+    # a prefix value with r smaller values in rest against each suffix value.
+    for r in range(s + 1) if ntab else ():
+        np.less(base, r, out=step[:s])
+        for t, i in enumerate(tabled):
+            np.matmul(cross[i], step[:s], out=tables[t, r])
+    # The other positions and the prefix pairs make one product, mixed @ step,
+    # whose last step row is ones against the prefix pairs' constant.
+    for c, i in enumerate(stacked):
+        mixed[:, c * s : (c + 1) * s] = cross[i]
+    mixed[:, -1] = 0
+    step[-1] = 1
+
+    counts = np.zeros((1 << n) * 2 * width, dtype=np.int64)
+    built, k = None, 0
     for prefix in islice(permutations(range(n), p), start, stop):
         rank = [v - sum(u < v for u in prefix) for v in prefix]
-        values = np.array(prefix)
-        head = values[head_l] > values[head_r]
-        block = np.matmul(cross[0], steps[rank[0]], out=buffer)
-        for r, w in zip(rank[1:], cross[1:]):
-            block += w @ steps[r]
-        block += shared[(sum(rank) + int(head.sum())) & 1]
-        if fixed.size:
-            block += (head.astype(np.float32) @ weights[fixed])[:, None]
-        counts += plan.histogram(block.astype(np.intp))
+        head = [prefix[i] > prefix[j] for i, j in head_pairs]
+        inputs = [rank[i] for i in stacked] + head
+        if inputs != built:  # position 0's rank only grows when p <= 2
+            built = inputs
+            for c, i in enumerate(stacked):
+                np.less(base, rank[i], out=step[c * s : (c + 1) * s])
+            if head:
+                mixed[:, -1] = np.dot(head, fixed)
+            np.matmul(mixed, step, out=term)
+        total = term
+        for t, i in enumerate(tabled):
+            total = np.add(total, tables[t, rank[i]], out=block)
+        np.add(total, shared[(sum(rank) + sum(head)) & 1], out=keys[k], casting="unsafe")
+        k += 1
+        if k == nkeys:
+            counts += plan.histogram(keys)
+            k = 0
+    if k:
+        counts += plan.histogram(keys[:k])
     return counts
+
+
+def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of a 1-D array, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        views.append(flat[at : at + prod(shape)].reshape(shape))
+        at += prod(shape)
+    return views
 
 
 def _mirror(family: str, n: int, half: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ one; B_n everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -28,6 +29,7 @@ def label_range(family: str, n: int) -> range:
     raise ValueError(f"unknown family {family!r}")
 
 
+@lru_cache(maxsize=None)
 def label_mask(family: str, n: int) -> int:
     r = label_range(family, n)
     return ((1 << len(r)) - 1) << r.start if len(r) else 0

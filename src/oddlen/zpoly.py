@@ -51,7 +51,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs: tuple[int, ...] = _trim(tuple(int(c) for c in coeffs))
+        self.coeffs: tuple[int, ...] = _trim(tuple(map(int, coeffs)))
 
     # -- constructors -----------------------------------------------------
 

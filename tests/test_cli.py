@@ -220,6 +220,28 @@ class TestVerify:
         assert rows and all(r["status"] == "pass" for r in rows)
         assert {r["check"] for r in rows} == {"trinomial-criterion"}
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([], id="empty"),
+            pytest.param(
+                [checks.CheckRow("say \"hi\"", "D", 5, 'a\\b "c"', "pass"),
+                 checks.CheckRow("x", "A", 12, "0,1", "fail", 'got "1 - x", want \\ x\n\t'),
+                 checks.CheckRow("é∅", "B", 3, "{ü}", "fail", "Φ₃ 𝔖 \u0001 \u2028")],
+                id="escapes",
+            ),
+        ],
+    )
+    def test_json_rows_match_the_indenting_encoder(self, rows):
+        records = [
+            {"check": r.check, "family": r.family, "n": r.n, "set": r.set_text,
+             "status": r.status, "detail": r.detail}
+            for r in rows
+        ]
+        out = io.StringIO()
+        cli._write_verify(rows, "json", out)
+        assert out.getvalue() == json.dumps(records, indent=2) + "\n"
+
     def test_rank_flag_is_clamped_by_tier(self, capsys):
         code, _, err = run(
             ["verify", "--only", "remark-values", "--tier", "fast",

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import permutations
 from math import factorial
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 from oddlen import genfun
 from oddlen.genfun import (
     BUDGET,
+    FLOATS,
     BudgetError,
     DescentTable,
     _build_plan,
     _half,
     _mirror,
     _sweep_range,
+    _term_tables,
     M_of,
     brute_filtered,
     brute_quotient,
@@ -238,6 +241,25 @@ class TestSweepKernel:
         assert _half(_build_plan("D", 8)) == (64, 7, 8)
         assert _half(_build_plan("D", 7)) == (32, 6, 7)
 
+        # (prefix positions, positions with a term table), from the plans
+        # alone.  Within BUDGET every position after the first is tabled,
+        # which is one position in A with two prefix positions and none in
+        # B and D; past it, B9 and D10 table none.
+        def layout(family, n):
+            ncols, s, _ = _half(_build_plan(family, n))
+            ntab = _term_tables(ncols, s, n - s)
+            assert ntab * (s + 1) * ncols * factorial(s) <= FLOATS
+            assert ncols * factorial(s) <= FLOATS
+            return n - s, ntab
+
+        for family, top in BUDGET.items():
+            for n in range(2, top + 1):
+                p, ntab = layout(family, n)
+                assert ntab == p - 1
+                assert p == (2 if family == "A" and (n % 2 or n == 10) else 1), (family, n)
+        assert layout("B", 9) == (2, 0)
+        assert layout("D", 10) == (3, 0)
+
     @pytest.mark.parametrize("n", range(2, BUDGET["A"] + 1))
     def test_a_swept_prefixes_complement_to_the_unswept_blocks(self, n):
         # w0 complements values, so no swept A block may lack its partner.
@@ -262,6 +284,37 @@ class TestSweepKernel:
         assert parts.sum() == factorial(9) // 2
         half = parts.reshape(1 << 9, 2, plan.width)
         assert np.array_equal(half + _mirror("A", 9, half), unmirrored_counts("A", 9))
+
+    def test_a_range_may_start_inside_a_run_of_equal_first_ranks(self):
+        # Blocks 12 and 13 of A10 are the prefixes (1, 4) and (1, 5): one
+        # position-0 rank and one order, so the range starting at 13 must
+        # build the product the range ending there had already built.
+        plan = _build_plan("A", 10)
+        prefixes = list(permutations(range(10), 2))
+        assert prefixes[12:14] == [(1, 4), (1, 5)]
+        whole = _sweep_range(plan, 0, 45)
+        assert np.array_equal(_sweep_range(plan, 0, 13) + _sweep_range(plan, 13, 45), whole)
+
+    @pytest.mark.parametrize("blocks", [1, 7])
+    def test_key_buffer_bound_does_not_change_the_counts(self, monkeypatch, blocks):
+        # One A10 block is 8! keys; 7 blocks do not divide its 45.
+        want = brute_table("A", 10, workers=1).counts
+        monkeypatch.setattr(genfun, "KEYS", blocks * factorial(8))
+        assert np.array_equal(brute_table("A", 10, workers=1).counts, want)
+
+    @pytest.mark.parametrize("family, n, limit_mb", [("A", 10, 14), ("B", 8, 19), ("D", 8, 10.5)])
+    def test_one_table_call_stays_small(self, family, n, limit_mb):
+        # A call's work arrays are one allocation bounded by FLOATS and KEYS;
+        # a per-block (ranks, positions, rows) step tensor peaks at 16.3 MB on A10.
+        sweep_plan(family, n)  # the cached plan is not the call's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            brute_table(family, n, workers=1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20, f"{family}{n} peaked at {peak / 2**20:.2f} MB"
 
     @pytest.mark.parametrize(
         "family, n",
