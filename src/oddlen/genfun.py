@@ -362,7 +362,7 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     p, rows = n - s, factorial(s)
     weights, flips = plan.weights[:, :ncols], plan.parity[:ncols]
     ntab = _term_tables(ncols, s, p)
-    tabled, stacked = range(1, ntab + 1), [0, *range(ntab + 1, p)]
+    stacked = [0, *range(ntab + 1, p)]  # positions 1..ntab have tables
     nkeys = max(1, KEYS // (ncols * rows))  # blocks binned per bincount
 
     pairs = _pairs(n)
@@ -400,12 +400,12 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     shared[0] *= width
     np.subtract(width, shared[0], out=shared[1])
     shared += suffix
-    # tables[t, r]: the term of position tabled[t] at rank r, cross @ [base < r]:
+    # tables[t, r]: the term of position t + 1 at rank r, cross @ [base < r]:
     # a prefix value with r smaller values in rest against each suffix value.
     for r in range(s + 1) if ntab else ():
         np.less(base, r, out=step[:s])
-        for t, i in enumerate(tabled):
-            np.matmul(cross[i], step[:s], out=tables[t, r])
+        for t in range(ntab):
+            np.matmul(cross[t + 1], step[:s], out=tables[t, r])
     # The other positions and the prefix pairs make one product, mixed @ step,
     # whose last step row is ones against the prefix pairs' constant.
     for c, i in enumerate(stacked):
@@ -427,8 +427,8 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
                 mixed[:, -1] = np.dot(head, fixed)
             np.matmul(mixed, step, out=term)
         total = term
-        for t, i in enumerate(tabled):
-            total = np.add(total, tables[t, rank[i]], out=block)
+        for t in range(ntab):
+            total = np.add(total, tables[t, rank[t + 1]], out=block)
         np.add(total, shared[(sum(rank) + sum(head)) & 1], out=keys[k], casting="unsafe")
         k += 1
         if k == nkeys:
