@@ -9,17 +9,20 @@ keeps its intrinsic range.  `_sets` runs over every index set of the gated
 ranks, with the rank's descent table.
 
 Every enumerated sum is a descent-table read, and every table is the sweep
-plan's one histogram over (rows x sign masks) arrays.  The full group's
-tables come from the sweep and are cached in the context; a restricted
-support (chessboard, sandwich-free) or a pinned entry is a filter on rows
-and masks whose table is built once per rank and parameter, and read for
-each set that needs it.  The per-element checks (root counts, additivity)
-run on arrays of absolute-value rows under every sign mask at once, in
-blocks of at most rootsys.BLOCK elements per temporary array.
+plan's one histogram over (rows x sign masks) arrays.  The context owns
+every array a run derives from a rank, each built at most once, read-only,
+and freed with the context; nothing outlives the run.  The full group's
+tables come from the sweep.  The root-count check and the pinned entries
+read one key array per group, the sweep keys of every permutation row
+under every sign mask; a pinned entry is a row and mask filter on it.  The
+chessboard checks (supports, set factorizations, additivity) read one
+chess.Chessboard per group, whose key array, sandwich filters and support
+tables serve every check that needs them.  The root counts and the
+factors of the additivity check run in blocks of at most rootsys.BLOCK
+elements per temporary array.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -61,17 +64,10 @@ from .genfun import (
     conjecture_set,
     M_of,
     perm_table,
-    pinned_table,
+    pinned_keep,
     sweep_plan,
 )
-from .chess import (
-    additive_rows,
-    chess_class,
-    chessboard_rows,
-    check_L_additivity,
-    check_set_factorization as set_product_holds,
-    support_table,
-)
+from .chess import Chessboard, chess_class, check_L_additivity, frozen, on_chessboard
 
 TIERS = {
     "fast": {"A": 6, "B": 5, "D": 6},
@@ -98,16 +94,20 @@ class CheckRow:
 
 @dataclass
 class CheckContext:
-    """Shared rank bounds, the brute-force descent tables by (family, n),
-    and the pinned-entry tables by (family, n, pin).  The families checked
-    are the keys of nmax, in its order."""
+    """Shared rank bounds and every array a run derives from a rank: the
+    brute-force descent tables by (family, n), the permutation tables and
+    their chessboard rows by n, the sweep keys of every element by
+    (family, n), the chessboard arrays (keys, descents, sandwich filters,
+    support tables) by (family, n), and the pinned-entry tables by
+    (family, n, pin).  Each is built on first use, at most once, and freed
+    with the context, so nothing outlives a run; the permutation, key and
+    chessboard arrays are read-only.  The families checked are the keys of
+    nmax, in its order."""
 
     nmax: dict[str, int]
     workers: int | None = None
     tables: dict[tuple[str, int], DescentTable] = field(default_factory=dict)
-    _pinned: dict[tuple[str, int, tuple[int, int]], DescentTable] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _built: dict[tuple, object] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def families(self) -> tuple[str, ...]:
@@ -126,12 +126,33 @@ class CheckContext:
     def quotient(self, family: str, n: int, I: IndexSet) -> IntPoly:
         return self.table(family, n).quotient_poly(I)
 
+    def _once(self, key: tuple, build: Callable[[], object]):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def perms(self, n: int) -> np.ndarray:
+        """The n! absolute-value rows, perm_table(n)."""
+        return self._once(("perms", n), lambda: frozen(perm_table(n)))
+
+    def keys(self, family: str, n: int) -> np.ndarray:
+        """The sweep keys of every element, as a (perms(n), masks) array."""
+        return self._once(("keys", family, n),
+                          lambda: frozen(sweep_plan(family, n).keys(self.perms(n))))
+
+    def board(self, family: str, n: int) -> Chessboard:
+        """The chessboard arrays of one group, A or D; both read one set of
+        chessboard rows."""
+        rows = self._once(("chessboard", n), lambda: on_chessboard(self.perms(n)))
+        return self._once(("board", family, n), lambda: Chessboard(family, rows))
+
     def pinned(self, family: str, n: int, I: IndexSet, pin: tuple[int, int]) -> IntPoly:
         """Quotient sum over the elements with pin = (b, v): sigma(b) = v."""
-        key = (family, n, pin)
-        if key not in self._pinned:
-            self._pinned[key] = pinned_table(family, n, pin)
-        return self._pinned[key].quotient_poly(I)
+        def build() -> DescentTable:
+            plan = sweep_plan(family, n)
+            keep = pinned_keep(plan, self.perms(n), pin)
+            return plan.tabulate(family, self.keys(family, n), keep)
+        return self._once(("pinned", family, n, pin), build).quotient_poly(I)
 
 
 def _row(check: str, family: str, n: int, where, ok: bool, detail: str = "") -> CheckRow:
@@ -183,11 +204,11 @@ def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
         for n in _ranks(ctx, family, 1, hard[family]):
             rs = build_root_system(family, n)
             plan = sweep_plan(family, n)
-            perms = perm_table(n)
+            perms, keys = ctx.perms(n), ctx.keys(family, n)
             bad = 0
             # a row has a key per sign mask and a comparison per position pair
             for block in spans(len(perms), max(len(plan.masks), len(plan.weights))):
-                high, odd = np.divmod(plan.keys(perms[block]), plan.width)
+                high, odd = np.divmod(keys[block], plan.width)
                 length, want_odd, want_descents = root_counts(rs, perms[block], plan.masks)
                 bad += np.count_nonzero(
                     (high >> 1 != want_descents) | (high & 1 != length & 1) | (odd != want_odd))
@@ -277,9 +298,8 @@ check_d_closed = _closed_match("d-closed-match", "D")
 def check_support_chessboard(ctx: CheckContext) -> Iterator[CheckRow]:
     """Quotient sums are unchanged by restriction to chessboard elements."""
     for family in ("D", "A"):
-        support = cache(lambda n: support_table(n, "chessboard", family=family))
         for n, table, I in _sets(ctx, family, 1, 6):
-            got = support(n).quotient_poly(I)
+            got = ctx.board(family, n).table().quotient_poly(I)
             want = table.quotient_poly(I)
             yield _match("support-chessboard", family, n, I, got, want)
 
@@ -287,12 +307,11 @@ def check_support_chessboard(ctx: CheckContext) -> Iterator[CheckRow]:
 def check_support_window(ctx: CheckContext) -> Iterator[CheckRow]:
     """Restriction to elements without odd sandwiches in the value window
     past the head block preserves the quotient sum."""
-    support = cache(lambda n, a0: support_table(n, "H", param=a0 + 1))
     for n, table, I in _sets(ctx, "D", 4, 6):
         a0 = components(I).zero_size
         if not 2 <= a0 <= n - 2:
             continue
-        got = support(n, a0).quotient_poly(I)
+        got = ctx.board("D", n).table("H", a0 + 1).quotient_poly(I)
         want = table.quotient_poly(I)
         yield _match("support-window", "D", n, I, got, want)
 
@@ -304,7 +323,7 @@ def check_support_positional(ctx: CheckContext) -> Iterator[CheckRow]:
         table = ctx.table("D", n)
         for a0 in range(2, n - 1):
             I = IndexSet.full(n).remove(a0)
-            support = support_table(n, "T", param=a0)
+            support = ctx.board("D", n).table("T", a0)
             for J in (I, I.remove(0)):
                 got = support.quotient_poly(J)
                 want = table.quotient_poly(J)
@@ -315,13 +334,9 @@ def check_additivity(ctx: CheckContext) -> Iterator[CheckRow]:
     """Odd length splits over the sorting factorization on chessboard
     elements (the off-chessboard counterexample sits in point-values)."""
     for n in _ranks(ctx, "D", 2, 7):
-        plan = sweep_plan("D", n)
-        rows = chessboard_rows(n)
-        bad = sum(np.count_nonzero(~additive_rows(plan, rows[block], plan.masks))
-                  for block in spans(len(rows), len(plan.masks)))
-        total = len(rows) * len(plan.masks)
-        yield _row("additivity-chessboard", "D", n, "", bad == 0,
-                   f"{total} chessboard elements")
+        additive = ctx.board("D", n).additive()
+        yield _row("additivity-chessboard", "D", n, "", additive.all(),
+                   f"{additive.size} chessboard elements")
 
 
 # ---------------------------------------------------- structural sweeps
@@ -523,12 +538,12 @@ def check_factorizations(ctx: CheckContext) -> Iterator[CheckRow]:
     embedded chessboard head."""
     for n, _, I in _sets(ctx, "D", 4, 6):
         if _compressed_cofinal(I):
-            yield _row("set-factorization", "D", n, I, set_product_holds(n, I, "H"),
-                       "window variant")
+            ok = ctx.board("D", n).set_factorization(I, "H")
+            yield _row("set-factorization", "D", n, I, ok, "window variant")
     for n in _ranks(ctx, "D", 5, 7, 2):
         for a0 in range(3, n - 1, 2):
             I = IndexSet.full(n).remove(a0)
-            ok = set_product_holds(n, I, "T")
+            ok = ctx.board("D", n).set_factorization(I, "T")
             yield _row("set-factorization", "D", n, I, ok, "positional variant")
 
 
@@ -614,7 +629,10 @@ def check_trinomial_criterion(ctx: CheckContext) -> Iterator[CheckRow]:
     """x^n + 2x^m + 1 is a cyclotomic product exactly when n = 2m."""
     for n in _ranks(ctx, "-", 2, 24, closed_form=True):
         for m in range(1, n):
-            p = ONE + IntPoly.monomial(2, m) + IntPoly.monomial(1, n)
+            coeffs = [0] * (n + 1)
+            coeffs[0] = coeffs[n] = 1
+            coeffs[m] = 2
+            p = IntPoly(coeffs)
             got = is_cyclotomic_product(p)
             want = trinomial_cyclotomic(n, m)
             yield _row("trinomial-criterion", "-", n, f"m={m}",

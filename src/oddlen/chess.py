@@ -5,16 +5,22 @@ subsets of the group: chessboard elements, then chessboard elements
 whose final segment has no odd sandwiches, then chessboard elements
 with no k-odd sandwiches.  The sandwich predicates come twice: literal
 scans of one SignedPerm (the scalar oracles) and filters over
-absolute-value rows and sign masks.  A restricted support is
-chessboard_rows (the rows with one parity of i + P[i]) under such a
-filter, and its descent table is one SweepPlan.table call.  Odd-length
-additivity (over every sign mask at once, in blocks of at most
-rootsys.BLOCK elements) and the set-level product factorizations run on
-signed one-line arrays of the same rows, split by parabolic_factors.
+absolute-value rows and sign masks.  A Chessboard owns the arrays of
+one group's chessboard elements: the chessboard rows (one parity of
+i + P[i]) and their sweep keys under every sign mask, then, each built
+on first use, read-only, their descent masks, sandwich filters and
+support tables.  A restricted support is its keys under a filter, and
+its descent table is one histogram of them.  Odd-length additivity (the
+factors in blocks of at most rootsys.BLOCK elements) and the set-level
+product factorizations run on signed one-line arrays of the same rows,
+split by parabolic_factors.  The board's owner decides its life: a
+verify run's CheckContext holds one per group for the run, and
+support_table and check_set_factorization build one per call.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +54,12 @@ def is_chessboard(sigma: SignedPerm) -> bool:
 def chessboard_rows(n: int) -> np.ndarray:
     """Absolute-value rows (int8 permutations of range(n), in lexicographic
     order) on which i + P[i] has one parity for every position i."""
-    perms = perm_table(n)
-    parity = (perms + np.arange(n, dtype=np.int8)) % 2
+    return on_chessboard(perm_table(n))
+
+
+def on_chessboard(perms: np.ndarray) -> np.ndarray:
+    """The rows of a permutation table on which i + P[i] has one parity."""
+    parity = (perms + np.arange(perms.shape[1], dtype=np.int8)) % 2
     return perms[(parity == parity[:, :1]).all(axis=1)]
 
 
@@ -156,26 +166,134 @@ def window_sandwich_free(rows: np.ndarray, masks: np.ndarray, c: int) -> np.ndar
     return free
 
 
+class Chessboard:
+    """The read-only arrays of one group's chessboard elements, D or A (see
+    the module docstring): rows is chessboard_rows of the rank."""
+
+    def __init__(self, family: str, rows: np.ndarray):
+        if family not in ("A", "D"):
+            raise ValueError("support sums cover families A and D")
+        self.family, self.n = family, rows.shape[1]
+        self.plan = sweep_plan(family, self.n)
+        self.rows = frozen(rows)
+        self.keys = frozen(self.plan.keys(rows))
+        self._filters: dict[tuple[str, int], np.ndarray] = {}
+        self._tables: dict[tuple[str, int | None], DescentTable] = {}
+
+    @cached_property
+    def descents(self) -> np.ndarray:
+        """Descent mask of every element, as a (rows, masks) array."""
+        return frozen(self.keys // (2 * self.plan.width))
+
+    def window_free(self, c: int) -> np.ndarray:
+        """in_H(sigma, c) on the board's elements, as a (rows, masks) filter."""
+        if ("H", c) not in self._filters:
+            self._filters["H", c] = frozen(window_sandwich_free(self.rows, self.plan.masks, c))
+        return self._filters["H", c]
+
+    def k_free(self, k: int) -> np.ndarray:
+        """in_T(sigma, k) on the board's elements, as a (rows, 1) filter."""
+        if ("T", k) not in self._filters:
+            self._filters["T", k] = frozen(k_sandwich_free(self.rows, k)[:, None])
+        return self._filters["T", k]
+
+    def table(self, support: str = "chessboard", param: int | None = None) -> DescentTable:
+        """Descent table of a restricted support: every element for
+        "chessboard", those passing in_H(sigma, param) for "H", or
+        in_T(sigma, param) for "T"."""
+        if support not in ("chessboard", "H", "T"):
+            raise ValueError(f"unknown support {support!r}")
+        if (support, param) not in self._tables:
+            keep = None
+            if support != "chessboard":
+                if self.family != "D":
+                    raise ValueError("sandwich supports are defined on family D")
+                if param is None:
+                    raise ValueError(f"support {support!r} needs a parameter")
+                keep = self.window_free(param) if support == "H" else self.k_free(param)
+            self._tables[support, param] = self.plan.tabulate(self.family, self.keys, keep)
+        return self._tables[support, param]
+
+    def additive(self) -> np.ndarray:
+        """additive_rows over every element, with the odd lengths read from
+        the keys."""
+        split = split_odd_lengths(self.plan, self.rows, self.plan.masks)
+        return self.keys % self.plan.width == split
+
+    def elements(self, keep: np.ndarray, labels: int) -> np.ndarray:
+        """Signed one-line arrays of the elements that keep (broadcast to
+        rows x masks) allows and whose descents avoid labels."""
+        r, k = np.nonzero(keep & (self.descents & labels == 0))
+        neg = (self.plan.masks[k, None] >> np.arange(self.n)) & 1
+        return (self.rows[r] + 1) * (1 - 2 * neg)
+
+    def set_factorization(self, index_set: IndexSet, variant: str = "H") -> bool:
+        """Verify a product-set decomposition of a restricted support set
+        on signed one-line arrays of both sides (a D_n board).
+
+        variant "H": the no-odd-sandwich set of a compressed index set
+        ending at n-1 splits off an unsigned quotient on the tail values.
+        variant "T": the no-k-odd-sandwich set of a punctured interval
+        splits off a chessboard quotient on the head positions.
+        """
+        if self.family != "D" or index_set.n != self.n:
+            raise ValueError("set factorizations need a D board of the index set's rank")
+        if variant == "H":
+            return self._H_factorization(index_set)
+        if variant == "T":
+            return self._T_factorization(index_set)
+        raise ValueError(f"unknown variant {variant!r}")
+
+    def _H_factorization(self, index_set: IndexSet) -> bool:
+        n, rows, masks = self.n, self.rows, self.plan.masks
+        if not is_compressed(index_set):
+            raise ValueError("the H factorization needs a compressed index set")
+        if (n - 1) not in index_set or 0 not in index_set:
+            raise ValueError("the H factorization needs an index set spanning 0 and n-1")
+        a0 = next(i for i in range(n) if i not in index_set)
+        if not 2 <= a0 <= n - 2:
+            raise ValueError("first gap out of range")
+
+        pool = self.window_free(a0 + 1)
+        j_set = IndexSet.full(n).remove(a0)
+        # Unsigned tails on positions a0+1..n, in the quotient by I's labels past a0.
+        fixed = (rows[:, :a0] == np.arange(a0)).all(axis=1)[:, None] & (masks == 0)
+        right = self.elements(fixed, index_set.mask >> (a0 + 1) << (a0 + 1))
+        return _product_holds(self.elements(pool, index_set.mask),
+                              self.elements(pool, j_set.mask), right, j_set)
+
+    def _T_factorization(self, index_set: IndexSet) -> bool:
+        n, rows, masks = self.n, self.rows, self.plan.masks
+        gaps = [i for i in range(n) if i not in index_set]
+        if len(gaps) != 1 or 0 not in index_set or (n - 1) not in index_set:
+            raise ValueError("the T factorization needs a single-gap index set")
+        a0 = gaps[0]
+        if not 2 <= a0 <= n - 2:
+            raise ValueError("gap out of range")
+        if a0 % 2 == 0 or n % 2 == 0:
+            raise ValueError("the T factorization needs the gap and the rank both odd")
+
+        pool = self.k_free(a0)
+        # Chessboard elements of D_a0 (all of parity class 0, as a0 is odd) in
+        # the quotient by labels 1..a0-1, with the identity on the tail.
+        fixed = (rows[:, a0:] == np.arange(a0, n)).all(axis=1)[:, None] & (masks < 1 << a0)
+        right = self.elements(fixed, (1 << a0) - 2)
+        return _product_holds(self.elements(pool, index_set.remove(0).mask),
+                              self.elements(pool, index_set.mask), right,
+                              IndexSet.of(n, range(a0)))
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: the arrays a Chessboard or a CheckContext
+    shares are read by every check of a run and written by none."""
+    array.flags.writeable = False
+    return array
+
+
 def support_table(n: int, support: str, *, family: str = "D",
                   param: int | None = None) -> DescentTable:
-    """Descent table of a restricted support: the chessboard rows crossed
-    with the family's sign masks, all of them for "chessboard", those
-    passing in_H(sigma, param) for "H", or in_T(sigma, param) for "T"."""
-    if family not in ("A", "D"):
-        raise ValueError("support sums cover families A and D")
-    if support not in ("chessboard", "H", "T"):
-        raise ValueError(f"unknown support {support!r}")
-    plan = sweep_plan(family, n)
-    rows = chessboard_rows(n)
-    if support == "chessboard":
-        return plan.table(family, rows)
-    if family != "D":
-        raise ValueError("sandwich supports are defined on family D")
-    if param is None:
-        raise ValueError(f"support {support!r} needs a parameter")
-    if support == "H":
-        return plan.table(family, rows, window_sandwich_free(rows, plan.masks, param))
-    return plan.table(family, rows, k_sandwich_free(rows, param)[:, None])
+    """Descent table of a restricted support (see Chessboard.table)."""
+    return Chessboard(family, chessboard_rows(n)).table(support, param)
 
 
 def support_sum(
@@ -218,13 +336,20 @@ def additive_rows(plan: SweepPlan, rows: np.ndarray, masks: np.ndarray) -> np.nd
     """Whether L(sigma) = L(u) + L(v) over parabolic_factors with J =
     {1..n-1}, for each row under each sign mask of D_n (a 1-D array), as a
     (rows, masks) array; all three odd lengths are read from plan, the D_n
-    sweep plan.  u sorts all entries, so its k negative entries come first
-    and its sign mask is (1 << k) - 1: one read per negative count k.  Rows
-    and masks go in blocks of at most BLOCK entries and pair comparisons."""
+    sweep plan (see split_odd_lengths)."""
+    odd = plan.keys(rows, plan.columns(masks)) % plan.width
+    return odd == split_odd_lengths(plan, rows, masks)
+
+
+def split_odd_lengths(plan: SweepPlan, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """L(u) + L(v) over parabolic_factors with J = {1..n-1}, for each row
+    under each sign mask of D_n, as a (rows, masks) array.  u sorts all
+    entries, so its k negative entries come first and its sign mask is
+    (1 << k) - 1: one read per negative count k.  Rows and masks go in
+    blocks of at most BLOCK entries and pair comparisons."""
     n = rows.shape[1]
-    cols = plan.columns(masks)
     J = IndexSet.of(n, range(1, n))
-    out = np.empty((len(rows), len(masks)), dtype=bool)
+    out = np.empty((len(rows), len(masks)), dtype=np.intp)
     for r in spans(len(rows), n * n):
         block = rows[r]
         for c in spans(len(masks), n * n * len(block)):
@@ -235,8 +360,7 @@ def additive_rows(plan: SweepPlan, rows: np.ndarray, masks: np.ndarray) -> np.nd
             for negatives in np.unique(k).tolist():
                 at = k == negatives
                 split[at] += plan.stats(np.abs(u[at]) - 1, (1 << negatives) - 1)[2]
-            odd = plan.keys(block, cols[c]) % plan.width
-            out[r, c] = odd == split.reshape(len(block), -1)
+            out[r, c] = split.reshape(len(block), -1)
     return out
 
 
@@ -251,68 +375,8 @@ def check_L_additivity(sigma: SignedPerm) -> bool:
 
 def check_set_factorization(n: int, index_set: IndexSet, variant: str = "H") -> bool:
     """Verify a product-set decomposition of a restricted support set on
-    signed one-line arrays of both sides.
-
-    variant "H": the no-odd-sandwich set of a compressed index set
-    ending at n-1 splits off an unsigned quotient on the tail values.
-    variant "T": the no-k-odd-sandwich set of a punctured interval
-    splits off a chessboard quotient on the head positions.
-    """
-    if index_set.n != n:
-        raise ValueError("index set rank mismatch")
-    if variant == "H":
-        return _check_H_factorization(n, index_set)
-    if variant == "T":
-        return _check_T_factorization(n, index_set)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _check_H_factorization(n: int, index_set: IndexSet) -> bool:
-    if not is_compressed(index_set):
-        raise ValueError("the H factorization needs a compressed index set")
-    if (n - 1) not in index_set or 0 not in index_set:
-        raise ValueError("the H factorization needs an index set spanning 0 and n-1")
-    a0 = next(i for i in range(n) if i not in index_set)
-    if not 2 <= a0 <= n - 2:
-        raise ValueError("first gap out of range")
-
-    plan, rows = sweep_plan("D", n), chessboard_rows(n)
-    pool = window_sandwich_free(rows, plan.masks, a0 + 1)
-    j_set = IndexSet.full(n).remove(a0)
-    # Unsigned tails on positions a0+1..n, in the quotient by I's labels past a0.
-    fixed = (rows[:, :a0] == np.arange(a0)).all(axis=1)[:, None] & (plan.masks == 0)
-    right = _elements(plan, rows, fixed, index_set.mask >> (a0 + 1) << (a0 + 1))
-    return _product_holds(_elements(plan, rows, pool, index_set.mask),
-                          _elements(plan, rows, pool, j_set.mask), right, j_set)
-
-
-def _check_T_factorization(n: int, index_set: IndexSet) -> bool:
-    gaps = [i for i in range(n) if i not in index_set]
-    if len(gaps) != 1 or 0 not in index_set or (n - 1) not in index_set:
-        raise ValueError("the T factorization needs a single-gap index set")
-    a0 = gaps[0]
-    if not 2 <= a0 <= n - 2:
-        raise ValueError("gap out of range")
-    if a0 % 2 == 0 or n % 2 == 0:
-        raise ValueError("the T factorization needs the gap and the rank both odd")
-
-    plan, rows = sweep_plan("D", n), chessboard_rows(n)
-    pool = k_sandwich_free(rows, a0)[:, None]
-    # Chessboard elements of D_a0 (all of parity class 0, as a0 is odd) in
-    # the quotient by labels 1..a0-1, with the identity on the tail.
-    fixed = (rows[:, a0:] == np.arange(a0, n)).all(axis=1)[:, None] & (plan.masks < 1 << a0)
-    right = _elements(plan, rows, fixed, (1 << a0) - 2)
-    return _product_holds(_elements(plan, rows, pool, index_set.remove(0).mask),
-                          _elements(plan, rows, pool, index_set.mask), right,
-                          IndexSet.of(n, range(a0)))
-
-
-def _elements(plan: SweepPlan, rows: np.ndarray, keep: np.ndarray, labels: int) -> np.ndarray:
-    """Signed one-line arrays of the (row, sign mask) elements that keep
-    (broadcast to rows x masks) allows and whose descents avoid labels."""
-    r, k = np.nonzero(keep & (plan.descents(rows) & labels == 0))
-    neg = (plan.masks[k, None] >> np.arange(plan.n)) & 1
-    return (rows[r] + 1) * (1 - 2 * neg)
+    signed one-line arrays of both sides (see Chessboard.set_factorization)."""
+    return Chessboard("D", chessboard_rows(n)).set_factorization(index_set, variant)
 
 
 def _product_holds(lhs: np.ndarray, left: np.ndarray, right: np.ndarray, J: IndexSet) -> bool:

@@ -5,8 +5,9 @@ brute-force sweep over half of the group.  A DescentTable is one int64
 array counting elements by (descent mask, length parity, odd length),
 so all 2^n quotients of one group cost one sweep plus a subset-sum
 (zeta) transform.  The sweep feeds SweepPlan.histogram prefix blocks of
-the group, and SweepPlan.table any rows under a (row, mask) filter: the
-restricted sums (pinned entries here, supports in chess).  scalar_table,
+the group, SweepPlan.table any rows under a (row, mask) filter, and
+SweepPlan.tabulate keys already computed under one: the restricted sums
+(pinned entries here, supports in chess).  scalar_table,
 with no caller in the package, is the independent oracle.
 
 The closed formulas read an index set I only through a signature of its
@@ -14,16 +15,16 @@ runs, the half-sizes being the sorted nonzero (z+1)//2 over run sizes z
 (indexset.half_sizes): in A the half-sizes of every run of I; in B the
 zero-run size and the half-sizes of the other runs; in D the zero-run
 size and the half-sizes of tilde(I).  closed_A/B/D check the rank and
-labels on every call (_closed_key, which then builds the signature) and
-call a core of (n, signature) alone, cached without bound; closed_factors
-caches the core's cyclotomic verdict on the same key.  The key counts
-grow like partitions of n/2 (at n = 12, 30 in A, 120 in B, 129 in D,
-against 2,048 to 4,096 sets).  D's key
-needs no m(I): its head reads m(I) only when the zero run has even size
-z >= 2, and then 1 is in I and z is not, so tilde(I) = I minus {0}
-turns the run [0, z-1] into [1, z-1], of half-size (z-1+1)//2 = z/2 =
-(z+1)//2, and leaves the other runs alone: m(I) = m(tilde I), the sum
-of the key's half-sizes.
+labels on every call (_closed_key, which then reads the signature from
+one bit scan of the mask, indexset.run_halves) and call a core of
+(n, signature) alone, cached without bound; closed_factors caches the
+core's cyclotomic verdict on the same key.  The key counts grow like
+partitions of n/2 (at n = 12, 30 in A, 120 in B, 129 in D, against 2,048
+to 4,096 sets).  D's key needs no m(I): its head reads m(I) only when
+the zero run has even size z >= 2, and then 1 is in I and z is not, so
+tilde(I) = I minus {0} turns the run [0, z-1] into [1, z-1], of
+half-size (z-1+1)//2 = z/2 = (z+1)//2, and leaves the other runs alone:
+m(I) = m(tilde I), the sum of the key's half-sizes.
 
 The sweep is array-native.  An element is an absolute-value row P (a
 permutation of 0..n-1) under one of the family's sign masks, binned by one
@@ -124,7 +125,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .indexset import IndexSet, components, half_sizes, m_of, tilde
+from .indexset import IndexSet, m_of, run_halves, tilde_mask
 from .rootsys import odd_root_count
 from .sperm import FAMILIES, SignedPerm, descent_set, ell_and_odd, label_mask
 from .zpoly import (
@@ -251,13 +252,14 @@ class SweepPlan:
     def table(self, family: str, rows: np.ndarray, keep: np.ndarray | None = None) -> DescentTable:
         """Descent table of the absolute-value rows crossed with every sign
         mask, restricted to the (row, mask) elements that keep allows."""
-        counts = self.histogram(self.keys(rows), keep)
-        return DescentTable(family, self.n, counts.reshape(1 << self.n, 2, self.width))
+        return self.tabulate(family, self.keys(rows), keep)
 
-    def descents(self, rows: np.ndarray) -> np.ndarray:
-        """Descent mask of every absolute-value row under every sign mask,
-        as a (rows, masks) array."""
-        return self.keys(rows) // (2 * self.width)
+    def tabulate(self, family: str, keys: np.ndarray,
+                 keep: np.ndarray | None = None) -> DescentTable:
+        """Descent table of a (rows, masks) array of keys, restricted to
+        the elements that keep allows."""
+        counts = self.histogram(keys, keep)
+        return DescentTable(family, self.n, counts.reshape(1 << self.n, 2, self.width))
 
 
 def _greater(perms: np.ndarray) -> np.ndarray:
@@ -556,21 +558,26 @@ def scalar_table(family: str, n: int, pool: Iterable[SignedPerm]) -> DescentTabl
 
 
 def pinned_table(family: str, n: int, pin: tuple[int, int]) -> DescentTable:
-    """Descent table of the elements with a pinned entry.
+    """Descent table of the elements with a pinned entry (see pinned_keep)."""
+    plan = sweep_plan(family, n)
+    rows = perm_table(n)
+    return plan.tabulate(family, plan.keys(rows), pinned_keep(plan, rows, pin))
+
+
+def pinned_keep(plan: SweepPlan, rows: np.ndarray, pin: tuple[int, int]) -> np.ndarray:
+    """The (rows, masks) filter of the elements with a pinned entry.
 
     pin = (b, v) keeps only elements mapping b to v, where b is a
     position in [1, n] and v is n or -n: the rows with P[b-1] = n-1
     under the sign masks whose bit b-1 is the sign of v.
     """
     b, v = pin
+    n = plan.n
     if not 1 <= b <= n:
         raise ValueError("constraint position out of range")
     if abs(v) != n:
         raise ValueError("constraint value must be n or -n")
-    plan = sweep_plan(family, n)
-    rows = perm_table(n)
-    keep = (plan.masks >> (b - 1) & 1) == (v < 0)
-    return plan.table(family, rows[rows[:, b - 1] == n - 1], keep)
+    return (rows[:, b - 1] == n - 1)[:, None] & ((plan.masks >> (b - 1) & 1) == (v < 0))
 
 
 def brute_filtered(
@@ -584,22 +591,24 @@ def _closed_key(family: str, n: int, index_set: IndexSet) -> tuple | None:
     """Check a closed formula's rank and index set, and return the
     signature its core reads (see above): (n, half-sizes) in A, (n, zero
     run, other half-sizes) in B, (n, zero run, half-sizes of tilde(I)) in
-    D; None for D's full set, whose closed form is 1."""
+    D; None for D's full set, whose closed form is 1.  All of it comes from
+    run_halves scans of the mask: A's shifted left, so that bit 0 is clear,
+    and D's folded by tilde_mask when the zero run is not empty."""
     if n < 1:
         raise ValueError("rank must be at least 1")
     if index_set.n != n:
         raise ValueError("index set rank mismatch")
-    labels = label_mask(family, n)
-    if index_set.mask & ~labels:
+    labels, mask = label_mask(family, n), index_set.mask
+    if mask & ~labels:
         raise ValueError(f"index set has labels outside the {family}_{n} generators")
-    if family == "D" and index_set.mask == labels:
+    if family == "D" and mask == labels:
         return None
-    decomp = components(index_set)
     if family == "A":
-        return n, half_sizes(decomp.all_sizes)
-    if family == "B":
-        return n, decomp.zero_size, half_sizes(decomp.other_sizes)
-    return n, decomp.zero_size, half_sizes(components(tilde(index_set)).all_sizes)
+        return n, run_halves(mask << 1)[1]  # bit 0 clear: no zero run
+    zero, halves = run_halves(mask)
+    if family == "D" and zero:
+        halves = run_halves(tilde_mask(mask))[1]  # bit 0 clear: every run counts
+    return n, zero, halves
 
 
 def closed_A(n: int, index_set: IndexSet) -> IntPoly:

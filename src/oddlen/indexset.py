@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .zpoly import IntPoly, q_multinomial
 
@@ -69,7 +69,8 @@ class IndexSet:
     # -- basic set operations --------------------------------------------------
 
     def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
+        mask = self.mask
+        return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.n and bool(self.mask >> i & 1)
@@ -103,11 +104,10 @@ class IndexSet:
         return IndexSet(self.n, self.mask | other.mask)
 
     def __str__(self) -> str:
-        return ",".join(str(i) for i in self.members())
+        return ",".join(map(str, self.members()))
 
 
-@dataclass(frozen=True)
-class ComponentDecomp:
+class ComponentDecomp(NamedTuple):
     """Maximal-run decomposition; intervals are inclusive (lo, hi) pairs.
 
     zero_component is the run starting at 0, or None when 0 is absent.
@@ -133,21 +133,35 @@ class ComponentDecomp:
         return (self.zero_size,) + self.other_sizes
 
 
-def components(I: IndexSet) -> ComponentDecomp:
-    """The runs of set bits in I.mask, read off with bit arithmetic."""
-    runs: list[tuple[int, int]] = []
-    mask, lo = I.mask, 0
+def _runs(mask: int) -> list[tuple[int, int]]:
+    """(lo, size) of each run of set bits in mask, lowest first, read off
+    with bit arithmetic."""
+    runs, lo = [], 0
     while mask:
         skip = (mask & -mask).bit_length() - 1  # zeros below the next run
         mask >>= skip
         size = (~mask & (mask + 1)).bit_length() - 1  # trailing ones
         lo += skip
-        runs.append((lo, lo + size - 1))
+        runs.append((lo, size))
         mask >>= size
         lo += size
+    return runs
+
+
+def components(I: IndexSet) -> ComponentDecomp:
+    """The runs of set bits in I.mask."""
+    runs = [(lo, lo + size - 1) for lo, size in _runs(I.mask)]
     if runs and runs[0][0] == 0:
         return ComponentDecomp(runs[0], tuple(runs[1:]))
     return ComponentDecomp(None, tuple(runs))
+
+
+def run_halves(mask: int) -> tuple[int, tuple[int, ...]]:
+    """(zero run, halves) of a label mask in one scan: the size of the run
+    of set bits from bit 0 (0 when bit 0 is clear), and half_sizes of the
+    other runs, with no IndexSet or ComponentDecomp built."""
+    zero = (~mask & (mask + 1)).bit_length() - 1  # trailing ones
+    return zero, tuple(sorted([(size + 1) // 2 for _, size in _runs(mask >> zero)]))
 
 
 def half_sizes(sizes: Iterable[int]) -> tuple[int, ...]:
@@ -197,7 +211,12 @@ def tilde(I: IndexSet) -> IndexSet:
         return I
     if I.n < 2:
         raise ValueError("no label 1 available in ambient [0, 0]")
-    return I.remove(0).add(1)
+    return IndexSet(I.n, tilde_mask(I.mask))
+
+
+def tilde_mask(mask: int) -> int:
+    """The mask of tilde: bit 0, when set, moves to bit 1."""
+    return mask & ~1 | 2 if mask & 1 else mask
 
 
 def noncyclotomic_condition(I: IndexSet) -> bool:

@@ -347,27 +347,34 @@ def _totient_bound(D: int) -> int:
 
 
 # [phi, K] of _totients, replaced in place (the module's bindings never
-# change) when a degree needs a larger bound.
+# change) when a degree needs more: K's last index is the largest degree
+# the table serves.
 _TOTIENTS: list[tuple[int, ...]] = [(0,), (0,)]
 
 
 def _totients(D: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(phi, K): phi(k) for k up to a bound past _totient_bound(D), and
-    K[j] = max{k : phi(k) <= j}, exact for every j <= D.
+    K[j] = max{k : phi(k) <= j} for j up to the largest degree asked so far.
 
-    One module-level table, built on first use (never at import) and rebuilt
-    larger when a degree needs a larger bound; it never shrinks.
+    One module-level table, built on first use (never at import) and
+    extended when a degree past K's end asks for it; phi is rebuilt larger
+    only when that degree needs a larger bound, and neither ever shrinks.
+    A degree the table serves costs one comparison.
     """
+    phi, K = _TOTIENTS
+    if D < len(K):
+        return phi, K
     bound = _totient_bound(D)
-    if len(_TOTIENTS[0]) <= bound:
-        phi = list(range(bound + 1))
+    if len(phi) <= bound:
+        sieve = list(range(bound + 1))
         for p in range(2, bound + 1):
-            if phi[p] == p:
-                phi[p::p] = [v - v // p for v in phi[p::p]]
-        K = [0] * (bound + 1)
-        for k in range(1, bound + 1):
-            K[phi[k]] = k
-        _TOTIENTS[:] = tuple(phi), tuple(accumulate(K, max))
+            if sieve[p] == p:
+                sieve[p::p] = [v - v // p for v in sieve[p::p]]
+        phi = tuple(sieve)
+    K = [0] * len(phi)
+    for k in range(1, len(phi)):
+        K[phi[k]] = k
+    _TOTIENTS[:] = phi, tuple(accumulate(K[: D + 1], max))
     return _TOTIENTS[0], _TOTIENTS[1]
 
 

@@ -1,6 +1,9 @@
 """Every named identity check passes at the fast tier."""
 
+import gc
 import tracemalloc
+import weakref
+from collections import Counter
 from copy import deepcopy
 from dataclasses import replace
 
@@ -213,8 +216,8 @@ def test_support_window_catches_an_over_restrictive_filter(monkeypatch):
 def test_support_rows_miss_a_permissive_filter(monkeypatch):
     """A filter that keeps everything leaves the chessboard support, whose
     sums equal the quotient sums too: all full-tier support rows pass.
-    The set-factorization rows share the filters and do see the fault."""
-    ctx = CheckContext.for_tier("full")
+    The set-factorization rows share the filters and do see the fault.  A
+    context keeps the filters it built, so each patch gets its own."""
     keep_all = {
         "window_sandwich_free": lambda rows, masks, c: np.ones((len(rows), len(masks)), dtype=bool),
         "k_sandwich_free": lambda rows, k: np.ones(len(rows), dtype=bool),
@@ -222,6 +225,7 @@ def test_support_rows_miss_a_permissive_filter(monkeypatch):
     with monkeypatch.context() as patch:
         for name, fn in keep_all.items():
             patch.setattr(chess, name, fn)
+        ctx = CheckContext.for_tier("full")
         for name, count in (("support-window", 22), ("support-positional", 20)):
             rows = list(CHECKS[name](ctx))
             assert len(rows) == count and all(r.ok for r in rows)
@@ -229,21 +233,97 @@ def test_support_rows_miss_a_permissive_filter(monkeypatch):
                        ("k_sandwich_free", [(5, "0,1,2,4"), (7, "0,1,2,4,5,6"), (7, "0,1,2,3,4,6")])):
         with monkeypatch.context() as patch:
             patch.setattr(chess, name, keep_all[name])
+            ctx = CheckContext.for_tier("full")
             bad = [(r.n, r.set_text) for r in CHECKS["set-factorization"](ctx) if not r.ok]
         assert bad == want, name
 
 
-@pytest.mark.parametrize("name", ["root-oracle", "additivity-chessboard"])
-def test_full_tier_array_passes_stay_small(name):
-    """Each block of these checks is bounded by rootsys.BLOCK elements, so
-    the whole full-tier pass allocates under 4 MB above its start."""
-    ctx = CheckContext.for_tier("full")
+SHARED = ("set-factorization", "support-chessboard", "support-window", "support-positional")
+
+
+@pytest.mark.parametrize("names", [("root-oracle",), ("additivity-chessboard",), SHARED],
+                         ids=["root-oracle", "additivity-chessboard", "shared-chessboard-arrays"])
+def test_full_tier_array_passes_stay_small(names):
+    """Each block of these checks is bounded by rootsys.BLOCK elements, and
+    the arrays the context shares are small, so the whole full-tier pass
+    (of all the checks named, on one context) allocates under 4 MB above
+    its start.  The sweep's descent tables, bounded on their own by
+    test_one_table_call_stays_small, are built before it starts."""
+    warm = CheckContext.for_tier("full")
+    list(run_checks(warm, list(names)))
+    ctx = CheckContext.for_tier("full", tables=warm.tables)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        rows = list(CHECKS[name](ctx))
+        rows = list(run_checks(ctx, list(names)))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert rows and all(r.ok for r in rows)
-    assert peak < 4 << 20, f"{name} peaked at {peak / 2**20:.2f} MB"
+    assert peak < 4 << 20, f"{names} peaked at {peak / 2**20:.2f} MB"
+
+
+def _count_builds(monkeypatch):
+    """Count every build of a context's shared arrays by (builder, rank,
+    parameter), and the elements SweepPlan.keys keys, under "keyed"."""
+    calls = Counter()
+
+    def counted(owner, name, what):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            calls[what(out, *args)] += 1
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(checks, "perm_table", lambda out, n: ("perm_table", n))
+    counted(checks, "on_chessboard", lambda out, perms: ("on_chessboard", perms.shape[1]))
+    counted(chess, "window_sandwich_free",
+            lambda out, rows, masks, c: ("window_sandwich_free", rows.shape[1], c))
+    counted(chess, "k_sandwich_free", lambda out, rows, k: ("k_sandwich_free", rows.shape[1], k))
+    keys = genfun.SweepPlan.keys
+
+    def counted_keys(plan, rows, cols=slice(None)):
+        out = keys(plan, rows, cols)
+        calls["keyed"] += out.size
+        return out
+
+    monkeypatch.setattr(genfun.SweepPlan, "keys", counted_keys)
+    return calls
+
+
+def test_a_full_tier_context_builds_each_shared_array_once(monkeypatch):
+    """One permutation table and one set of chessboard rows per rank, one
+    filter per distinct (rank, parameter), and every chessboard key once."""
+    calls = _count_builds(monkeypatch)
+    rows = list(run_checks(CheckContext.for_tier("full")))
+    assert len(rows) == 2175 and all(r.ok for r in rows)
+    keyed = calls.pop("keyed")
+    assert keyed <= 90_000  # 206,531 when each check keyed its own rows
+    assert set(calls.values()) == {1}, [what for what, k in calls.items() if k > 1]
+    builders = Counter(what[0] for what in calls)
+    assert builders == {"perm_table": 7, "on_chessboard": 7,
+                        "window_sandwich_free": 6, "k_sandwich_free": 10}
+    # A second run's context builds them all again.
+    first = Counter(calls)
+    calls.clear()
+    list(run_checks(CheckContext.for_tier("full")))
+    assert calls.pop("keyed") == keyed and calls == first
+
+
+def test_shared_arrays_are_read_only_and_die_with_their_context():
+    ctx = CheckContext.for_tier("fast")
+    board = ctx.board("D", 5)
+    assert ctx.board("D", 5) is board
+    assert CheckContext.for_tier("fast").board("D", 5) is not board
+    shared = [ctx.perms(5), ctx.keys("D", 5), board.rows, board.keys, board.descents,
+              board.window_free(3), board.k_free(2)]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+    refs = [weakref.ref(array) for array in shared]
+    del ctx, board, shared, array
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -41,7 +41,7 @@ from oddlen.genfun import (
     scalar_table,
     sweep_plan,
 )
-from oddlen.indexset import IndexSet, components, m_of, tilde
+from oddlen.indexset import IndexSet, components, half_sizes, m_of, tilde
 from oddlen.rootsys import odd_root_count
 from oddlen.sperm import (
     SignedPerm,
@@ -478,6 +478,42 @@ class TestClosedFormMemo:
         assert closed_D(1, IndexSet.of(1, [])) is ONE
         after = genfun._closed_D.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _key_mismatches(family, top):
+    """(n, I) where _closed_key differs from the signature built from
+    components, half_sizes and tilde written out, over every index set of
+    family at n = 1..top: the scalar oracle for any faster signature."""
+    bad = []
+    for n in range(1, top + 1):
+        for I in subsets(family, n):
+            decomp = components(I)
+            if family == "A":
+                want = (n, half_sizes(decomp.all_sizes))
+            elif family == "B":
+                want = (n, decomp.zero_size, half_sizes(decomp.other_sizes))
+            elif I.mask == label_mask("D", n):
+                want = None
+            else:
+                twisted = I.remove(0).add(1) if 0 in I else I
+                want = (n, decomp.zero_size, half_sizes(components(twisted).all_sizes))
+            if genfun._closed_key(family, n, I) != want:
+                bad.append((n, I))
+    return bad
+
+
+class TestSignatureScan:
+    """_closed_key reads the signature from run_halves scans of the mask."""
+
+    @pytest.mark.parametrize("family", ["A", "B", "D"])
+    def test_matches_the_component_formula_up_to_rank_14(self, family):
+        assert _key_mismatches(family, 14) == []
+
+    def test_a_key_without_the_tilde_fold_is_caught(self, monkeypatch):
+        # The planted fault: D reads the runs of I, not of tilde(I).
+        monkeypatch.setattr(genfun, "tilde_mask", lambda mask: mask)
+        bad = _key_mismatches("D", 8)
+        assert bad and all(0 in I for _, I in bad)
 
 
 def _verdict_mismatches(family, top=10):

@@ -505,3 +505,17 @@ def test_totient_ceiling_matches_brute_force(monkeypatch):
         _, K = zpoly._totients(D)
         assert K[D] == wants[D], D
     assert list(K[:301]) == wants
+
+
+def test_a_served_degree_skips_the_bound(monkeypatch):
+    """K's last index is the largest degree the table serves: a degree up
+    to it is one comparison, and only a larger one computes the bound."""
+    monkeypatch.setattr(zpoly, "_TOTIENTS", [(0,), (0,)])
+    phi, K = zpoly._totients(40)
+    assert len(K) == 41
+    bound, calls = zpoly._totient_bound, []
+    monkeypatch.setattr(zpoly, "_totient_bound", lambda D: calls.append(D) or bound(D))
+    assert all(zpoly._totients(D) == (phi, K) for D in range(41))
+    assert calls == []
+    assert zpoly._totients(41)[0] is phi  # the same bound: phi is kept, K extended
+    assert calls == [41] and len(zpoly._TOTIENTS[1]) == 42
