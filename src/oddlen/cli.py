@@ -32,8 +32,13 @@ EXIT_MISMATCH = 4
 CYCLO_MAX_DEGREE = 2000
 
 
+def _family(text: str) -> str:
+    """A family name as typed: any case, surrounding spaces ignored."""
+    return text.strip().upper()
+
+
 def _parse_families(text: str) -> tuple[str, ...]:
-    fams = tuple(tok.strip().upper() for tok in text.split(",") if tok.strip())
+    fams = tuple(_family(tok) for tok in text.split(",") if tok.strip())
     for f in fams:
         if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r} (choose from A, B, D)")
@@ -101,11 +106,16 @@ def _verify_context(args) -> tuple[CheckContext, list[str] | None]:
     only = None
     if args.only is not None:
         only = [tok.strip() for tok in args.only.split(",") if tok.strip()]
+        if not only:
+            raise ValueError("no check ids selected")
         unknown = [name for name in only if name not in CHECKS]
         if unknown:
             raise ValueError(
                 f"unknown check ids {unknown}; valid ids: {', '.join(CHECKS)}"
             )
+        repeated = [name for name, count in Counter(only).items() if count > 1]
+        if repeated:
+            raise ValueError(f"check ids given more than once: {', '.join(repeated)}")
     return ctx, only
 
 
@@ -238,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("genfun", help="print one quotient generating function")
-    p.add_argument("-f", "--family", required=True, choices=FAMILIES)
+    p.add_argument("-f", "--family", required=True, type=_family, choices=FAMILIES)
     p.add_argument("-n", type=_positive_int, required=True, help="rank")
     p.add_argument("-I", dest="iset", required=True,
                    help="index set, e.g. '0,2' or '0-2,4' ('' for empty)")
@@ -274,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cyclo)
 
     p = sub.add_parser("table", help="dump a descent-class polynomial table")
-    p.add_argument("-f", "--family", required=True, choices=FAMILIES)
+    p.add_argument("-f", "--family", required=True, type=_family, choices=FAMILIES)
     p.add_argument("-n", type=_positive_int, required=True, help="rank")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_table)

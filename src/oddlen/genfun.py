@@ -1,9 +1,10 @@
 """Sign-twisted generating functions over parabolic quotients.
 
 Both computation routes live here: the closed product formulas and a
-brute-force sweep over half of the group.  A DescentTable is one int64
-array counting elements by (descent mask, length parity, odd length),
-so all 2^n quotients of one group cost one sweep plus a subset-sum
+brute-force sweep over part of the group (half of A, a quarter of B,
+about a quarter of D).  A DescentTable is one int64 array counting
+elements by (descent mask, length parity, odd length), so all 2^n
+quotients of one group cost one sweep plus a subset-sum
 (zeta) transform.  The sweep feeds SweepPlan.histogram prefix blocks of
 the group, SweepPlan.table any rows under a (row, mask) filter, and
 SweepPlan.tabulate keys already computed under one: the restricted sums
@@ -69,28 +70,70 @@ length(w') = length(w0) - length(w) flips the parity with length(w0):
 n(n-1)/2 in A, n^2 in B, n(n-1) in D.  Mirroring is an index map on the
 int64 counts, so it is exact.
 
-Which half is swept: in B and D, every prefix block (below) under the
-sign masks with bit n-1 clear, which are the first half of the sorted
-masks, since every flip above toggles bit n-1.  In A, complementing maps
-the block of prefix x onto that of its complement c(x), and c reverses
-lexicographic order, so the prefixes with x < c(x) are the first half of
-the blocks.  No prefix is its own complement: the empty one would be, and
-so would the middle value alone when n is odd, so the sweep keeps one
-prefix position, and two in A with odd n.  Every swept element thus has
-its partner outside the sweep.  The rank-1 groups have no position pair
-to split into prefix and suffix, and brute_table reads them whole
+Which half is swept in A: complementing maps the block of prefix x
+(below) onto that of its complement c(x), and c reverses lexicographic
+order, so the prefixes with x < c(x) are the first half of the blocks.
+No prefix is its own complement: the empty one would be, and so would
+the middle value alone when n is odd, so the sweep keeps one prefix
+position, and two with odd n.
+
+B and D are split further, by the position j of the entry +-1 (the
+row's 0).  It has the smallest absolute value, so every comparison with
+it is fixed: G = 1 on the pairs (i, j) with i < j, whose weights fold
+into the constant, and G = 0 on the pairs (j, k), which drop out; and it
+adds j inversions, so the parities flip when j is odd.  What is left is
+a linear form of the same shape over the other n - 1 positions: a
+subset of the plan's rows and a constant whose partial sums stay within
+the sum _build_plan asserts.  This is the unit of j, and one more
+symmetry pairs its elements off, again as an exact index map on counts:
+- tau in B, w -> s0 w, flips the sign of +-1 (bit j of the mask).  No
+  pair share of the odd length moves: pair (i, j) has G = 1, where pp
+  and pm both give 1, and mp and mm both 1; pair (j, k) has G = 0,
+  where 2 (pm + mm) reads the right sign alone.  No descent bit k+1
+  moves either: comparing +-1 with an entry of larger absolute value
+  reads only that entry's sign.  So label 0 toggles iff j = 0, the
+  parity flips, and going from bit j clear to bit j set the odd length
+  gains B's sign term, 1 iff j + 1 is odd.
+- sigma in D, conjugation by diag(-1, 1, ..., 1), the diagram
+  automorphism: it flips the signs at position 0 and of +-1 (bits 0 and
+  j), swaps s0 and s1 and so descent labels 0 and 1, and keeps the
+  length and, since it keeps root heights, the odd length.  At j = 0 it
+  flips one sign twice and fixes every element.
+A unit sweeps one element of each orbit of <tau, w0> or <sigma, w0> on
+its masks, and its partners' counts are added.  With a spare bit k = n-1
+(n-2 when j = n-1), which w0 toggles and tau and sigma do not: in B the
+masks with bits j and k clear, a quarter; in D with j >= 1 the masks
+with bits 0 and k clear, a quarter of D's, since bit k decides w0 and
+then bit 0 decides sigma, whether or not w0 toggles bit 0 (n even or
+odd).  D's j = 0 keeps the w0 half, bit k clear.  The sweep thus bins
+n! 2^(n-2) keys in B and (n-1)! 2^(n-3) (n+1) in D.  With their partners
+the units count the masks with bit k clear for each j, a w0 half, and
+_mirror adds the rest.  That half is symmetric in labels 0 and 1 in D: a
+unit with j >= 1 holds its sigma partners, and at j = 0 both labels read
+the sign at position 1.  The units need two positions besides +-1, so B2
+and D2 (which has no spare bit), like the rank-1 groups, are read whole
 through SweepPlan.table.
 
-Rows come in prefix x suffix blocks.  The last s positions run over the
-s! permutations of range(s), built once per call as an int8 table `base`
-in lexicographic order.  s is the largest length whose s! rows (at most
-40320) times the swept masks fit FLOATS = 2**21 floats, capped to keep
-the prefix positions above; a block's arrays are (masks, rows), so that
-products run along rows.  Each (n-s)-prefix, taken in lexicographic
-order, owns the block rest[base], where rest is its sorted complement,
-so the blocks concatenate in itertools' order.  Relabelling by rest is
-monotone, so the suffix pairs' share of every key is computed once per
-call, in one copy per parity of the inversions a prefix adds:
+The units' forms share their n - 1 positions, so they sit side by side
+as the columns of one form (SweptForm, built once per group), and one
+sweep runs them all.  tau reads only whether j = 0 and the parity of j,
+and sigma only whether j = 0, so the units fall into partner classes:
+three in B, two in D.  Each unit's constant carries its class times the
+table size, so one bincount keeps the classes apart, and each class's
+partner map runs once per call.  The offset keys stay below 2**24, as
+_swept_form asserts.  A is one unit, the plan's form itself.
+
+Rows come in prefix x suffix blocks over the form's m positions (n in
+A, n - 1 in B and D).  The last s positions run over the s! permutations
+of range(s), built once per call as an int8 table `base` in
+lexicographic order.  s is the largest length whose s! rows (at most
+40320) times the form's columns fit FLOATS = 2**21 floats, capped to
+keep the prefix positions above; a block's arrays are (columns, rows),
+so that products run along rows.  Each (m-s)-prefix, taken in
+lexicographic order, owns the block rest[base], where rest is its sorted
+complement, so the blocks concatenate in itertools' order.  Relabelling
+by rest is monotone, so the suffix pairs' share of every key is computed
+once per call, in one copy per parity of the inversions a prefix adds:
 inv(prefix) plus the ranks of its values within rest.
 
 A prefix position whose value has r smaller values in rest adds the term
@@ -121,7 +164,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial, prod
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -211,6 +254,7 @@ class SweepPlan:
     odd length, and the sign masks' parities, for one family and rank.
     Built once per group and shared, so its arrays are read-only."""
 
+    family: str
     n: int
     masks: np.ndarray
     width: int            # odd lengths run over 0..width-1
@@ -328,7 +372,8 @@ def _build_plan(family: str, n: int) -> SweepPlan:
     parity = neg.sum(axis=1).astype(np.uint8) & 1
     for array in (masks, weights, const, parity):
         array.flags.writeable = False
-    return SweepPlan(n=n, masks=masks, width=width, weights=weights, const=const, parity=parity)
+    return SweepPlan(family=family, n=n, masks=masks, width=width, weights=weights,
+                     const=const, parity=parity)
 
 
 def _columns(rows: list[tuple[int, int, int]]) -> np.ndarray:
@@ -337,17 +382,119 @@ def _columns(rows: list[tuple[int, int, int]]) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(-1, 3).T
 
 
+def _spare_bit(n: int, j: int) -> int:
+    """The sign bit k that the unit of the entry +-1 at position j keeps
+    clear, besides bit j in B and bit 0 in D when j >= 1: the last position
+    that is not j, which is never 0 for n >= 3."""
+    return n - 2 if j == n - 1 else n - 1
+
+
+def _units(plan: SweepPlan) -> list[tuple[int | None, np.ndarray]]:
+    """The swept units of a group of rank n >= 2 in A, n >= 3 in B and D
+    (see above), in sweep order: (position j of +-1, columns of their sign
+    masks).  A has one unit, j = None, of one column; in B and D each j
+    owns a quarter of the sign masks, and D's j = 0 the w0 half."""
+    n, masks = plan.n, plan.masks
+    if plan.family == "A":
+        return [(None, np.zeros(1, dtype=np.intp))]
+    units = []
+    for j in range(n):
+        clear = 1 << _spare_bit(n, j) | (1 << j if plan.family == "B" else 1 if j else 0)
+        units.append((j, np.flatnonzero(masks & clear == 0)))
+    return units
+
+
+def _unit_plan(plan: SweepPlan, j: int | None,
+               cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, constant and parities of one unit's linear form over its
+    positions, all but j: the pairs (i, j) compare 1 and fold into the
+    constant, the pairs (j, k) compare 0 and drop out, and +-1 adds j
+    inversions.  Every partial sum stays within _build_plan's bound."""
+    if j is None:
+        return plan.weights[:, cols], plan.const[cols], plan.parity[cols]
+    pairs = _pairs(plan.n)
+    rest = [k for k, pair in enumerate(pairs) if j not in pair]
+    into = [k for k, (_, right) in enumerate(pairs) if right == j]
+    const = plan.const[cols] + plan.weights[into][:, cols].sum(axis=0)
+    return plan.weights[rest][:, cols], const, plan.parity[cols] ^ (j & 1)
+
+
+def _partner_class(family: str, j: int | None) -> int:
+    """The first position of +-1 whose partner map is j's (see _partner):
+    tau reads j = 0 and the parity of j, sigma j = 0 alone."""
+    if j is None:
+        return 0
+    if family == "D":
+        return min(j, 1)
+    return j if j < 2 else 2 - j % 2
+
+
+class SweptForm(NamedTuple):
+    """The linear form the sweep runs for one group: every unit's form side
+    by side, over the same positions, each unit's keys offset by its
+    partner class times the table size."""
+
+    positions: int
+    weights: np.ndarray  # (pairs of the positions, columns) float32
+    const: np.ndarray    # (columns,) float32
+    flips: np.ndarray    # (columns,) uint8
+    classes: int
+
+
+@lru_cache(maxsize=None)
+def _swept_form(family: str, n: int) -> SweptForm:
+    """The sweep's form for one group of rank n >= 2 in A, n >= 3 in B and
+    D, built once and shared, so its arrays are read-only."""
+    plan = _build_plan(family, n)
+    size = (1 << n) * 2 * plan.width
+    parts, classes = [], 1
+    for j, cols in _units(plan):
+        weights, const, flips = _unit_plan(plan, j, cols)
+        offset = _partner_class(family, j)
+        parts.append((weights, const + offset * size, flips))
+        classes = max(classes, offset + 1)
+    weights, const, flips = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+    worst = np.abs(weights).sum(axis=0, dtype=np.float64) + np.abs(const) + plan.width
+    if worst.max() >= 1 << 24:
+        raise AssertionError(f"{family}_{n} offset keys reach {worst.max():.0f}, past 2**24")
+    for array in (weights, const, flips):
+        array.flags.writeable = False
+    return SweptForm(n if family == "A" else n - 1, weights, const, flips, classes)
+
+
 def _half(plan: SweepPlan) -> tuple[int, int, int]:
-    """The half of a group of rank n >= 2 that the sweep enumerates (see
-    above): the number of leading sign-mask columns, the suffix length for
-    that many, and the number of leading prefix blocks swept.  In B and D
-    w0 pairs the columns, so every block is swept; in A it pairs the
-    blocks, so half of them are."""
-    n, nmasks = plan.n, len(plan.masks)
-    ncols = max(1, nmasks // 2)
-    s = min(_suffix_length(n, ncols), n - 1 - (nmasks == 1 and n % 2))
-    nblocks = factorial(n) // factorial(s)
-    return ncols, s, nblocks // 2 if nmasks == 1 else nblocks
+    """The sweep's layout (see above): the columns of its form, the suffix
+    length, and the number of prefix blocks swept.  In A w0 pairs the
+    blocks, so half of them are swept; in B and D every block of the n - 1
+    positions is."""
+    form = _swept_form(plan.family, plan.n)
+    m, ncols = form.positions, len(form.const)
+    s = min(_suffix_length(m, ncols), m - 1 - (plan.family == "A" and m % 2))
+    nblocks = factorial(m) // factorial(s)
+    return ncols, s, nblocks // 2 if plan.family == "A" else nblocks
+
+
+def _partner(family: str, n: int, j: int, counts: np.ndarray) -> np.ndarray | None:
+    """The flat counts of the partners of the elements a unit's flat counts
+    hold (see above): tau w in B, which toggles label 0 when j = 0, flips
+    the parity and adds 1 to the odd length when j + 1 is odd; sigma w in
+    D, which swaps labels 0 and 1.  None in A and at D's j = 0, where sigma
+    fixes every element."""
+    if family == "A" or (family == "D" and j == 0):
+        return None
+    half = counts.reshape(1 << n, 2, -1)
+    masks = np.arange(1 << n)
+    if family == "D":
+        return half[_swap_labels(masks)].ravel()
+    image = half[masks ^ (j == 0), ::-1]
+    if j % 2 == 0:
+        image = np.concatenate([np.zeros_like(image[..., :1]), image[..., :-1]], axis=2)
+    return image.ravel()
+
+
+def _swap_labels(masks: np.ndarray) -> np.ndarray:
+    """Descent masks with bits 0 and 1 exchanged."""
+    return masks ^ ((masks ^ masks >> 1) & 1) * 0b11
 
 
 def _term_tables(ncols: int, s: int, p: int) -> int:
@@ -358,20 +505,23 @@ def _term_tables(ncols: int, s: int, p: int) -> int:
 
 def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     """Flat (descent mask, length parity, odd length) histogram over the
-    swept prefix blocks [start, stop), crossed with the swept sign masks."""
+    swept prefix blocks [start, stop), with the partners of the B and D
+    units: the counts of that part of the w0 half."""
     n, width = plan.n, plan.width
+    form = _swept_form(plan.family, n)
     ncols, s, _ = _half(plan)
-    p, rows = n - s, factorial(s)
-    weights, flips = plan.weights[:, :ncols], plan.parity[:ncols]
+    m = form.positions
+    p, rows = m - s, factorial(s)
+    weights, flips = form.weights, form.flips
     ntab = _term_tables(ncols, s, p)
     stacked = [0, *range(ntab + 1, p)]  # positions 1..ntab have tables
     nkeys = max(1, KEYS // (ncols * rows))  # blocks binned per bincount
 
-    pairs = _pairs(n)
+    pairs = _pairs(m)
     inner, left, right = _columns([(k, i - p, j - p) for k, (i, j) in enumerate(pairs) if i >= p])
     head_pairs = [(i, j) for i, j in pairs if j < p]
     fixed = weights[[pairs.index(pair) for pair in head_pairs]]
-    # pairs (i, p..n-1) are consecutive: prefix position i against the suffix
+    # pairs (i, p..m-1) are consecutive: prefix position i against the suffix
     cross = [weights[k : k + s].T for k in (pairs.index((i, p)) for i in range(p))]
 
     # Every work array is a view of one allocation.  The keys' bytes hold
@@ -394,7 +544,7 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     for k, (i, j) in enumerate(zip(left, right)):
         np.greater(base[i], base[j], out=greater[k])
     suffix = np.matmul(weights[inner].T, greater, out=term)
-    suffix += plan.const[:ncols, None]
+    suffix += form.const[:, None]
     # shared[q]: the suffix's share of the keys when the prefix adds q
     # inversions mod 2, the parity term being width * (inv(row) xor flips).
     inversions = np.remainder(greater.sum(axis=0, out=step[0]), 2, out=step[0])
@@ -415,9 +565,9 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     mixed[:, -1] = 0
     step[-1] = 1
 
-    counts = np.zeros((1 << n) * 2 * width, dtype=np.int64)
+    counts = np.zeros(form.classes * (1 << n) * 2 * width, dtype=np.int64)
     built, k = None, 0
-    for prefix in islice(permutations(range(n), p), start, stop):
+    for prefix in islice(permutations(range(m), p), start, stop):
         rank = [v - sum(u < v for u in prefix) for v in prefix]
         head = [prefix[i] > prefix[j] for i, j in head_pairs]
         inputs = [rank[i] for i in stacked] + head
@@ -434,11 +584,23 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
         np.add(total, shared[(sum(rank) + sum(head)) & 1], out=keys[k], casting="unsafe")
         k += 1
         if k == nkeys:
-            counts += plan.histogram(keys)
+            counts += np.bincount(keys.ravel(), minlength=len(counts))
             k = 0
     if k:
-        counts += plan.histogram(keys[:k])
-    return counts
+        counts += np.bincount(keys[:k].ravel(), minlength=len(counts))
+    return _add_partners(plan, counts)
+
+
+def _add_partners(plan: SweepPlan, counts: np.ndarray) -> np.ndarray:
+    """The flat counts of a sweep's partner classes added up, each with its
+    partners' counts; class j holds the units of partner class j."""
+    parts = counts.reshape(-1, (1 << plan.n) * 2 * plan.width)
+    half = parts.sum(axis=0)
+    for j, part in enumerate(parts):
+        image = _partner(plan.family, plan.n, j, part)
+        if image is not None:
+            half += image
+    return half
 
 
 def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -465,7 +627,7 @@ def _mirror(family: str, n: int, half: np.ndarray) -> np.ndarray:
     """
     masks = np.arange(1 << n)
     if family == "D" and n % 2:
-        masks ^= ((masks ^ masks >> 1) & 1) * 0b11  # swap bits 0 and 1
+        masks = _swap_labels(masks)
     masks ^= label_mask(family, n)
     flip = {"A": n * (n - 1) // 2, "B": n * n, "D": n * (n - 1)}[family] & 1
     return half[masks, :: 1 - 2 * flip, ::-1]
@@ -511,13 +673,14 @@ class DescentTable:
 
 
 def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable:
-    """Sweep half the group and add its partners under w0 (see above), so
-    every element is counted once, bucketed by descent set.  Rank 1 is
-    read whole."""
+    """Sweep part of the group, with its tau or sigma partners in B and D,
+    and add the partners under w0 of that half (see above), so every
+    element is counted once, bucketed by descent set.  Rank 1, B2 and D2
+    are read whole."""
     check_budget(family, n)
     plan = _build_plan(family, n)
-    if n == 1:
-        return plan.table(family, perm_table(1))
+    if n <= (1 if family == "A" else 2):
+        return plan.table(family, perm_table(n))
     nswept = _half(plan)[2]
     nworkers = min(resolve_workers(workers), nswept)
     if nworkers <= 1 or factorial(n) < 50000:

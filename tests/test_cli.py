@@ -199,6 +199,25 @@ class TestVerify:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["--only", ""], "no check ids selected", id="only-empty"),
+            pytest.param(["--only", ","], "no check ids selected", id="only-comma"),
+            pytest.param(["--families", ",,"], "no families selected", id="families-commas"),
+        ],
+    )
+    def test_an_empty_selection_exits_2(self, capsys, argv, message):
+        code, out, err = run(["verify", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert message in err and "rows" not in err
+
+    def test_a_repeated_check_id_exits_2(self, capsys):
+        code, out, err = run(
+            ["verify", "--only", "root-oracle,remark-values,root-oracle"], capsys)
+        assert (code, out) == (2, "")
+        assert "given more than once: root-oracle" in err
+
     def test_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
         code, _, _ = run(
@@ -334,6 +353,21 @@ class TestUsage:
 
     def test_bad_family_exits_2(self, capsys):
         assert run(["genfun", "-f", "X", "-n", "3", "-I", ""], capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["genfun", "-n", "4", "-I", "0,2", "-m", "both", "--format", "json"],
+                         id="genfun"),
+            pytest.param(["table", "-n", "4", "--format", "json"], id="table"),
+        ],
+    )
+    def test_family_flag_takes_any_case(self, capsys, argv):
+        # -f normalises a family as --families does.
+        upper = run([*argv, "-f", "D"], capsys)
+        assert upper[0] == 0
+        assert run([*argv, "-f", "d"], capsys) == upper
+        assert run([*argv, "-f", " d "], capsys) == upper
 
     def test_workers_variable_is_not_read(self, capsys, monkeypatch):
         # The worker count comes from workers= or --workers alone.

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import permutations
 from math import factorial
@@ -22,8 +23,11 @@ from oddlen.genfun import (
     _build_plan,
     _half,
     _mirror,
+    _swept_form,
     _sweep_range,
     _term_tables,
+    _unit_plan,
+    _units,
     M_of,
     brute_filtered,
     brute_quotient,
@@ -59,11 +63,14 @@ def quotient_elements(family, n, I):
     return (s for s in elements(family, n) if in_quotient(s, I, family))
 
 
-# Every rank the unmirrored read covers; TestSweepKernel.GOLDEN covers A10 and B8.
+# Every rank the unmirrored read covers; TestSweepKernel.GOLDEN covers A10,
+# B8, B9 and D9.
 MIRROR_RANKS = [(f, n) for f, top in (("A", 9), ("B", 7), ("D", 8)) for n in range(1, top + 1)]
-# Two workers split an odd count of swept blocks: A10 sweeps 45 of its 90,
-# and B7 and D7 all 7 blocks over half the sign masks.
+# Uneven ranges split the swept blocks: A10 sweeps 45 of its 90, and B7
+# and D7 all 6 of the positions besides +-1.
 SPLIT_RANKS = [("A", 10), ("B", 7), ("D", 7)]
+# Every B and D rank the quarter units sweep, to the first ranks past BUDGET.
+QUARTER_RANKS = [(f, n) for f, top in (("B", 9), ("D", 10)) for n in range(3, top + 1)]
 
 
 @functools.cache
@@ -71,6 +78,21 @@ def unmirrored_counts(family, n):
     """Every (row x mask) element of the group read through SweepPlan.table:
     no prefix blocks and no mirror."""
     return sweep_plan(family, n).table(family, perm_table(n)).counts
+
+
+@functools.cache
+def w0_half(family, n):
+    """The counts of one element of each w0 pair, read through SweepPlan.table
+    with no sweep: the rows below their complements in A, the sign masks
+    with bit n-1 clear in B and D."""
+    plan = sweep_plan(family, n)
+    rows = perm_table(n)
+    if family == "A":
+        d = 2 * rows.astype(np.int64) - (n - 1)
+        keep = (d[np.arange(len(rows)), (d != 0).argmax(axis=1)] < 0)[:, None]
+    else:
+        keep = (plan.masks >> (n - 1) & 1) == 0
+    return plan.table(family, rows, keep).counts
 
 
 # Planted mirror faults: each undoes one part of the map on _mirror's output.
@@ -88,6 +110,40 @@ def _no_parity_flip(family, n, out):
 
 def _unreversed_odd_length(family, n, out):
     return out[:, :, ::-1]
+
+
+def quarter_tiling(family, n):
+    """Whether, for every position j of +-1, the units' sign masks, their
+    tau (B) or sigma (D) partners and the w0 partners of both cover each
+    sign mask of the group once."""
+    plan = _build_plan(family, n)
+    full = (1 << n) - 1
+    w0 = full if family == "B" or n % 2 == 0 else full - 1
+    seen = Counter()
+    for j, cols in _units(plan):
+        masks = plan.masks[cols]
+        if family == "B":
+            masks = np.concatenate([masks, masks ^ 1 << j])
+        elif j:
+            masks = np.concatenate([masks, masks ^ (1 | 1 << j)])
+        seen.update((j, m) for m in np.concatenate([masks, masks ^ w0]).tolist())
+    return seen == Counter((j, m) for j in range(n) for m in plan.masks.tolist())
+
+
+# Planted partner faults, each wrapping _partner.
+def _no_tau_shift(partner, family, n, j, counts):
+    # tau's +1 on the odd length undone where +-1 sits at an odd position
+    # counted from 1
+    image = partner(family, n, j, counts)
+    if family == "B" and j % 2 == 0:
+        image = image.reshape(1 << n, 2, -1)
+        image = np.concatenate([image[..., 1:], np.zeros_like(image[..., :1])], axis=2).ravel()
+    return image
+
+
+def _sigma_at_j_0(partner, family, n, j, counts):
+    # sigma fixes the j = 0 elements, so adding its image counts them twice
+    return partner(family, n, 1 if family == "D" and j == 0 else j, counts)
 
 
 def subsets(family, n):
@@ -131,9 +187,15 @@ class TestBruteTable:
 
     @pytest.mark.parametrize("family, n", SPLIT_RANKS)
     def test_worker_split_on_uneven_block_counts(self, family, n):
-        assert _half(_build_plan(family, n))[2] % 2 == 1
+        # The first worker count that does not divide the swept blocks.
+        plan = _build_plan(family, n)
+        nswept = _half(plan)[2]
+        workers = next(w for w in range(2, nswept) if nswept % w)
+        bounds = [nswept * k // workers for k in range(workers + 1)]
+        parts = sum(_sweep_range(plan, a, b) for a, b in zip(bounds, bounds[1:]))
+        assert np.array_equal(parts, _sweep_range(plan, 0, nswept))
         single = brute_table(family, n, workers=1)
-        assert np.array_equal(brute_table(family, n, workers=2).counts, single.counts)
+        assert np.array_equal(brute_table(family, n, workers=workers).counts, single.counts)
 
     def test_buckets_sum_to_the_group_poly(self):
         t = brute_table("B", 3)
@@ -162,10 +224,27 @@ class TestBruteTable:
                          id="unreversed-odd-length"),
         ],
     )
-    def test_planted_mirror_faults_fail(self, monkeypatch, fault, failing):
-        # The rank-1 groups are read whole, so no fault reaches them.
-        mirror = genfun._mirror
-        monkeypatch.setattr(genfun, "_mirror", lambda f, n, half: fault(f, n, mirror(f, n, half)))
+    def test_planted_mirror_faults_fail(self, fault, failing):
+        # _mirror maps a half read with no sweep onto the other half.  The
+        # sweep's own half cannot show the label swap: in D its units add
+        # their sigma partners, and sigma swaps labels 0 and 1.  The rank-1
+        # groups have no pairs to map.
+        broken = [f"{f}{n}" for f, n in MIRROR_RANKS if n > 1
+                  and not np.array_equal(w0_half(f, n) + fault(f, n, _mirror(f, n, w0_half(f, n))),
+                                         unmirrored_counts(f, n))]
+        assert broken == failing
+
+    @pytest.mark.parametrize(
+        "fault, failing",
+        [
+            pytest.param(_no_tau_shift, [f"B{n}" for n in range(3, 8)], id="no-tau-shift"),
+            pytest.param(_sigma_at_j_0, [f"D{n}" for n in range(3, 9)], id="sigma-at-j-0"),
+        ],
+    )
+    def test_planted_partner_faults_fail(self, monkeypatch, fault, failing):
+        partner = genfun._partner
+        monkeypatch.setattr(genfun, "_partner",
+                            lambda f, n, j, counts: fault(partner, f, n, j, counts))
         broken = [f"{f}{n}" for f, n in MIRROR_RANKS
                   if not np.array_equal(brute_table(f, n).counts, unmirrored_counts(f, n))]
         assert broken == failing
@@ -192,15 +271,20 @@ def _table_digest(table):
 
 class TestSweepKernel:
     # SHA-256 of the A10, B8 and D8 tables, as produced by the tuple-based
-    # kernel the block kernel replaced.
+    # kernel the block kernel replaced; of B9 and D9, past BUDGET, as
+    # produced both by the half sweep the quarter units replaced and by
+    # SweepPlan.table over perm_table(9) in chunks of 2,048 rows.
     GOLDEN = {
         ("A", 10): "27ad339025c91abc5125c2d67c42cb7c2db8da3fd522f3cdddefc9477b4f1cee",
         ("B", 8): "e67680e3566bc4986692f68e60c4a3c8c03259936ed3328225da2a36ccce5538",
         ("D", 8): "ec21e7eaad312dc9867ac0b35775c34b25cd5f453b5059f00623637e2567cd78",
+        ("B", 9): "d07c3534cc572e0627aee96a9c0eb61b0a9ce73d81c857ceece0eabc9d3da3b5",
+        ("D", 9): "268e1b27dbe9e3d49fdcb0e5688fa1f22b34de92f96e03302397234cecfe381f",
     }
 
     @pytest.mark.parametrize("family, n", list(GOLDEN))
-    def test_golden_table_digest(self, family, n):
+    def test_golden_table_digest(self, monkeypatch, family, n):
+        monkeypatch.setitem(genfun.BUDGET, family, max(n, BUDGET[family]))
         assert _table_digest(brute_table(family, n, workers=1)) == self.GOLDEN[(family, n)]
 
     def test_every_plan_within_budget_builds(self):
@@ -234,12 +318,14 @@ class TestSweepKernel:
                 assert read == [descent_set(sigma, family).mask, ell & 1, odd], sigma
 
     def test_suffix_blocks(self):
-        # (mask columns, suffix length, blocks swept)
+        # (columns, suffix length, blocks swept): B8's 8 units of 64 sign
+        # masks and D8's 7 of 32 and one of 64 (j = 0) sweep 7 blocks each.
         assert _half(_build_plan("A", 2)) == (1, 1, 1)
         assert _half(_build_plan("A", 10)) == (1, 8, 45)
-        assert _half(_build_plan("B", 8)) == (128, 7, 8)
-        assert _half(_build_plan("D", 8)) == (64, 7, 8)
-        assert _half(_build_plan("D", 7)) == (32, 6, 7)
+        assert _half(_build_plan("B", 8)) == (512, 6, 7)
+        assert _half(_build_plan("D", 8)) == (288, 6, 7)
+        assert _half(_build_plan("D", 7)) == (128, 5, 6)
+        assert _half(_build_plan("D", 3)) == (4, 1, 2)
 
         # (prefix positions, positions with a term table), from the plans
         # alone.  Within BUDGET every position after the first is tabled,
@@ -247,18 +333,59 @@ class TestSweepKernel:
         # B and D; past it, B9 and D10 table none.
         def layout(family, n):
             ncols, s, _ = _half(_build_plan(family, n))
-            ntab = _term_tables(ncols, s, n - s)
+            p = n - (family != "A") - s
+            ntab = _term_tables(ncols, s, p)
             assert ntab * (s + 1) * ncols * factorial(s) <= FLOATS
             assert ncols * factorial(s) <= FLOATS
-            return n - s, ntab
+            return p, ntab
 
         for family, top in BUDGET.items():
-            for n in range(2, top + 1):
+            for n in range(2 if family == "A" else 3, top + 1):
                 p, ntab = layout(family, n)
                 assert ntab == p - 1
                 assert p == (2 if family == "A" and (n % 2 or n == 10) else 1), (family, n)
         assert layout("B", 9) == (2, 0)
         assert layout("D", 10) == (3, 0)
+
+    @pytest.mark.parametrize("family, n", QUARTER_RANKS)
+    def test_quarter_units_tile_the_group(self, family, n):
+        assert quarter_tiling(family, n)
+
+    def test_a_spare_bit_equal_to_j_breaks_the_tiling(self, monkeypatch):
+        monkeypatch.setattr(genfun, "_spare_bit", lambda n, j: j)
+        assert [f"{f}{n}" for f, n in QUARTER_RANKS if quarter_tiling(f, n)] == []
+
+    @pytest.mark.parametrize("family, n", QUARTER_RANKS)
+    def test_unit_plans_stay_within_the_plan_bound(self, family, n):
+        # Each unit's form is a subset of the plan's rows plus a folded
+        # constant, so _build_plan's float32 assert bounds it too; the
+        # swept form, their columns side by side with class offsets, is
+        # checked as it is built.
+        plan = _build_plan(family, n)
+        for j, cols in _units(plan):
+            weights, const, flips = _unit_plan(plan, j, cols)
+            assert weights.shape == ((n - 1) * (n - 2) // 2, len(cols))
+            worst = np.abs(weights).sum(axis=0, dtype=np.float64) + np.abs(const)
+            bound = np.abs(plan.weights[:, cols]).sum(axis=0, dtype=np.float64)
+            assert (worst <= bound + np.abs(plan.const[cols])).all()
+        form = _swept_form(family, n)
+        worst = np.abs(form.weights).sum(axis=0, dtype=np.float64) + np.abs(form.const)
+        assert (worst + plan.width).max() < 1 << 24
+        assert form.classes == (3 if family == "B" else 2)
+        assert not form.weights.flags.writeable
+
+    @pytest.mark.parametrize("family, top", [("A", 10), ("B", 8), ("D", 8)])
+    def test_keys_binned_per_call(self, monkeypatch, family, top):
+        # A sweeps half its elements; B n! 2^(n-2), a quarter; D
+        # (n-1)! 2^(n-3) (n+1), 2 (n+1) / (4 n) of the group's n! 2^(n-1).
+        # Without the tau and sigma partners, the table holds the swept
+        # keys and their w0 partners.
+        swept = {"A": lambda n: factorial(n) // 2,
+                 "B": lambda n: factorial(n) << (n - 2),
+                 "D": lambda n: (factorial(n - 1) << (n - 3)) * (n + 1)}[family]
+        monkeypatch.setattr(genfun, "_partner", lambda family, n, j, counts: None)
+        for n in range(2 if family == "A" else 3, top + 1):
+            assert brute_table(family, n, workers=1).counts.sum() == 2 * swept(n), (family, n)
 
     @pytest.mark.parametrize("n", range(2, BUDGET["A"] + 1))
     def test_a_swept_prefixes_complement_to_the_unswept_blocks(self, n):
@@ -302,10 +429,11 @@ class TestSweepKernel:
         monkeypatch.setattr(genfun, "KEYS", blocks * factorial(8))
         assert np.array_equal(brute_table("A", 10, workers=1).counts, want)
 
-    @pytest.mark.parametrize("family, n, limit_mb", [("A", 10, 14), ("B", 8, 19), ("D", 8, 10.5)])
+    @pytest.mark.parametrize("family, n, limit_mb", [("A", 10, 14), ("B", 8, 9.5), ("D", 8, 7)])
     def test_one_table_call_stays_small(self, family, n, limit_mb):
         # A call's work arrays are one allocation bounded by FLOATS and KEYS;
         # a per-block (ranks, positions, rows) step tensor peaks at 16.3 MB on A10.
+        # B8 and D8 peak at 8.1 and 6.1 MB; the bounds leave about 1 MB more.
         sweep_plan(family, n)  # the cached plan is not the call's
         tracemalloc.start()
         try:
@@ -325,7 +453,8 @@ class TestSweepKernel:
         ],
     )
     def test_edge_ranks_match_scalar_enumeration(self, family, n):
-        # n=1 is read whole, and n=2 splits into one prefix and one suffix position.
+        # n=1 is read whole, and so are B2 and D2; A2, and the units of B3
+        # and D3, split into one prefix and one suffix position.
         oracle = scalar_table(family, n, elements(family, n))
         assert np.array_equal(oracle.counts, brute_table(family, n).counts)
 
