@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="worker processes for brute-force tables of at least "
-                        "50,000 absolute-value rows, which today means A9 and "
-                        "A10 only (default 1)")
+                        "50,000 absolute-value rows, which today means A9 to "
+                        "A11, B9 and D9 only (default 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cyclo", help="decide cyclotomic-product factorability")

@@ -1,14 +1,13 @@
 """Sign-twisted generating functions over parabolic quotients.
 
 Both computation routes live here: the closed product formulas and a
-brute-force sweep over part of the group (half of A, a quarter of B,
-about a quarter of D).  A DescentTable is one int64 array counting
-elements by (descent mask, length parity, odd length), so all 2^n
-quotients of one group cost one sweep plus a subset-sum
-(zeta) transform.  The sweep feeds SweepPlan.histogram prefix blocks of
-the group, SweepPlan.table any rows under a (row, mask) filter, and
-SweepPlan.tabulate keys already computed under one: the restricted sums
-(pinned entries here, supports in chess).  scalar_table,
+brute-force sweep over about a quarter of the group.  A DescentTable is
+one int64 array counting elements by (descent mask, length parity, odd
+length), so all 2^n quotients of one group cost one sweep plus a
+subset-sum (zeta) transform.  The sweep feeds SweepPlan.histogram prefix
+blocks of the group, SweepPlan.table any rows under a (row, mask)
+filter, and SweepPlan.tabulate keys already computed under one: the
+restricted sums (pinned entries here, supports in chess).  scalar_table,
 with no caller in the package, is the independent oracle.
 
 The closed formulas read an index set I only through a signature of its
@@ -70,12 +69,27 @@ length(w') = length(w0) - length(w) flips the parity with length(w0):
 n(n-1)/2 in A, n^2 in B, n(n-1) in D.  Mirroring is an index map on the
 int64 counts, so it is exact.
 
-Which half is swept in A: complementing maps the block of prefix x
-(below) onto that of its complement c(x), and c reverses lexicographic
-order, so the prefixes with x < c(x) are the first half of the blocks.
-No prefix is its own complement: the empty one would be, and so would
-the middle value alone when n is odd, so the sweep keeps one prefix
-position, and two with odd n.
+A is split further by its diagram automorphism delta: w -> w0 w w0, the
+row P -> n-1-P[n-1-i].  delta carries the pair (i, j) to (n-1-j, n-1-i),
+at the same distance, and inversions to inversions, so it keeps the
+length and the odd length, and it maps descent label l to n - l.  A's
+form takes its positions in the order 0, n-1, 1, ..., n-2, so a block's
+prefix (below) starts with (a, b) = (P[0], P[n-1]).  The n - 2 pairs
+(k, n-1), 1 <= k <= n-2, then compare the other way, G -> 1 - G: their
+weights fold into the constant and are negated, and their inversions
+flip the parity when n - 2 is odd.  Put u = a + b - (n-1) and v = a - b.
+delta maps (a, b) to (n-1-b, n-1-a), so (u, v) to (-u, v); w -> w w0
+reverses the row, (u, -v); and w0 w, the mirror above, complements it,
+(-u, -v).  v is never 0.  The sweep keeps the blocks with v > 0 and
+u >= 0, that is a > b and a + b >= n-1: floor(n^2/4) pairs (a, b), so
+floor(n^2/4) (n-2)! keys (1,008,000 of A10's 3,628,800).  Those with
+u > 0 form class 1 (below), and their delta partners, u < 0 < v, are
+added by an exact index map on the counts that reverses labels 1..n-1
+and keeps the parity and the odd length.  delta maps the blocks with
+u = 0, class 0, onto themselves, so they add none.  Together that is
+every element with v > 0, a w0 half, and _mirror adds the other.  The
+prefix needs both a and b, and the suffix one position, so A2 is read
+whole.
 
 B and D are split further, by the position j of the entry +-1 (the
 row's 0).  It has the smallest absolute value, so every comparison with
@@ -111,8 +125,8 @@ the units count the masks with bit k clear for each j, a w0 half, and
 _mirror adds the rest.  That half is symmetric in labels 0 and 1 in D: a
 unit with j >= 1 holds its sigma partners, and at j = 0 both labels read
 the sign at position 1.  The units need two positions besides +-1, so B2
-and D2 (which has no spare bit), like the rank-1 groups, are read whole
-through SweepPlan.table.
+and D2 (which has no spare bit), like A2 and the rank-1 groups, are read
+whole through SweepPlan.table.
 
 The units' forms share their n - 1 positions, so they sit side by side
 as the columns of one form (SweptForm, built once per group), and one
@@ -121,17 +135,22 @@ and sigma only whether j = 0, so the units fall into partner classes:
 three in B, two in D.  Each unit's constant carries its class times the
 table size, so one bincount keeps the classes apart, and each class's
 partner map runs once per call.  The offset keys stay below 2**24, as
-_swept_form asserts.  A is one unit, the plan's form itself.
+_swept_form asserts.  A is one unit, the plan's form in its position
+order, and its classes are its blocks'.  A block of class 1 adds 2 width
+to its prefix constant, the place of descent label 0, which no element
+of A has, so the classes share one table and the call's counts and
+bincounts stay one table in size; _add_partners folds class 1 back.
 
 Rows come in prefix x suffix blocks over the form's m positions (n in
 A, n - 1 in B and D).  The last s positions run over the s! permutations
 of range(s), built once per call as an int8 table `base` in
 lexicographic order.  s is the largest length whose s! rows (at most
-40320) times the form's columns fit FLOATS = 2**21 floats, capped to
-keep the prefix positions above; a block's arrays are (columns, rows),
-so that products run along rows.  Each (m-s)-prefix, taken in
-lexicographic order, owns the block rest[base], where rest is its sorted
-complement, so the blocks concatenate in itertools' order.  Relabelling
+40320) times the form's columns fit FLOATS = 2**21 floats and KEYS keys,
+capped to keep the prefix positions above; a block's arrays are
+(columns, rows), so that products run along rows.  Each swept
+(m-s)-prefix, taken in lexicographic order (_swept_prefixes), owns the
+block rest[base], where rest is its sorted complement, so the blocks
+concatenate in itertools' order.  Relabelling
 by rest is monotone, so the suffix pairs' share of every key is computed
 once per call, in one copy per parity of the inversions a prefix adds:
 inv(prefix) plus the ranks of its values within rest.
@@ -139,22 +158,24 @@ inv(prefix) plus the ranks of its values within rest.
 A prefix position whose value has r smaller values in rest adds the term
 cross @ [base < r], which depends on the position and r alone.  So
 positions 1, 2, ... keep a table of their s + 1 terms, built once per
-call while the tables together fit FLOATS floats: within BUDGET every A
-rank with two prefix positions has one, and B and D, with one position,
-have none.  Position 0, the positions past the tables and the prefix
-pairs (a constant per block) make one product, rebuilt only when its
-ranks or the prefix's order change; with at most two positions, position
-0's rank never decreases along the prefixes, so A10 builds it 9 times,
-once per (rank, order), for its 45 blocks.  A block's last add writes
-its keys, cast to intp, into a buffer of up to KEYS = 2**19 keys, which
-one bincount bins when full.
+call while the tables together fit FLOATS floats: to A10, B8 and D8
+every position after the first has one, which is A's second position
+and none of B's and D's one.  Position 0, the positions past the tables
+and the prefix pairs with the block's class offset (a constant per
+block) make one product, rebuilt only when its ranks, the prefix's order
+or the class change; with at most two positions, position 0's rank
+never decreases along the prefixes, so A10 builds it 9 times, once per
+(rank, class), for its 25 blocks.  A block's last add writes its keys,
+cast to intp, into a buffer of up to KEYS = 2**19 keys, which one
+bincount bins when full.
 
 Every work array of a call is a view of one allocation, and nothing
 outlives the call, so a call allocates the same few blocks every time
 and the allocator keeps reusing their pages.  The summation order is not
 SweepPlan.keys', but every partial sum, in any order, is bounded by the
-sum that _build_plan asserts below 2**24, so every key is exact.  Worker
-processes take contiguous ranges of the swept prefix blocks.
+sum that _build_plan or _swept_form asserts below 2**24, so every key is
+exact.  Worker processes take contiguous ranges of the swept prefix
+blocks.
 """
 
 from __future__ import annotations
@@ -164,7 +185,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial, prod
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -181,7 +202,7 @@ from .zpoly import (
     q_multinomial_exps,
 )
 
-BUDGET = {"A": 10, "B": 8, "D": 8}
+BUDGET = {"A": 11, "B": 9, "D": 9}
 # Bounds on a sweep call's work arrays (see above): the floats of one block,
 # and of the term tables together; the keys binned per bincount.
 FLOATS = 1 << 21
@@ -225,8 +246,8 @@ def _sign_masks(family: str, n: int) -> np.ndarray:
 
 def _suffix_length(n: int, nmasks: int) -> int:
     """Largest s <= n whose s! rows fit a block of
-    min(40320, FLOATS // nmasks) rows."""
-    rows = max(1, min(40320, FLOATS // nmasks))
+    min(40320, FLOATS // nmasks, KEYS // nmasks) rows."""
+    rows = max(1, min(40320, FLOATS // nmasks, KEYS // nmasks))
     s = 1
     while s < n and factorial(s + 1) <= rows:
         s += 1
@@ -390,10 +411,10 @@ def _spare_bit(n: int, j: int) -> int:
 
 
 def _units(plan: SweepPlan) -> list[tuple[int | None, np.ndarray]]:
-    """The swept units of a group of rank n >= 2 in A, n >= 3 in B and D
-    (see above), in sweep order: (position j of +-1, columns of their sign
-    masks).  A has one unit, j = None, of one column; in B and D each j
-    owns a quarter of the sign masks, and D's j = 0 the w0 half."""
+    """The swept units of a group of rank n >= 3 (see above), in sweep
+    order: (position j of +-1, columns of their sign masks).  A has one
+    unit, j = None, of one column; in B and D each j owns a quarter of the
+    sign masks, and D's j = 0 the w0 half."""
     n, masks = plan.n, plan.masks
     if plan.family == "A":
         return [(None, np.zeros(1, dtype=np.intp))]
@@ -409,10 +430,21 @@ def _unit_plan(plan: SweepPlan, j: int | None,
     """Weights, constant and parities of one unit's linear form over its
     positions, all but j: the pairs (i, j) compare 1 and fold into the
     constant, the pairs (j, k) compare 0 and drop out, and +-1 adds j
-    inversions.  Every partial sum stays within _build_plan's bound."""
-    if j is None:
-        return plan.weights[:, cols], plan.const[cols], plan.parity[cols]
+    inversions.  Every partial sum stays within _build_plan's bound.
+    A's unit takes the positions in the order 0, n-1, 1, ..., n-2, so its
+    n - 2 pairs (k, n-1), 1 <= k <= n-2, read G -> 1 - G: their weights
+    fold into the constant and are negated, and the parity flips when
+    n - 2 is odd."""
     pairs = _pairs(plan.n)
+    if j is None:
+        n = plan.n
+        order = [0, n - 1, *range(1, n - 1)]
+        turned = np.array([order[i] > order[k] for i, k in pairs], dtype=bool)
+        weights = plan.weights[[pairs.index(tuple(sorted((order[i], order[k]))))
+                                for i, k in pairs]]
+        const = plan.const + weights[turned].sum(axis=0)
+        weights = np.where(turned[:, None], -weights, weights)
+        return weights, const, plan.parity ^ ((n - 2) & 1)
     rest = [k for k, pair in enumerate(pairs) if j not in pair]
     into = [k for k, (_, right) in enumerate(pairs) if right == j]
     const = plan.const[cols] + plan.weights[into][:, cols].sum(axis=0)
@@ -421,7 +453,8 @@ def _unit_plan(plan: SweepPlan, j: int | None,
 
 def _partner_class(family: str, j: int | None) -> int:
     """The first position of +-1 whose partner map is j's (see _partner):
-    tau reads j = 0 and the parity of j, sigma j = 0 alone."""
+    tau reads j = 0 and the parity of j, sigma j = 0 alone.  A's class is
+    its blocks' (see _swept_prefixes), not its unit's."""
     if j is None:
         return 0
     if family == "D":
@@ -432,7 +465,8 @@ def _partner_class(family: str, j: int | None) -> int:
 class SweptForm(NamedTuple):
     """The linear form the sweep runs for one group: every unit's form side
     by side, over the same positions, each unit's keys offset by its
-    partner class times the table size."""
+    partner class times the table size; A's keys by its block's class
+    under descent label 0, added with the block's prefix constant."""
 
     positions: int
     weights: np.ndarray  # (pairs of the positions, columns) float32
@@ -443,8 +477,8 @@ class SweptForm(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _swept_form(family: str, n: int) -> SweptForm:
-    """The sweep's form for one group of rank n >= 2 in A, n >= 3 in B and
-    D, built once and shared, so its arrays are read-only."""
+    """The sweep's form for one group of rank n >= 3, built once and shared,
+    so its arrays are read-only."""
     plan = _build_plan(family, n)
     size = (1 << n) * 2 * plan.width
     parts, classes = [], 1
@@ -455,6 +489,8 @@ def _swept_form(family: str, n: int) -> SweptForm:
         classes = max(classes, offset + 1)
     weights, const, flips = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
     worst = np.abs(weights).sum(axis=0, dtype=np.float64) + np.abs(const) + plan.width
+    if family == "A":
+        worst += 2 * plan.width  # class 1's blocks, under descent label 0
     if worst.max() >= 1 << 24:
         raise AssertionError(f"{family}_{n} offset keys reach {worst.max():.0f}, past 2**24")
     for array in (weights, const, flips):
@@ -464,24 +500,44 @@ def _swept_form(family: str, n: int) -> SweptForm:
 
 def _half(plan: SweepPlan) -> tuple[int, int, int]:
     """The sweep's layout (see above): the columns of its form, the suffix
-    length, and the number of prefix blocks swept.  In A w0 pairs the
-    blocks, so half of them are swept; in B and D every block of the n - 1
-    positions is."""
+    length, and the number of prefix blocks swept.  A keeps two prefix
+    positions and sweeps the blocks whose first two entries have
+    a > b and a + b >= n - 1, floor(n^2 / 4) pairs; in B and D every block
+    of the n - 1 positions is swept."""
     form = _swept_form(plan.family, plan.n)
     m, ncols = form.positions, len(form.const)
-    s = min(_suffix_length(m, ncols), m - 1 - (plan.family == "A" and m % 2))
-    nblocks = factorial(m) // factorial(s)
-    return ncols, s, nblocks // 2 if plan.family == "A" else nblocks
+    if plan.family == "A":
+        s = min(_suffix_length(m, ncols), m - 2)
+        return ncols, s, m * m // 4 * factorial(m - 2) // factorial(s)
+    s = min(_suffix_length(m, ncols), m - 1)
+    return ncols, s, factorial(m) // factorial(s)
+
+
+def _swept_prefixes(family: str, m: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The swept prefixes of p of the form's m positions, in lexicographic
+    order, each with its block's partner class: every prefix, of class 0,
+    in B and D; in A those whose first two entries (a, b) have a > b and
+    a + b >= m - 1, of class 1 when a + b > m - 1 (see above)."""
+    prefixes = permutations(range(m), p)
+    if family != "A":
+        return ((x, 0) for x in prefixes)
+    return ((x, int(x[0] + x[1] > m - 1)) for x in prefixes
+            if x[0] > x[1] and x[0] + x[1] >= m - 1)
 
 
 def _partner(family: str, n: int, j: int, counts: np.ndarray) -> np.ndarray | None:
-    """The flat counts of the partners of the elements a unit's flat counts
-    hold (see above): tau w in B, which toggles label 0 when j = 0, flips
-    the parity and adds 1 to the odd length when j + 1 is odd; sigma w in
-    D, which swaps labels 0 and 1.  None in A and at D's j = 0, where sigma
-    fixes every element."""
-    if family == "A" or (family == "D" and j == 0):
+    """The counts of the partners of the elements a class's counts hold (see
+    above): delta w in A's class 1, which reverses labels 1..n-1, its counts
+    indexed by descent mask >> 1; tau w in B, which toggles label 0 when
+    j = 0, flips the parity and adds 1 to the odd length when j + 1 is odd;
+    sigma w in D, which swaps labels 0 and 1; B's and D's counts flat.
+    None at class 0 in A, which delta maps onto itself, and in D (j = 0),
+    whose elements sigma fixes."""
+    if family != "B" and j == 0:
         return None
+    if family == "A":
+        bits = np.arange(n - 1)
+        return counts[(np.arange(1 << n - 1)[:, None] >> bits & 1) @ (1 << n - 2 - bits)]
     half = counts.reshape(1 << n, 2, -1)
     masks = np.arange(1 << n)
     if family == "D":
@@ -547,8 +603,12 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     suffix += form.const[:, None]
     # shared[q]: the suffix's share of the keys when the prefix adds q
     # inversions mod 2, the parity term being width * (inv(row) xor flips).
-    inversions = np.remainder(greater.sum(axis=0, out=step[0]), 2, out=step[0])
-    np.not_equal(flips[:, None], inversions, out=shared[0])
+    # The parity is read as an integer: np.remainder on float32 rows takes
+    # about 40 times as long (1 ms of A10's call).
+    odd = step[1].view(np.int32)
+    np.copyto(odd, greater.sum(axis=0, out=step[0]), casting="unsafe")
+    odd &= 1
+    np.not_equal(flips[:, None], odd, out=shared[0])
     shared[0] *= width
     np.subtract(width, shared[0], out=shared[1])
     shared += suffix
@@ -567,16 +627,16 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
 
     counts = np.zeros(form.classes * (1 << n) * 2 * width, dtype=np.int64)
     built, k = None, 0
-    for prefix in islice(permutations(range(m), p), start, stop):
+    for prefix, cls in islice(_swept_prefixes(plan.family, m, p), start, stop):
         rank = [v - sum(u < v for u in prefix) for v in prefix]
         head = [prefix[i] > prefix[j] for i, j in head_pairs]
-        inputs = [rank[i] for i in stacked] + head
+        inputs = [rank[i] for i in stacked] + head + [cls]
         if inputs != built:  # position 0's rank only grows when p <= 2
             built = inputs
             for c, i in enumerate(stacked):
                 np.less(base, rank[i], out=step[c * s : (c + 1) * s])
-            if head:
-                mixed[:, -1] = np.dot(head, fixed)
+            if head:  # with the class of an A block under label 0 (see above)
+                mixed[:, -1] = np.dot(head, fixed) + cls * 2 * width
             np.matmul(mixed, step, out=term)
         total = term
         for t in range(ntab):
@@ -593,7 +653,17 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
 
 def _add_partners(plan: SweepPlan, counts: np.ndarray) -> np.ndarray:
     """The flat counts of a sweep's partner classes added up, each with its
-    partners' counts; class j holds the units of partner class j."""
+    partners' counts.  In B and D class j holds the units of partner class
+    j, j table sizes up; A's class 1 sits under descent label 0, which no
+    element of A has, and is folded back in place."""
+    if plan.family == "A":
+        tables = counts.reshape(1 << plan.n - 1, 2, -1)  # (mask >> 1, class, key)
+        image = _partner("A", plan.n, 1, tables[:, 1])
+        tables[:, 0] += tables[:, 1]
+        if image is not None:
+            tables[:, 0] += image
+        tables[:, 1] = 0
+        return counts
     parts = counts.reshape(-1, (1 << plan.n) * 2 * plan.width)
     half = parts.sum(axis=0)
     for j, part in enumerate(parts):
@@ -642,16 +712,20 @@ class DescentTable:
     family: str
     n: int
     counts: np.ndarray  # int64, (2**n, 2, width)
-    _zeta: np.ndarray | None = field(default=None, repr=False)
+    _zeta: tuple[np.ndarray, list[int]] | None = field(default=None, repr=False)
 
-    def _zeta_table(self) -> np.ndarray:
+    def _zeta_table(self) -> tuple[np.ndarray, list[int]]:
+        """The subset sums of the signed counts, and each row's length
+        without its trailing zeros, found once with the transform."""
         if self._zeta is None:
             # Yates: one in-place add per bit, over the masks with that bit set.
             zeta = self.counts[:, 0] - self.counts[:, 1]
             for bit in range(self.n):
                 halves = zeta.reshape(-1, 2, 1 << bit, zeta.shape[-1])
                 halves[:, 1] += halves[:, 0]
-            self._zeta = zeta
+            nonzero = zeta != 0
+            ends = np.where(nonzero.any(axis=1), zeta.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0)
+            self._zeta = zeta, ends.tolist()
         return self._zeta
 
     def bucket(self, mask: int) -> IntPoly:
@@ -666,10 +740,20 @@ class DescentTable:
         labels = label_mask(self.family, self.n)
         if index_set.mask & ~labels:
             raise ValueError("index set contains labels outside the generator range")
-        return IntPoly(self._zeta_table()[labels & ~index_set.mask].tolist())
+        zeta, ends = self._zeta_table()
+        mask = labels & ~index_set.mask
+        return _trimmed_poly(tuple(zeta[mask, : ends[mask]].tolist()))
 
     def group_poly(self) -> IntPoly:
         return self.quotient_poly(IndexSet(self.n, 0))
+
+
+def _trimmed_poly(coeffs: tuple[int, ...]) -> IntPoly:
+    """The IntPoly of Python int coefficients with no trailing zero, built
+    without IntPoly's conversion and trim."""
+    poly = IntPoly.__new__(IntPoly)
+    poly.coeffs = coeffs
+    return poly
 
 
 def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable:
@@ -679,7 +763,7 @@ def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable
     are read whole."""
     check_budget(family, n)
     plan = _build_plan(family, n)
-    if n <= (1 if family == "A" else 2):
+    if n <= 2:
         return plan.table(family, perm_table(n))
     nswept = _half(plan)[2]
     nworkers = min(resolve_workers(workers), nswept)

@@ -59,7 +59,7 @@ class TestGenfun:
 
     def test_brute_over_budget_exits_3(self, capsys):
         code, _, err = run(
-            ["genfun", "-f", "D", "-n", "9", "-I", "", "-m", "brute"], capsys
+            ["genfun", "-f", "D", "-n", "10", "-I", "", "-m", "brute"], capsys
         )
         assert code == 3
         assert "budget" in err
@@ -177,7 +177,7 @@ class TestTable:
         assert sets == [(), (1,), (2,), (1, 2)]
 
     def test_over_budget_exits_3(self, capsys):
-        code, _, _ = run(["table", "-f", "A", "-n", "11"], capsys)
+        code, _, _ = run(["table", "-f", "A", "-n", "12"], capsys)
         assert code == 3
 
 

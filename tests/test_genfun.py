@@ -18,12 +18,14 @@ from oddlen import genfun
 from oddlen.genfun import (
     BUDGET,
     FLOATS,
+    KEYS,
     BudgetError,
     DescentTable,
     _build_plan,
     _half,
     _mirror,
     _swept_form,
+    _swept_prefixes,
     _sweep_range,
     _term_tables,
     _unit_plan,
@@ -64,13 +66,15 @@ def quotient_elements(family, n, I):
 
 
 # Every rank the unmirrored read covers; TestSweepKernel.GOLDEN covers A10,
-# B8, B9 and D9.
+# A11, B8, B9 and D9.
 MIRROR_RANKS = [(f, n) for f, top in (("A", 9), ("B", 7), ("D", 8)) for n in range(1, top + 1)]
-# Uneven ranges split the swept blocks: A10 sweeps 45 of its 90, and B7
+# Uneven ranges split the swept blocks: A10 sweeps 25 of its 90, and B7
 # and D7 all 6 of the positions besides +-1.
 SPLIT_RANKS = [("A", 10), ("B", 7), ("D", 7)]
 # Every B and D rank the quarter units sweep, to the first ranks past BUDGET.
 QUARTER_RANKS = [(f, n) for f, top in (("B", 9), ("D", 10)) for n in range(3, top + 1)]
+# Ranks past BUDGET where a block's keys must still fit the key buffer.
+KEY_BOUND_RANKS = [("A", 11), ("A", 12), ("B", 9), ("B", 10), ("D", 9), ("D", 10)]
 
 
 @functools.cache
@@ -130,7 +134,19 @@ def quarter_tiling(family, n):
     return seen == Counter((j, m) for j in range(n) for m in plan.masks.tolist())
 
 
-# Planted partner faults, each wrapping _partner.
+def a_quarter_tiling(n):
+    """Whether the swept pairs (a, b) = (P[0], P[n-1]) of A_n, the delta
+    partners (n-1-b, n-1-a) of class 1 and the w0 partners (n-1-a, n-1-b)
+    of both cover every pair once.  Each map carries the rows of a pair onto
+    those of its image, so the swept rows and their partners then tile S_n."""
+    seen = Counter()
+    for (a, b), cls in _swept_prefixes("A", n, 2):
+        pairs = [(a, b), (n - 1 - b, n - 1 - a)] if cls else [(a, b)]
+        seen.update(pairs + [(n - 1 - x, n - 1 - y) for x, y in pairs])
+    return seen == Counter(permutations(range(n), 2))
+
+
+# Planted sweep faults, each wrapping the genfun function its test names.
 def _no_tau_shift(partner, family, n, j, counts):
     # tau's +1 on the odd length undone where +-1 sits at an odd position
     # counted from 1
@@ -144,6 +160,24 @@ def _no_tau_shift(partner, family, n, j, counts):
 def _sigma_at_j_0(partner, family, n, j, counts):
     # sigma fixes the j = 0 elements, so adding its image counts them twice
     return partner(family, n, 1 if family == "D" and j == 0 else j, counts)
+
+
+def _no_label_reversal(partner, family, n, j, counts):
+    # delta's partners counted under the descent masks of the swept elements
+    return counts if family == "A" and j == 1 else partner(family, n, j, counts)
+
+
+def _delta_on_class_0(swept_prefixes, family, m, p):
+    # delta maps the blocks with a + b = n - 1 onto themselves, so adding
+    # their images counts them twice
+    return ((x, 1 if family == "A" else cls) for x, cls in swept_prefixes(family, m, p))
+
+
+def _no_turned_parity_flip(swept_form, family, n):
+    # the parity flip of the n - 2 pairs (k, n-1) that A's position order
+    # turns, undone
+    form = swept_form(family, n)
+    return form._replace(flips=form.flips ^ ((n - 2) & 1)) if family == "A" else form
 
 
 def subsets(family, n):
@@ -235,16 +269,22 @@ class TestBruteTable:
         assert broken == failing
 
     @pytest.mark.parametrize(
-        "fault, failing",
+        "target, fault, failing",
         [
-            pytest.param(_no_tau_shift, [f"B{n}" for n in range(3, 8)], id="no-tau-shift"),
-            pytest.param(_sigma_at_j_0, [f"D{n}" for n in range(3, 9)], id="sigma-at-j-0"),
+            pytest.param("_partner", _no_tau_shift, [f"B{n}" for n in range(3, 8)],
+                         id="no-tau-shift"),
+            pytest.param("_partner", _sigma_at_j_0, [f"D{n}" for n in range(3, 9)],
+                         id="sigma-at-j-0"),
+            pytest.param("_partner", _no_label_reversal, [f"A{n}" for n in range(3, 10)],
+                         id="no-label-reversal"),
+            pytest.param("_swept_prefixes", _delta_on_class_0, [f"A{n}" for n in range(3, 10)],
+                         id="delta-on-class-0"),
+            pytest.param("_swept_form", _no_turned_parity_flip, ["A3", "A5", "A7", "A9"],
+                         id="no-turned-parity-flip"),
         ],
     )
-    def test_planted_partner_faults_fail(self, monkeypatch, fault, failing):
-        partner = genfun._partner
-        monkeypatch.setattr(genfun, "_partner",
-                            lambda f, n, j, counts: fault(partner, f, n, j, counts))
+    def test_planted_partner_faults_fail(self, monkeypatch, target, fault, failing):
+        monkeypatch.setattr(genfun, target, functools.partial(fault, getattr(genfun, target)))
         broken = [f"{f}{n}" for f, n in MIRROR_RANKS
                   if not np.array_equal(brute_table(f, n).counts, unmirrored_counts(f, n))]
         assert broken == failing
@@ -262,6 +302,49 @@ class TestBruteTable:
             resolve_workers(0)
 
 
+def signed_subset_sum(table, mask):
+    """The quotient read written out: the signed counts of every descent
+    mask inside mask, summed."""
+    inside = (np.arange(1 << table.n) & ~mask) == 0
+    counts = table.counts[inside].sum(axis=0)
+    return counts[0] - counts[1]
+
+
+
+class TestQuotientReads:
+    """quotient_poly builds its polynomial from the zeta row, trimmed once
+    with the transform, without IntPoly's per-read conversion."""
+
+    @pytest.mark.parametrize("family, n", MIRROR_RANKS)
+    def test_every_read_equals_the_converted_zeta_row(self, family, n):
+        table = brute_table(family, n)
+        labels = label_mask(family, n)
+        for I in subsets(family, n):
+            got = table.quotient_poly(I)
+            assert got == IntPoly(signed_subset_sum(table, labels & ~I.mask).tolist()), I
+            assert type(got.coeffs) is tuple
+            assert all(type(c) is int for c in got.coeffs), I
+
+    def test_an_empty_bucket_reads_zero(self):
+        table = pinned_table("A", 3, (2, -3))
+        assert not table.counts.any()
+        for I in subsets("A", 3):
+            assert table.quotient_poly(I) == ZERO
+            assert table.quotient_poly(I).coeffs == ()
+        table = DescentTable("D", 4, np.zeros((16, 2, 9), dtype=np.int64))
+        assert table.quotient_poly(IndexSet.of(4, [0, 2])).is_zero
+
+    def test_bad_index_sets_still_raise(self):
+        table = brute_table("A", 4)
+        table.quotient_poly(IndexSet.of(4, [1]))  # the transform is cached
+        with pytest.raises(ValueError, match="rank does not match"):
+            table.quotient_poly(IndexSet.of(5, [1]))
+        with pytest.raises(ValueError, match="labels outside"):
+            table.quotient_poly(IndexSet.of(4, [0]))
+        with pytest.raises(ValueError, match="labels outside"):
+            brute_table("D", 1).quotient_poly(IndexSet.of(1, [0]))
+
+
 def _table_digest(table):
     # One line per descent mask that holds at least one element.
     present = [m for m in range(1 << table.n) if table.counts[m].any()]
@@ -271,11 +354,14 @@ def _table_digest(table):
 
 class TestSweepKernel:
     # SHA-256 of the A10, B8 and D8 tables, as produced by the tuple-based
-    # kernel the block kernel replaced; of B9 and D9, past BUDGET, as
-    # produced both by the half sweep the quarter units replaced and by
-    # SweepPlan.table over perm_table(9) in chunks of 2,048 rows.
+    # kernel the block kernel replaced; of B9 and D9 as produced both by
+    # the half sweep the quarter units replaced and by SweepPlan.table over
+    # perm_table(9) in chunks of 2,048 rows; of A11 as produced both by the
+    # quarter sweep and by SweepPlan.table over perm_table(11) in chunks of
+    # the 8! rows under each first three entries.
     GOLDEN = {
         ("A", 10): "27ad339025c91abc5125c2d67c42cb7c2db8da3fd522f3cdddefc9477b4f1cee",
+        ("A", 11): "11c1c4eaea26063be7c87ca23a851458d8cadccf92c09191baf0c1b634f40943",
         ("B", 8): "e67680e3566bc4986692f68e60c4a3c8c03259936ed3328225da2a36ccce5538",
         ("D", 8): "ec21e7eaad312dc9867ac0b35775c34b25cd5f453b5059f00623637e2567cd78",
         ("B", 9): "d07c3534cc572e0627aee96a9c0eb61b0a9ce73d81c857ceece0eabc9d3da3b5",
@@ -318,38 +404,55 @@ class TestSweepKernel:
                 assert read == [descent_set(sigma, family).mask, ell & 1, odd], sigma
 
     def test_suffix_blocks(self):
-        # (columns, suffix length, blocks swept): B8's 8 units of 64 sign
-        # masks and D8's 7 of 32 and one of 64 (j = 0) sweep 7 blocks each.
-        assert _half(_build_plan("A", 2)) == (1, 1, 1)
-        assert _half(_build_plan("A", 10)) == (1, 8, 45)
+        # (columns, suffix length, blocks swept): A sweeps floor(n^2 / 4)
+        # pairs (a, b) times the orders of the prefix positions past them;
+        # B8's 8 units of 64 sign masks and D8's 7 of 32 and one of 64
+        # (j = 0) sweep 7 blocks each.
+        assert _half(_build_plan("A", 3)) == (1, 1, 2)
+        assert _half(_build_plan("A", 9)) == (1, 7, 20)
+        assert _half(_build_plan("A", 10)) == (1, 8, 25)
+        assert _half(_build_plan("A", 11)) == (1, 8, 270)
         assert _half(_build_plan("B", 8)) == (512, 6, 7)
         assert _half(_build_plan("D", 8)) == (288, 6, 7)
         assert _half(_build_plan("D", 7)) == (128, 5, 6)
         assert _half(_build_plan("D", 3)) == (4, 1, 2)
 
         # (prefix positions, positions with a term table), from the plans
-        # alone.  Within BUDGET every position after the first is tabled,
-        # which is one position in A with two prefix positions and none in
-        # B and D; past it, B9 and D10 table none.
+        # alone.  To A10, B8 and D8 every position after the first is
+        # tabled: one of A's two prefix positions and none of B's and D's
+        # one.  Past them the key buffer shortens B's and D10's suffixes.
         def layout(family, n):
             ncols, s, _ = _half(_build_plan(family, n))
             p = n - (family != "A") - s
             ntab = _term_tables(ncols, s, p)
             assert ntab * (s + 1) * ncols * factorial(s) <= FLOATS
-            assert ncols * factorial(s) <= FLOATS
+            assert ncols * factorial(s) <= min(FLOATS, KEYS)
             return p, ntab
 
-        for family, top in BUDGET.items():
-            for n in range(2 if family == "A" else 3, top + 1):
-                p, ntab = layout(family, n)
-                assert ntab == p - 1
-                assert p == (2 if family == "A" and (n % 2 or n == 10) else 1), (family, n)
-        assert layout("B", 9) == (2, 0)
-        assert layout("D", 10) == (3, 0)
+        for family, top in (("A", 10), ("B", 8), ("D", 8)):
+            for n in range(3, top + 1):
+                assert layout(family, n) == ((2, 1) if family == "A" else (1, 0)), (family, n)
+        assert layout("A", 11) == (3, 2)
+        assert layout("A", 12) == (4, 3)
+        assert layout("B", 9) == (3, 2)
+        assert layout("B", 10) == (4, 1)
+        assert layout("D", 9) == (2, 0)
+        assert layout("D", 10) == (4, 2)
+
+    @pytest.mark.parametrize("family, n", KEY_BOUND_RANKS)
+    def test_a_block_fits_the_key_buffer(self, family, n):
+        # The suffix length keeps one block's keys within KEYS, so the
+        # buffer holds whole blocks and is bounded by it.
+        ncols, s, _ = _half(_build_plan(family, n))
+        assert ncols * factorial(s) <= KEYS
 
     @pytest.mark.parametrize("family, n", QUARTER_RANKS)
     def test_quarter_units_tile_the_group(self, family, n):
         assert quarter_tiling(family, n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_a_quarter_tiles_the_group(self, n):
+        assert a_quarter_tiling(n)
 
     def test_a_spare_bit_equal_to_j_breaks_the_tiling(self, monkeypatch):
         monkeypatch.setattr(genfun, "_spare_bit", lambda n, j: j)
@@ -376,11 +479,12 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("family, top", [("A", 10), ("B", 8), ("D", 8)])
     def test_keys_binned_per_call(self, monkeypatch, family, top):
-        # A sweeps half its elements; B n! 2^(n-2), a quarter; D
+        # A sweeps floor(n^2 / 4) (n-2)!, about a quarter (A2, read whole,
+        # one of its two elements); B n! 2^(n-2), a quarter; D
         # (n-1)! 2^(n-3) (n+1), 2 (n+1) / (4 n) of the group's n! 2^(n-1).
-        # Without the tau and sigma partners, the table holds the swept
-        # keys and their w0 partners.
-        swept = {"A": lambda n: factorial(n) // 2,
+        # Without the delta, tau and sigma partners, the table holds the
+        # swept keys and their w0 partners.
+        swept = {"A": lambda n: n * n // 4 * factorial(n - 2),
                  "B": lambda n: factorial(n) << (n - 2),
                  "D": lambda n: (factorial(n - 1) << (n - 3)) * (n + 1)}[family]
         monkeypatch.setattr(genfun, "_partner", lambda family, n, j, counts: None)
@@ -389,11 +493,19 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("n", range(2, BUDGET["A"] + 1))
     def test_a_swept_prefixes_complement_to_the_unswept_blocks(self, n):
-        # w0 complements values, so no swept A block may lack its partner.
+        # w0 complements values, so the blocks of the swept prefixes' w0
+        # partners are never swept.  With u = a + b - (n-1) and v = a - b on
+        # the prefix's first two entries, the swept blocks have u >= 0 and
+        # v > 0, and their partners u <= 0 and v < 0; the blocks left, with
+        # u v < 0, are delta's images of class 1 and their complements.
         _, s, nswept = _half(_build_plan("A", n))
-        prefixes = list(permutations(range(n), n - s))
-        partners = {tuple(n - 1 - v for v in x) for x in prefixes[:nswept]}
-        assert partners == set(prefixes[nswept:])
+        prefixes = set(permutations(range(n), n - s))
+        swept = [x for x, _ in _swept_prefixes("A", n, n - s)]
+        assert len(swept) == nswept
+        partners = {tuple(n - 1 - v for v in x) for x in swept}
+        assert not partners & set(swept)
+        rest = prefixes - partners - set(swept)
+        assert rest == {x for x in prefixes if (x[0] + x[1] - (n - 1)) * (x[0] - x[1]) < 0}
 
     @pytest.mark.parametrize("s", [0, 1, 2, 5])
     def test_perm_table_is_lexicographic(self, s):
@@ -402,29 +514,36 @@ class TestSweepKernel:
         assert [tuple(row) for row in table] == list(permutations(range(s)))
 
     def test_prefix_blocks_sum_to_the_whole_sweep(self):
-        # A9 sweeps 36 of its 72 two-position prefix blocks, the prefixes
-        # below their complements.
+        # A9 sweeps 20 of its 72 two-position prefix blocks, the (a, b) with
+        # a > b and a + b >= 8: 4 of class 0 and 16 of class 1, which also
+        # count their delta partners.  That is a w0 half.
         plan = _build_plan("A", 9)
-        assert _half(plan) == (1, 7, 36)
-        parts = _sweep_range(plan, 0, 14) + _sweep_range(plan, 14, 36)
-        assert np.array_equal(parts, _sweep_range(plan, 0, 36))
-        assert parts.sum() == factorial(9) // 2
+        assert _half(plan) == (1, 7, 20)
+        classes = Counter(cls for _, cls in _swept_prefixes("A", 9, 2))
+        assert classes == {0: 4, 1: 16}
+        parts = _sweep_range(plan, 0, 7) + _sweep_range(plan, 7, 20)
+        assert np.array_equal(parts, _sweep_range(plan, 0, 20))
+        assert parts.sum() == (4 + 2 * 16) * factorial(7) == factorial(9) // 2
         half = parts.reshape(1 << 9, 2, plan.width)
         assert np.array_equal(half + _mirror("A", 9, half), unmirrored_counts("A", 9))
 
     def test_a_range_may_start_inside_a_run_of_equal_first_ranks(self):
-        # Blocks 12 and 13 of A10 are the prefixes (1, 4) and (1, 5): one
-        # position-0 rank and one order, so the range starting at 13 must
-        # build the product the range ending there had already built.
+        # Swept blocks 5 and 6 of A10 are the prefixes (7, 3) and (7, 4):
+        # one position-0 rank, one order and one class, so the range
+        # starting at 6 must build the product the range ending there had
+        # already built.  Block 4, (7, 2), is of class 0 and block 5 of
+        # class 1, so the range starting at 5 must build its product with
+        # class 1's offset.
         plan = _build_plan("A", 10)
-        prefixes = list(permutations(range(10), 2))
-        assert prefixes[12:14] == [(1, 4), (1, 5)]
-        whole = _sweep_range(plan, 0, 45)
-        assert np.array_equal(_sweep_range(plan, 0, 13) + _sweep_range(plan, 13, 45), whole)
+        prefixes = list(_swept_prefixes("A", 10, 2))
+        assert prefixes[4:7] == [((7, 2), 0), ((7, 3), 1), ((7, 4), 1)]
+        whole = _sweep_range(plan, 0, 25)
+        for cut in (5, 6):
+            assert np.array_equal(_sweep_range(plan, 0, cut) + _sweep_range(plan, cut, 25), whole)
 
     @pytest.mark.parametrize("blocks", [1, 7])
     def test_key_buffer_bound_does_not_change_the_counts(self, monkeypatch, blocks):
-        # One A10 block is 8! keys; 7 blocks do not divide its 45.
+        # One A10 block is 8! keys; 7 blocks do not divide its 25.
         want = brute_table("A", 10, workers=1).counts
         monkeypatch.setattr(genfun, "KEYS", blocks * factorial(8))
         assert np.array_equal(brute_table("A", 10, workers=1).counts, want)
