@@ -277,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cyclo", help="decide cyclotomic-product factorability")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--coeffs", default=None,
-                       help="ascending coefficients, e.g. '1,0,2,0,1'")
+                       help="ascending coefficients, e.g. '1,0,2,0,1'; write "
+                            "--coeffs=-1,0,1 when the first is negative, or it "
+                            "is read as an option")
     group.add_argument("--trinomial", nargs=2, type=int, metavar=("N", "M"),
                        help="test x^N + 2x^M + 1")
     p.add_argument("--format", choices=("text", "json"), default="text")

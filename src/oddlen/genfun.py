@@ -46,100 +46,72 @@ transposition, a sign change, or D's transposition with two sign
 changes) to -1: eps(w) = (-1)^length(w).  The parity is therefore
 inv(P) mod 2 xor the mask's parity, and no length is computed.
 
-The longest element w0 pairs the group off, so the sweep enumerates one
-element of each pair {w, w'} and _mirror adds the other's key.  Let w'
-be w0 w in A, the values complemented (P -> n-1-P), and w w0 in B and
-D, the same row P with signs flipped: at every position in B and in D
-with even n (w0 = -1), at positions 2..n in D with odd n.  Pair by pair
-of the linear form, with g the comparison:
-- both signs flip (pp <-> mm, pm <-> mp): an odd pair's shares in w and
-  w' (g : 2 - g, 2 - g : g) sum to 2, and a descent bit's (label k+1:
-  g : 1 - g, 1 : 0; D's label 0: 0 : 1, 1 - g : g) to 1;
-- in D with odd n, pairs (0, j) flip only the right sign (pp <-> pm,
-  mp <-> mm): an odd pair sums to 2 again (g : 2 - g), and label 1 of w
-  against label 0 of w' reads g : 1 - g, 1 : 0, 0 : 1, 1 - g : g from
-  pp, pm, mp, mm, so label 0 of w' is 1 minus label 1 of w, and vice
-  versa;
-- in A, g -> 1 - g: an odd pair sums to 1, and so does a descent bit;
-- B's sign terms each sum to 1.
-Summed, odd(w') = width - 1 - odd(w): the longest element attains the
-bound.  The descent mask of w' is labels ^ pi(mask of w), where pi swaps
-labels 0 and 1 in D with odd n and is the identity otherwise, and
-length(w') = length(w0) - length(w) flips the parity with length(w0):
-n(n-1)/2 in A, n^2 in B, n(n-1) in D.  Mirroring is an index map on the
-int64 counts, so it is exact.
+The longest element w0 pairs the group off, so the sweep counts one
+element of each pair {w, w'}, a w0 half, and brute_table adds the
+other's counts through the w0 row (_w0_row, which gives the proof).  A
+and the units of B and D below are split further, each by one more map
+that keeps the sweep's half; each such map is a row of _partner_table,
+next to its proof.  Every map is a CountMap: one gather on the int64
+counts that moves the descent labels, toggles some, may flip the length
+parity, and shifts or reverses the odd length, so every map is exact.
 
-A is split further by its diagram automorphism delta: w -> w0 w w0, the
-row P -> n-1-P[n-1-i].  delta carries the pair (i, j) to (n-1-j, n-1-i),
-at the same distance, and inversions to inversions, so it keeps the
-length and the odd length, and it maps descent label l to n - l.  A's
-form takes its positions in the order 0, n-1, 1, ..., n-2, so a block's
-prefix (below) starts with (a, b) = (P[0], P[n-1]).  The n - 2 pairs
-(k, n-1), 1 <= k <= n-2, then compare the other way, G -> 1 - G: their
-weights fold into the constant and are negated, and their inversions
-flip the parity when n - 2 is odd.  Put u = a + b - (n-1) and v = a - b.
-delta maps (a, b) to (n-1-b, n-1-a), so (u, v) to (-u, v); w -> w w0
-reverses the row, (u, -v); and w0 w, the mirror above, complements it,
-(-u, -v).  v is never 0.  The sweep keeps the blocks with v > 0 and
-u >= 0, that is a > b and a + b >= n-1: floor(n^2/4) pairs (a, b), so
-floor(n^2/4) (n-2)! keys (1,008,000 of A10's 3,628,800).  Those with
-u > 0 form class 1 (below), and their delta partners, u < 0 < v, are
-added by an exact index map on the counts that reverses labels 1..n-1
-and keeps the parity and the odd length.  delta maps the blocks with
-u = 0, class 0, onto themselves, so they add none.  Together that is
-every element with v > 0, a w0 half, and _mirror adds the other.  The
-prefix needs both a and b, and the suffix one position, so A2 is read
-whole.
+A is split by its diagram automorphism delta: w -> w0 w w0, the row
+P -> n-1-P[n-1-i].  A's form takes its positions in the order 0, n-1, 1,
+..., n-2, so a block's prefix (below) starts with (a, b) = (P[0],
+P[n-1]).  The n - 2 pairs (k, n-1), 1 <= k <= n-2, then compare the
+other way, G -> 1 - G: their weights fold into the constant and are
+negated, and their inversions flip the parity when n - 2 is odd.  Put
+u = a + b - (n-1) and v = a - b.  delta maps (a, b) to (n-1-b, n-1-a),
+so (u, v) to (-u, v); w -> w w0 reverses the row, (u, -v); and w0 w, the
+w0 row, complements it, (-u, -v).  v is never 0.  The sweep keeps the
+blocks with v > 0 and u >= 0, that is a > b and a + b >= n-1:
+floor(n^2/4) pairs (a, b), so floor(n^2/4) (n-2)! keys (1,008,000 of
+A10's 3,628,800).  Those with u > 0 form class 1 (below), which adds
+its delta partners, u < 0 < v; delta maps the blocks with u = 0, class
+0, onto themselves, so they add none.  Together that is every element
+with v > 0, a w0 half.  The prefix needs both a and b, and the suffix
+one position, so A2 is read whole.
 
-B and D are split further, by the position j of the entry +-1 (the
-row's 0).  It has the smallest absolute value, so every comparison with
-it is fixed: G = 1 on the pairs (i, j) with i < j, whose weights fold
-into the constant, and G = 0 on the pairs (j, k), which drop out; and it
-adds j inversions, so the parities flip when j is odd.  What is left is
-a linear form of the same shape over the other n - 1 positions: a
-subset of the plan's rows and a constant whose partial sums stay within
-the sum _build_plan asserts.  This is the unit of j, and one more
-symmetry pairs its elements off, again as an exact index map on counts:
-- tau in B, w -> s0 w, flips the sign of +-1 (bit j of the mask).  No
-  pair share of the odd length moves: pair (i, j) has G = 1, where pp
-  and pm both give 1, and mp and mm both 1; pair (j, k) has G = 0,
-  where 2 (pm + mm) reads the right sign alone.  No descent bit k+1
-  moves either: comparing +-1 with an entry of larger absolute value
-  reads only that entry's sign.  So label 0 toggles iff j = 0, the
-  parity flips, and going from bit j clear to bit j set the odd length
-  gains B's sign term, 1 iff j + 1 is odd.
-- sigma in D, conjugation by diag(-1, 1, ..., 1), the diagram
-  automorphism: it flips the signs at position 0 and of +-1 (bits 0 and
-  j), swaps s0 and s1 and so descent labels 0 and 1, and keeps the
-  length and, since it keeps root heights, the odd length.  At j = 0 it
-  flips one sign twice and fixes every element.
-A unit sweeps one element of each orbit of <tau, w0> or <sigma, w0> on
-its masks, and its partners' counts are added.  With a spare bit k = n-1
-(n-2 when j = n-1), which w0 toggles and tau and sigma do not: in B the
-masks with bits j and k clear, a quarter; in D with j >= 1 the masks
-with bits 0 and k clear, a quarter of D's, since bit k decides w0 and
-then bit 0 decides sigma, whether or not w0 toggles bit 0 (n even or
-odd).  D's j = 0 keeps the w0 half, bit k clear.  The sweep thus bins
-n! 2^(n-2) keys in B and (n-1)! 2^(n-3) (n+1) in D.  With their partners
-the units count the masks with bit k clear for each j, a w0 half, and
-_mirror adds the rest.  That half is symmetric in labels 0 and 1 in D: a
-unit with j >= 1 holds its sigma partners, and at j = 0 both labels read
-the sign at position 1.  The units need two positions besides +-1, so B2
-and D2 (which has no spare bit), like A2 and the rank-1 groups, are read
-whole through SweepPlan.table.
+B and D are split by the position j of the entry +-1 (the row's 0).  It
+has the smallest absolute value, so every comparison with it is fixed:
+G = 1 on the pairs (i, j) with i < j, whose weights fold into the
+constant, and G = 0 on the pairs (j, k), which drop out; and it adds j
+inversions, so the parities flip when j is odd.  What is left is a
+linear form of the same shape over the other n - 1 positions: a subset
+of the plan's rows and a constant whose partial sums stay within the sum
+_build_plan asserts.  This is the unit of j, and one more map pairs its
+elements off: tau in B, w -> s0 w, which flips the sign of +-1 (bit j of
+the sign mask), and sigma in D, conjugation by diag(-1, 1, ..., 1),
+which flips the signs at position 0 and of +-1 (bits 0 and j) and at
+j = 0 fixes every element.  A unit sweeps one element of each orbit of
+<tau, w0> or <sigma, w0> on its masks, and its partners' counts are
+added.  With a spare bit k = n-1 (n-2 when j = n-1), which w0 toggles
+and tau and sigma do not: in B the masks with bits j and k clear, a
+quarter; in D with j >= 1 the masks with bits 0 and k clear, a quarter
+of D's, since bit k decides w0 and then bit 0 decides sigma, whether or
+not w0 toggles bit 0 (n even or odd).  D's j = 0 keeps the w0 half, bit
+k clear.  The sweep thus bins n! 2^(n-2) keys in B and (n-1)! 2^(n-3)
+(n+1) in D.  With their partners the units count the masks with bit k
+clear for each j, a w0 half.  That half is symmetric in labels 0 and 1
+in D: a unit with j >= 1 holds its sigma partners, and at j = 0 both
+labels read the sign at position 1.  The units need two positions
+besides +-1, so B2 and D2 (which has no spare bit), like A2 and the
+rank-1 groups, are read whole through SweepPlan.table.
 
 The units' forms share their n - 1 positions, so they sit side by side
 as the columns of one form (SweptForm, built once per group), and one
 sweep runs them all.  tau reads only whether j = 0 and the parity of j,
-and sigma only whether j = 0, so the units fall into partner classes:
-three in B, two in D.  Each unit's constant carries its class times the
-table size, so one bincount keeps the classes apart, and each class's
-partner map runs once per call.  The offset keys stay below 2**24, as
-_swept_form asserts.  A is one unit, the plan's form in its position
-order, and its classes are its blocks'.  A block of class 1 adds 2 width
-to its prefix constant, the place of descent label 0, which no element
-of A has, so the classes share one table and the call's counts and
-bincounts stay one table in size; _add_partners folds class 1 back.
+and sigma only whether j = 0, so the units fall into partner classes,
+the entries of _partner_table: three in B, two in D.  Each unit's
+constant carries its class times the table size, so one bincount keeps
+the classes apart, and each class's rows run once per call.  The offset
+keys stay below 2**24, as _swept_form asserts.  A is one unit, the
+plan's form in its position order, and its classes are its blocks'.  A
+block of class 1 adds 2 width to its prefix constant, the place of
+descent label 0, which no element of A has, so the classes share one
+table and the call's counts and bincounts stay one table in size; A's
+delta row reads them by descent mask >> 1, and _add_partners folds class
+1 back.
 
 Rows come in prefix x suffix blocks over the form's m positions (n in
 A, n - 1 in B and D).  The last s positions run over the s! permutations
@@ -403,26 +375,119 @@ def _columns(rows: list[tuple[int, int, int]]) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(-1, 3).T
 
 
-def _spare_bit(n: int, j: int) -> int:
-    """The sign bit k that the unit of the entry +-1 at position j keeps
-    clear, besides bit j in B and bit 0 in D when j >= 1: the last position
-    that is not j, which is never 0 for n >= 3."""
-    return n - 2 if j == n - 1 else n - 1
+class CountMap(NamedTuple):
+    """An exact map on (descent mask, length parity, odd length) counts,
+    from a map of the group that takes descent label l to labels[l], then
+    toggles the labels in toggle, flips the length parity when flip, and
+    takes odd length o to o + odd, or to width - 1 - o when odd is None."""
+
+    labels: tuple[int, ...]
+    toggle: int = 0
+    flip: bool = False
+    odd: int | None = 0
+
+    def image(self, counts: np.ndarray) -> np.ndarray:
+        """The (2^len(labels), 2, width) counts of the images of the
+        elements that counts, of that shape, holds, in one gather: image
+        mask m reads the mask whose bit l is bit labels[l] of m ^ toggle."""
+        source = np.arange(len(counts)) ^ self.toggle
+        if self.labels != tuple(range(len(self.labels))):
+            bits = source[:, None] >> np.array(self.labels, dtype=np.int64) & 1
+            source = bits @ (1 << np.arange(len(self.labels)))
+        image = counts[source, :: 1 - 2 * self.flip]
+        if self.odd is None:
+            return image[..., ::-1]
+        if self.odd:
+            zeros = np.zeros_like(image[..., : self.odd])
+            image = np.concatenate([zeros, image[..., : -self.odd]], axis=-1)
+        return image
 
 
-def _units(plan: SweepPlan) -> list[tuple[int | None, np.ndarray]]:
-    """The swept units of a group of rank n >= 3 (see above), in sweep
-    order: (position j of +-1, columns of their sign masks).  A has one
-    unit, j = None, of one column; in B and D each j owns a quarter of the
-    sign masks, and D's j = 0 the w0 half."""
-    n, masks = plan.n, plan.masks
+@lru_cache(maxsize=None)
+def _w0_row(family: str, n: int) -> CountMap:
+    """The w0 row: the map from the elements w of a w0 half to their
+    partners w', w0 w in A, the values complemented (P -> n-1-P), and w w0
+    in B and D, the same row P with signs flipped: at every position in B
+    and in D with even n (w0 = -1), at positions 2..n in D with odd n.
+    Pair by pair of the linear form, with g the comparison:
+    - both signs flip (pp <-> mm, pm <-> mp): an odd pair's shares in w and
+      w' (g : 2 - g, 2 - g : g) sum to 2, and a descent bit's (label k+1:
+      g : 1 - g, 1 : 0; D's label 0: 0 : 1, 1 - g : g) to 1;
+    - in D with odd n, pairs (0, j) flip only the right sign (pp <-> pm,
+      mp <-> mm): an odd pair sums to 2 again (g : 2 - g), and label 1 of w
+      against label 0 of w' reads g : 1 - g, 1 : 0, 0 : 1, 1 - g : g from
+      pp, pm, mp, mm, so label 0 of w' is 1 minus label 1 of w, and vice
+      versa;
+    - in A, g -> 1 - g: an odd pair sums to 1, and so does a descent bit;
+    - B's sign terms each sum to 1.
+    Summed, odd(w') = width - 1 - odd(w): the longest element attains the
+    bound.  The descent mask of w' is every label toggled after a swap of
+    labels 0 and 1 in D with odd n, and length(w') = length(w0) - length(w)
+    flips the parity with length(w0): n(n-1)/2 in A, n^2 in B, n(n-1) in D.
+
+    In D3, s0 (descents {0}, length 1, odd length 1) pairs with s0 w0
+    (descents {0, 2}, length 5, odd length 3): labels 0 and 1 swap.
+
+    >>> half = np.zeros((8, 2, 5), dtype=np.int64)
+    >>> half[0b001, 1, 1] = 1
+    >>> [int(k[0]) for k in np.nonzero(_w0_row("D", 3).image(half))]
+    [5, 1, 3]
+    """
+    labels = (1, 0, *range(2, n)) if family == "D" and n % 2 else tuple(range(n))
+    longest = {"A": n * (n - 1) // 2, "B": n * n, "D": n * (n - 1)}[family]
+    return CountMap(labels, label_mask(family, n), bool(longest & 1), None)
+
+
+@lru_cache(maxsize=None)
+def _partner_table(family: str, n: int) -> tuple[tuple[tuple, tuple[CountMap, ...]], ...]:
+    """The partner classes of the sweep of a group of rank n >= 3 (see
+    above), in offset order: each class's units, as (position j of +-1, the
+    sign bits their masks keep clear), and the rows whose images the class
+    adds.  A's classes are its blocks' (see _swept_prefixes), so they list
+    no units, and its row reads the counts by descent mask >> 1.  Cached
+    like the plan: these records hold no arrays, and rebuilding them on
+    every call raised the peak RSS of a long verify run."""
+    # The spare bit k of each j: the last position that is not j, never 0
+    # for n >= 3, which w0 toggles and tau and sigma do not.
+    spare = [1 << n - 1 - (j == n - 1) for j in range(n)]
+    if family == "A":
+        # delta carries the pair (i, j) to (n-1-j, n-1-i), at the same
+        # distance, and inversions to inversions, so it keeps the length and
+        # the odd length, and it maps descent label l to n - l: bit b of
+        # mask >> 1 to bit n-2-b.
+        return ((), ()), ((), (CountMap(tuple(range(n - 2, -1, -1))),))
+    if family == "B":
+        # tau, w -> s0 w, flips the sign of +-1, bit j.  No pair share of
+        # the odd length moves: pair (i, j) has G = 1, where pp and pm both
+        # give 1, and mp and mm both 1; pair (j, k) has G = 0, where
+        # 2 (pm + mm) reads the right sign alone.  No descent bit k+1 moves
+        # either: comparing +-1 with an entry of larger absolute value reads
+        # only that entry's sign.  So label 0 toggles iff j = 0, the parity
+        # flips, and going from bit j clear to bit j set the odd length gains
+        # B's sign term, 1 iff j + 1 is odd: one row each for j = 0, odd j
+        # and even j >= 2.
+        rows = (([0], 1, 1), (range(1, n, 2), 0, 0), (range(2, n, 2), 0, 1))
+        return tuple((tuple((j, 1 << j | spare[j]) for j in units),
+                      (CountMap(tuple(range(n)), toggle, True, odd),)) for units, toggle, odd in rows)
+    # sigma, conjugation by diag(-1, 1, ..., 1), flips the signs at position
+    # 0 and of +-1, bits 0 and j.  It is the diagram automorphism: it swaps
+    # s0 and s1 and so descent labels 0 and 1, and keeps the length and,
+    # since it keeps root heights, the odd length.  At j = 0 it flips one
+    # sign twice and fixes every element, so that class adds no row.
+    return ((((0, spare[0]),), ()),
+            (tuple((j, 1 | spare[j]) for j in range(1, n)), (CountMap((1, 0, *range(2, n))),)))
+
+
+def _units(plan: SweepPlan) -> list[tuple[int, int | None, np.ndarray]]:
+    """The swept units of a group of rank n >= 3 (see above), by partner
+    class: (class, position j of +-1, columns of their sign masks).  A has
+    one unit, j = None, of one column; in B and D each j owns a quarter of
+    the sign masks, and D's j = 0 the w0 half."""
     if plan.family == "A":
-        return [(None, np.zeros(1, dtype=np.intp))]
-    units = []
-    for j in range(n):
-        clear = 1 << _spare_bit(n, j) | (1 << j if plan.family == "B" else 1 if j else 0)
-        units.append((j, np.flatnonzero(masks & clear == 0)))
-    return units
+        return [(0, None, np.zeros(1, dtype=np.intp))]
+    return [(cls, j, np.flatnonzero(plan.masks & clear == 0))
+            for cls, (units, _) in enumerate(_partner_table(plan.family, plan.n))
+            for j, clear in units]
 
 
 def _unit_plan(plan: SweepPlan, j: int | None,
@@ -451,17 +516,6 @@ def _unit_plan(plan: SweepPlan, j: int | None,
     return plan.weights[rest][:, cols], const, plan.parity[cols] ^ (j & 1)
 
 
-def _partner_class(family: str, j: int | None) -> int:
-    """The first position of +-1 whose partner map is j's (see _partner):
-    tau reads j = 0 and the parity of j, sigma j = 0 alone.  A's class is
-    its blocks' (see _swept_prefixes), not its unit's."""
-    if j is None:
-        return 0
-    if family == "D":
-        return min(j, 1)
-    return j if j < 2 else 2 - j % 2
-
-
 class SweptForm(NamedTuple):
     """The linear form the sweep runs for one group: every unit's form side
     by side, over the same positions, each unit's keys offset by its
@@ -481,12 +535,11 @@ def _swept_form(family: str, n: int) -> SweptForm:
     so its arrays are read-only."""
     plan = _build_plan(family, n)
     size = (1 << n) * 2 * plan.width
-    parts, classes = [], 1
-    for j, cols in _units(plan):
+    units = _units(plan)
+    parts = []
+    for cls, j, cols in units:
         weights, const, flips = _unit_plan(plan, j, cols)
-        offset = _partner_class(family, j)
-        parts.append((weights, const + offset * size, flips))
-        classes = max(classes, offset + 1)
+        parts.append((weights, const + cls * size, flips))
     weights, const, flips = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
     worst = np.abs(weights).sum(axis=0, dtype=np.float64) + np.abs(const) + plan.width
     if family == "A":
@@ -495,7 +548,7 @@ def _swept_form(family: str, n: int) -> SweptForm:
         raise AssertionError(f"{family}_{n} offset keys reach {worst.max():.0f}, past 2**24")
     for array in (weights, const, flips):
         array.flags.writeable = False
-    return SweptForm(n if family == "A" else n - 1, weights, const, flips, classes)
+    return SweptForm(n if family == "A" else n - 1, weights, const, flips, units[-1][0] + 1)
 
 
 def _half(plan: SweepPlan) -> tuple[int, int, int]:
@@ -525,34 +578,6 @@ def _swept_prefixes(family: str, m: int, p: int) -> Iterator[tuple[tuple[int, ..
             if x[0] > x[1] and x[0] + x[1] >= m - 1)
 
 
-def _partner(family: str, n: int, j: int, counts: np.ndarray) -> np.ndarray | None:
-    """The counts of the partners of the elements a class's counts hold (see
-    above): delta w in A's class 1, which reverses labels 1..n-1, its counts
-    indexed by descent mask >> 1; tau w in B, which toggles label 0 when
-    j = 0, flips the parity and adds 1 to the odd length when j + 1 is odd;
-    sigma w in D, which swaps labels 0 and 1; B's and D's counts flat.
-    None at class 0 in A, which delta maps onto itself, and in D (j = 0),
-    whose elements sigma fixes."""
-    if family != "B" and j == 0:
-        return None
-    if family == "A":
-        bits = np.arange(n - 1)
-        return counts[(np.arange(1 << n - 1)[:, None] >> bits & 1) @ (1 << n - 2 - bits)]
-    half = counts.reshape(1 << n, 2, -1)
-    masks = np.arange(1 << n)
-    if family == "D":
-        return half[_swap_labels(masks)].ravel()
-    image = half[masks ^ (j == 0), ::-1]
-    if j % 2 == 0:
-        image = np.concatenate([np.zeros_like(image[..., :1]), image[..., :-1]], axis=2)
-    return image.ravel()
-
-
-def _swap_labels(masks: np.ndarray) -> np.ndarray:
-    """Descent masks with bits 0 and 1 exchanged."""
-    return masks ^ ((masks ^ masks >> 1) & 1) * 0b11
-
-
 def _term_tables(ncols: int, s: int, p: int) -> int:
     """How many prefix positions after the first keep a table of their s + 1
     terms: as many as fit FLOATS floats together."""
@@ -560,9 +585,8 @@ def _term_tables(ncols: int, s: int, p: int) -> int:
 
 
 def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
-    """Flat (descent mask, length parity, odd length) histogram over the
-    swept prefix blocks [start, stop), with the partners of the B and D
-    units: the counts of that part of the w0 half."""
+    """(2^n, 2, width) counts over the swept prefix blocks [start, stop),
+    with their partners (see _add_partners): that part of the w0 half."""
     n, width = plan.n, plan.width
     form = _swept_form(plan.family, n)
     ncols, s, _ = _half(plan)
@@ -652,25 +676,23 @@ def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
 
 
 def _add_partners(plan: SweepPlan, counts: np.ndarray) -> np.ndarray:
-    """The flat counts of a sweep's partner classes added up, each with its
-    partners' counts.  In B and D class j holds the units of partner class
-    j, j table sizes up; A's class 1 sits under descent label 0, which no
-    element of A has, and is folded back in place."""
+    """The (2^n, 2, width) counts of a sweep's partner classes added up,
+    each with the images of its rows in _partner_table.  In B and D class
+    c sits c table sizes up; A's class 1 under descent label 0, which no
+    element of A has, so A's classes are read by descent mask >> 1, and
+    class 1 is folded back in place."""
+    n, width = plan.n, plan.width
     if plan.family == "A":
-        tables = counts.reshape(1 << plan.n - 1, 2, -1)  # (mask >> 1, class, key)
-        image = _partner("A", plan.n, 1, tables[:, 1])
-        tables[:, 0] += tables[:, 1]
-        if image is not None:
-            tables[:, 0] += image
-        tables[:, 1] = 0
-        return counts
-    parts = counts.reshape(-1, (1 << plan.n) * 2 * plan.width)
-    half = parts.sum(axis=0)
-    for j, part in enumerate(parts):
-        image = _partner(plan.family, plan.n, j, part)
-        if image is not None:
-            half += image
-    return half
+        parts = counts.reshape(-1, 2, 2, width).swapaxes(0, 1)  # (class, mask >> 1, ...)
+    else:
+        parts = counts.reshape(-1, 1 << n, 2, width)
+    added = parts[1:].sum(axis=0)
+    for part, (_, rows) in zip(parts, _partner_table(plan.family, n)):
+        for row in rows:
+            added += row.image(part)
+    parts[0] += added
+    parts[1:] = 0  # A's class 1 lies inside the table returned
+    return counts[: (1 << n) * 2 * width].reshape(1 << n, 2, width)
 
 
 def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -680,27 +702,6 @@ def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
         views.append(flat[at : at + prod(shape)].reshape(shape))
         at += prod(shape)
     return views
-
-
-def _mirror(family: str, n: int, half: np.ndarray) -> np.ndarray:
-    """The (2^n, 2, width) counts of the partners w' of the elements half
-    counts: descent mask m goes to labels ^ pi(m), the parity flips with
-    length(w0), and odd length o goes to width - 1 - o (see above).
-
-    In D3, s0 (descents {0}, length 1, odd length 1) pairs with s0 w0
-    (descents {0, 2}, length 5, odd length 3): labels 0 and 1 swap.
-
-    >>> half = np.zeros((8, 2, 5), dtype=np.int64)
-    >>> half[0b001, 1, 1] = 1
-    >>> [int(k[0]) for k in np.nonzero(_mirror("D", 3, half))]
-    [5, 1, 3]
-    """
-    masks = np.arange(1 << n)
-    if family == "D" and n % 2:
-        masks = _swap_labels(masks)
-    masks ^= label_mask(family, n)
-    flip = {"A": n * (n - 1) // 2, "B": n * n, "D": n * (n - 1)}[family] & 1
-    return half[masks, :: 1 - 2 * flip, ::-1]
 
 
 @dataclass
@@ -757,8 +758,8 @@ def _trimmed_poly(coeffs: tuple[int, ...]) -> IntPoly:
 
 
 def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable:
-    """Sweep part of the group, with its tau or sigma partners in B and D,
-    and add the partners under w0 of that half (see above), so every
+    """Sweep part of the group, with its delta, tau or sigma partners, and
+    add the partners under w0 of that half (see above), so every
     element is counted once, bucketed by descent set.  Rank 1, B2 and D2
     are read whole."""
     check_budget(family, n)
@@ -778,8 +779,7 @@ def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable
         jobs = [(plan, bounds[k], bounds[k + 1]) for k in range(nworkers)]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             half = np.sum(list(pool.map(_sweep_worker, jobs)), axis=0)
-    half = half.reshape(1 << n, 2, plan.width)
-    return DescentTable(family, n, half + _mirror(family, n, half))
+    return DescentTable(family, n, half + _w0_row(family, n).image(half))
 
 
 def _sweep_worker(job: tuple[SweepPlan, int, int]) -> np.ndarray:

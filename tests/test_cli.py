@@ -112,6 +112,16 @@ class TestCyclo:
         assert code == 0
         assert out.strip() == "no"
 
+    def test_negative_leading_coefficient(self, capsys):
+        # x^2 - 1 = Phi_1 Phi_2.  Only the --coeffs= form passes a value that
+        # starts with '-'; a separate "-1,0,1" reads as an option.
+        code, out, _ = run(["cyclo", "--coeffs=-1,0,1"], capsys)
+        assert code == 0
+        assert out.strip() == "yes: Phi_1 Phi_2"
+        code, _, err = run(["cyclo", "--coeffs", "-1,0,1"], capsys)
+        assert code == 2
+        assert "argument --coeffs: expected one argument" in err
+
     def test_empty_product(self, capsys):
         code, out, _ = run(["cyclo", "--coeffs", "1"], capsys)
         assert code == 0

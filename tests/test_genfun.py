@@ -23,13 +23,14 @@ from oddlen.genfun import (
     DescentTable,
     _build_plan,
     _half,
-    _mirror,
+    _partner_table,
     _swept_form,
     _swept_prefixes,
     _sweep_range,
     _term_tables,
     _unit_plan,
     _units,
+    _w0_row,
     M_of,
     brute_filtered,
     brute_quotient,
@@ -99,21 +100,17 @@ def w0_half(family, n):
     return plan.table(family, rows, keep).counts
 
 
-# Planted mirror faults: each undoes one part of the map on _mirror's output.
-def _no_label_swap(family, n, out):
-    if family == "D" and n % 2:
-        masks = np.arange(1 << n)
-        return out[masks ^ ((masks ^ masks >> 1) & 1) * 0b11]
-    return out
+# Planted row faults: each undoes one part of a CountMap row.
+def _no_label_swap(row):
+    return row._replace(labels=tuple(sorted(row.labels)))
 
 
-def _no_parity_flip(family, n, out):
-    longest = {"A": n * (n - 1) // 2, "B": n * n, "D": n * (n - 1)}[family]
-    return out[:, ::-1] if longest % 2 else out
+def _no_parity_flip(row):
+    return row._replace(flip=False)
 
 
-def _unreversed_odd_length(family, n, out):
-    return out[:, :, ::-1]
+def _unreversed_odd_length(row):
+    return row._replace(odd=0)
 
 
 def quarter_tiling(family, n):
@@ -124,7 +121,7 @@ def quarter_tiling(family, n):
     full = (1 << n) - 1
     w0 = full if family == "B" or n % 2 == 0 else full - 1
     seen = Counter()
-    for j, cols in _units(plan):
+    for _, j, cols in _units(plan):
         masks = plan.masks[cols]
         if family == "B":
             masks = np.concatenate([masks, masks ^ 1 << j])
@@ -147,24 +144,33 @@ def a_quarter_tiling(n):
 
 
 # Planted sweep faults, each wrapping the genfun function its test names.
-def _no_tau_shift(partner, family, n, j, counts):
+def _no_tau_shift(partner_table, family, n):
     # tau's +1 on the odd length undone where +-1 sits at an odd position
-    # counted from 1
-    image = partner(family, n, j, counts)
-    if family == "B" and j % 2 == 0:
-        image = image.reshape(1 << n, 2, -1)
-        image = np.concatenate([image[..., 1:], np.zeros_like(image[..., :1])], axis=2).ravel()
-    return image
+    # counted from 1 (the other rows shift nothing)
+    return [(units, tuple(row._replace(odd=0) for row in rows))
+            for units, rows in partner_table(family, n)]
 
 
-def _sigma_at_j_0(partner, family, n, j, counts):
+def _sigma_at_j_0(partner_table, family, n):
     # sigma fixes the j = 0 elements, so adding its image counts them twice
-    return partner(family, n, 1 if family == "D" and j == 0 else j, counts)
+    table = list(partner_table(family, n))
+    if family == "D":
+        table[0] = (table[0][0], table[1][1])
+    return table
 
 
-def _no_label_reversal(partner, family, n, j, counts):
+def _no_label_reversal(partner_table, family, n):
     # delta's partners counted under the descent masks of the swept elements
-    return counts if family == "A" and j == 1 else partner(family, n, j, counts)
+    table = list(partner_table(family, n))
+    if family == "A":
+        table[1] = ((), tuple(_no_label_swap(row) for row in table[1][1]))
+    return table
+
+
+def _spare_bit_at_j(partner_table, family, n):
+    # the spare bit k, which w0 alone toggles, moved onto j
+    return [(tuple((j, clear & ~(1 << n - 1 - (j == n - 1)) | 1 << j) for j, clear in units), rows)
+            for units, rows in partner_table(family, n)]
 
 
 def _delta_on_class_0(swept_prefixes, family, m, p):
@@ -259,23 +265,23 @@ class TestBruteTable:
         ],
     )
     def test_planted_mirror_faults_fail(self, fault, failing):
-        # _mirror maps a half read with no sweep onto the other half.  The
+        # The w0 row maps a half read with no sweep onto the other half.  The
         # sweep's own half cannot show the label swap: in D its units add
         # their sigma partners, and sigma swaps labels 0 and 1.  The rank-1
         # groups have no pairs to map.
         broken = [f"{f}{n}" for f, n in MIRROR_RANKS if n > 1
-                  and not np.array_equal(w0_half(f, n) + fault(f, n, _mirror(f, n, w0_half(f, n))),
+                  and not np.array_equal(w0_half(f, n) + fault(_w0_row(f, n)).image(w0_half(f, n)),
                                          unmirrored_counts(f, n))]
         assert broken == failing
 
     @pytest.mark.parametrize(
         "target, fault, failing",
         [
-            pytest.param("_partner", _no_tau_shift, [f"B{n}" for n in range(3, 8)],
+            pytest.param("_partner_table", _no_tau_shift, [f"B{n}" for n in range(3, 8)],
                          id="no-tau-shift"),
-            pytest.param("_partner", _sigma_at_j_0, [f"D{n}" for n in range(3, 9)],
+            pytest.param("_partner_table", _sigma_at_j_0, [f"D{n}" for n in range(3, 9)],
                          id="sigma-at-j-0"),
-            pytest.param("_partner", _no_label_reversal, [f"A{n}" for n in range(3, 10)],
+            pytest.param("_partner_table", _no_label_reversal, [f"A{n}" for n in range(3, 10)],
                          id="no-label-reversal"),
             pytest.param("_swept_prefixes", _delta_on_class_0, [f"A{n}" for n in range(3, 10)],
                          id="delta-on-class-0"),
@@ -300,6 +306,67 @@ class TestBruteTable:
         assert resolve_workers(5) == 5
         with pytest.raises(ValueError):
             resolve_workers(0)
+
+
+# The map of the group each row stands for, on ranks where a pool of 100
+# elements is a small part of the group: w0 at even and odd length(w0) and,
+# in D, odd n; tau at every position j of +-1 in B5; sigma and delta twice.
+ROW_CASES = ([("w0", f, n, None) for f, n in (("A", 5), ("A", 6), ("B", 4), ("B", 5),
+                                               ("D", 4), ("D", 5))]
+             + [("tau", "B", 5, j) for j in range(5)]
+             + [("sigma", "D", n, None) for n in (5, 6)]
+             + [("delta", "A", n, None) for n in (5, 6)])
+
+
+def row_mismatch(kind, family, n, j, fault=lambda row: row):
+    """Whether a row's image of a pool's scalar table differs from the
+    scalar table of the pool mapped by the group operation the row stands
+    for, written with sperm's compose: w0 w in A and w w0 in B and D, w0
+    found as the longest element; tau w = s0 w on the elements of B with
+    +1 at position j (0-based), which the sweep's units of j count; sigma,
+    conjugation by diag(-1, 1, ..., 1); delta w = w0 w w0, read by descent
+    mask >> 1.  Nothing here is the sweep's."""
+    group = list(elements(family, n))
+    pool = random.Random(f"{kind}{family}{n}").sample(group, 100)
+    s0 = SignedPerm((-1, *range(2, n + 1)))
+    read = (lambda counts: counts[::2]) if kind == "delta" else (lambda counts: counts)
+    if kind == "w0":
+        w0 = max(group, key=lambda w: ell_and_odd(w, family)[0])
+        row, act = _w0_row(family, n), (lambda w: w0 * w) if family == "A" else (lambda w: w * w0)
+    elif kind == "tau":
+        (row,) = next(rows for units, rows in _partner_table(family, n) if j in dict(units))
+        pool, act = [w for w in group if w(j + 1) == 1], lambda w: s0 * w
+    else:
+        (row,) = [row for _, rows in _partner_table(family, n) for row in rows]
+        w0 = SignedPerm(tuple(range(n, 0, -1)))
+        act = (lambda w: s0 * w * s0) if kind == "sigma" else lambda w: w0 * w * w0
+    got = fault(row).image(read(scalar_table(family, n, pool).counts))
+    return not np.array_equal(got, read(scalar_table(family, n, map(act, pool)).counts))
+
+
+class TestCountMapRows:
+    """Every partner and w0 row against the group operation it stands for,
+    on tables that scalar_table counts one element at a time."""
+
+    @pytest.mark.parametrize("kind, family, n, j", ROW_CASES)
+    def test_row_maps_the_scalar_table_of_a_pool(self, kind, family, n, j):
+        assert not row_mismatch(kind, family, n, j)
+
+    @pytest.mark.parametrize(
+        "kind, family, n, j, fault",
+        [
+            pytest.param("w0", "D", 5, None, _no_label_swap, id="w0-no-label-swap"),
+            pytest.param("w0", "B", 5, None, _no_parity_flip, id="w0-no-parity-flip"),
+            pytest.param("w0", "A", 6, None, _unreversed_odd_length, id="w0-unreversed-odd"),
+            pytest.param("tau", "B", 5, 2, lambda row: row._replace(odd=0), id="tau-no-shift"),
+            pytest.param("tau", "B", 5, 3, lambda row: row._replace(odd=1), id="tau-odd-j-shift"),
+            pytest.param("tau", "B", 5, 0, lambda row: row._replace(toggle=0), id="tau-no-toggle"),
+            pytest.param("sigma", "D", 6, None, _no_label_swap, id="sigma-no-label-swap"),
+            pytest.param("delta", "A", 6, None, _no_label_swap, id="delta-no-label-reversal"),
+        ],
+    )
+    def test_a_planted_wrong_row_fails(self, kind, family, n, j, fault):
+        assert row_mismatch(kind, family, n, j, fault)
 
 
 def signed_subset_sum(table, mask):
@@ -455,7 +522,8 @@ class TestSweepKernel:
         assert a_quarter_tiling(n)
 
     def test_a_spare_bit_equal_to_j_breaks_the_tiling(self, monkeypatch):
-        monkeypatch.setattr(genfun, "_spare_bit", lambda n, j: j)
+        monkeypatch.setattr(genfun, "_partner_table",
+                            functools.partial(_spare_bit_at_j, _partner_table))
         assert [f"{f}{n}" for f, n in QUARTER_RANKS if quarter_tiling(f, n)] == []
 
     @pytest.mark.parametrize("family, n", QUARTER_RANKS)
@@ -465,7 +533,7 @@ class TestSweepKernel:
         # swept form, their columns side by side with class offsets, is
         # checked as it is built.
         plan = _build_plan(family, n)
-        for j, cols in _units(plan):
+        for _, j, cols in _units(plan):
             weights, const, flips = _unit_plan(plan, j, cols)
             assert weights.shape == ((n - 1) * (n - 2) // 2, len(cols))
             worst = np.abs(weights).sum(axis=0, dtype=np.float64) + np.abs(const)
@@ -487,7 +555,8 @@ class TestSweepKernel:
         swept = {"A": lambda n: n * n // 4 * factorial(n - 2),
                  "B": lambda n: factorial(n) << (n - 2),
                  "D": lambda n: (factorial(n - 1) << (n - 3)) * (n + 1)}[family]
-        monkeypatch.setattr(genfun, "_partner", lambda family, n, j, counts: None)
+        monkeypatch.setattr(genfun, "_partner_table", lambda family, n: [
+            (units, ()) for units, _ in _partner_table(family, n)])
         for n in range(2 if family == "A" else 3, top + 1):
             assert brute_table(family, n, workers=1).counts.sum() == 2 * swept(n), (family, n)
 
@@ -524,8 +593,7 @@ class TestSweepKernel:
         parts = _sweep_range(plan, 0, 7) + _sweep_range(plan, 7, 20)
         assert np.array_equal(parts, _sweep_range(plan, 0, 20))
         assert parts.sum() == (4 + 2 * 16) * factorial(7) == factorial(9) // 2
-        half = parts.reshape(1 << 9, 2, plan.width)
-        assert np.array_equal(half + _mirror("A", 9, half), unmirrored_counts("A", 9))
+        assert np.array_equal(parts + _w0_row("A", 9).image(parts), unmirrored_counts("A", 9))
 
     def test_a_range_may_start_inside_a_run_of_equal_first_ranks(self):
         # Swept blocks 5 and 6 of A10 are the prefixes (7, 3) and (7, 4):
