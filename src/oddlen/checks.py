@@ -6,7 +6,11 @@ is decided in one place, the gate `_ranks`: nothing unless the family is
 selected in the context, and for a check that enumerates, no rank past the
 tier bound ctx.nmax[family]; a closed-form check says closed_form=True and
 keeps its intrinsic range.  `_sets` runs over every index set of the gated
-ranks, with the rank's descent table.
+ranks, with the rank's descent table, as the context's one SetRecord per
+(family, n, mask): the set's row text and, each found on first read, its
+components, m(I), closed-form signature, closed form and verdict.  So a
+run reads each set once; records die with the context, and nothing is
+kept on an IndexSet or in a module-level memo.
 
 Every enumerated sum is a descent-table read, and every table is the sweep
 plan's one histogram over (rows x sign masks) arrays.  The context owns
@@ -57,11 +61,12 @@ from .rootsys import build_root_system, length_via_roots, odd_length_via_roots, 
 from .genfun import (
     DescentTable,
     brute_table,
+    closed_core,
     closed_D,
-    closed_factors,
-    closed_poly,
+    closed_key,
     conjecture_rhs,
     conjecture_set,
+    core_factors,
     M_of,
     perm_table,
     pinned_keep,
@@ -92,17 +97,51 @@ class CheckRow:
         return self.status == "pass"
 
 
+class _Field:
+    """A SetRecord field, built on first read into the record's __dict__
+    (functools.cached_property locks on each first read, twice the cost)."""
+
+    def __init__(self, build: Callable[["SetRecord"], object]):
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, rec: "SetRecord | None", owner: type | None = None):
+        if rec is None:
+            return self
+        value = rec.__dict__[self.name] = self.build(rec)
+        return value
+
+
+class SetRecord:
+    """One index set I of a run: its row text str(I), also the record's
+    str, and the fields the checks read of I, each built on first read."""
+
+    def __init__(self, family: str, n: int, mask: int, text: str):
+        self.family, self.I, self.text = family, IndexSet(n, mask), text
+
+    def __str__(self) -> str:
+        return self.text
+
+    parts = _Field(lambda rec: components(rec.I))
+    m = _Field(lambda rec: m_of(rec.I))
+    key = _Field(lambda rec: closed_key(rec.family, rec.I.n, rec.I))
+    closed = _Field(lambda rec: closed_core(rec.family, rec.key))
+    factors = _Field(lambda rec: core_factors(rec.family, rec.key))
+
+
 @dataclass
 class CheckContext:
     """Shared rank bounds and every array a run derives from a rank: the
     brute-force descent tables by (family, n), the permutation tables and
     their chessboard rows by n, the sweep keys of every element by
     (family, n), the chessboard arrays (keys, descents, sandwich filters,
-    support tables) by (family, n), and the pinned-entry tables by
-    (family, n, pin).  Each is built on first use, at most once, and freed
-    with the context, so nothing outlives a run; the permutation, key and
-    chessboard arrays are read-only.  The families checked are the keys of
-    nmax, in its order."""
+    support tables) by (family, n), the pinned-entry tables by
+    (family, n, pin), and the index-set records by (family, n).  Each is
+    built on first use, at most once, and freed with the context, so
+    nothing outlives a run; the permutation, key and chessboard arrays are
+    read-only.  The families checked are the keys of nmax, in its order."""
 
     nmax: dict[str, int]
     workers: int | None = None
@@ -146,6 +185,19 @@ class CheckContext:
         rows = self._once(("chessboard", n), lambda: on_chessboard(self.perms(n)))
         return self._once(("board", family, n), lambda: Chessboard(family, rows))
 
+    def records(self, family: str, n: int) -> dict[int, SetRecord]:
+        """The record of every generator-label subset of rank n, by mask, in
+        binary-counter order; a text extends that of the mask minus its top."""
+        def build() -> dict[int, SetRecord]:
+            labels, texts = label_mask(family, n), {0: ""}
+            for mask in range(1, 1 << n):
+                top = mask.bit_length() - 1
+                rest = mask ^ 1 << top
+                texts[mask] = f"{texts[rest]},{top}" if rest else str(top)
+            return {mask: SetRecord(family, n, mask, text)
+                    for mask, text in texts.items() if mask & ~labels == 0}
+        return self._once(("records", family, n), build)
+
     def pinned(self, family: str, n: int, I: IndexSet, pin: tuple[int, int]) -> IntPoly:
         """Quotient sum over the elements with pin = (b, v): sigma(b) = v."""
         def build() -> DescentTable:
@@ -174,16 +226,14 @@ def _ranks(ctx: CheckContext, family: str, lo: int, hi: int | None = None, step:
 
 
 def _sets(ctx: CheckContext, family: str, lo: int, hi: int | None = None, step: int = 1,
-          *, closed_form: bool = False) -> Iterator[tuple[int, DescentTable | None, IndexSet]]:
-    """(n, table, I) for every generator-label subset I, in binary-counter
+          *, closed_form: bool = False) -> Iterator[tuple[int, DescentTable | None, SetRecord]]:
+    """(n, table, record) for every generator-label subset, in binary-counter
     order, at each rank n of _ranks; table is the rank's descent table, or
     None for a closed-form check, which enumerates nothing."""
     for n in _ranks(ctx, family, lo, hi, step, closed_form=closed_form):
         table = None if closed_form else ctx.table(family, n)
-        labels = label_mask(family, n)
-        for mask in range(1 << n):
-            if mask & ~labels == 0:
-                yield n, table, IndexSet(n, mask)
+        for rec in ctx.records(family, n).values():
+            yield n, table, rec
 
 
 def _match(check: str, family: str, n: int, where, got: IntPoly, want: IntPoly) -> CheckRow:
@@ -281,9 +331,8 @@ def check_point_values(ctx: CheckContext) -> Iterator[CheckRow]:
 
 def _closed_match(check: str, family: str) -> Callable[[CheckContext], Iterator[CheckRow]]:
     def run(ctx: CheckContext) -> Iterator[CheckRow]:
-        for n, table, I in _sets(ctx, family, 1):
-            got, want = closed_poly(family, n, I), table.quotient_poly(I)
-            yield _match(check, family, n, I, got, want)
+        for n, table, rec in _sets(ctx, family, 1):
+            yield _match(check, family, n, rec, rec.closed, table.quotient_poly(rec.I))
     return run
 
 
@@ -298,22 +347,22 @@ check_d_closed = _closed_match("d-closed-match", "D")
 def check_support_chessboard(ctx: CheckContext) -> Iterator[CheckRow]:
     """Quotient sums are unchanged by restriction to chessboard elements."""
     for family in ("D", "A"):
-        for n, table, I in _sets(ctx, family, 1, 6):
-            got = ctx.board(family, n).table().quotient_poly(I)
-            want = table.quotient_poly(I)
-            yield _match("support-chessboard", family, n, I, got, want)
+        for n, table, rec in _sets(ctx, family, 1, 6):
+            got = ctx.board(family, n).table().quotient_poly(rec.I)
+            want = table.quotient_poly(rec.I)
+            yield _match("support-chessboard", family, n, rec, got, want)
 
 
 def check_support_window(ctx: CheckContext) -> Iterator[CheckRow]:
     """Restriction to elements without odd sandwiches in the value window
     past the head block preserves the quotient sum."""
-    for n, table, I in _sets(ctx, "D", 4, 6):
-        a0 = components(I).zero_size
+    for n, table, rec in _sets(ctx, "D", 4, 6):
+        a0 = rec.parts.zero_size
         if not 2 <= a0 <= n - 2:
             continue
-        got = ctx.board("D", n).table("H", a0 + 1).quotient_poly(I)
-        want = table.quotient_poly(I)
-        yield _match("support-window", "D", n, I, got, want)
+        got = ctx.board("D", n).table("H", a0 + 1).quotient_poly(rec.I)
+        want = table.quotient_poly(rec.I)
+        yield _match("support-window", "D", n, rec, got, want)
 
 
 def check_support_positional(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -345,7 +394,8 @@ def check_additivity(ctx: CheckContext) -> Iterator[CheckRow]:
 def check_zero_one_swap(ctx: CheckContext) -> Iterator[CheckRow]:
     """Adding label 0 or label 1 to a set disjoint from {0, 1} gives the
     same quotient sum."""
-    for n, table, I in _sets(ctx, "D", 2, 6):
+    for n, table, rec in _sets(ctx, "D", 2, 6):
+        I = rec.I
         if 0 in I or 1 in I:
             continue
         got = table.quotient_poly(I.add(0))
@@ -354,39 +404,39 @@ def check_zero_one_swap(ctx: CheckContext) -> Iterator[CheckRow]:
 
 
 def _even_prefix_sets(ctx: CheckContext, hi: int) -> Iterator[tuple]:
-    """(n, table, I, a0) at ranks 3..hi for the sets whose head block has
-    even size a0 in [2, n-1] with a0+1 absent."""
-    for n, table, I in _sets(ctx, "D", 3, hi):
-        a0 = components(I).zero_size
-        if 2 <= a0 <= n - 1 and a0 % 2 == 0 and a0 + 1 not in I:
-            yield n, table, I, a0
+    """(n, table, record, a0) at ranks 3..hi for the sets whose head block
+    has even size a0 in [2, n-1] with a0+1 absent."""
+    for n, table, rec in _sets(ctx, "D", 3, hi):
+        a0 = rec.parts.zero_size
+        if 2 <= a0 <= n - 1 and a0 % 2 == 0 and a0 + 1 not in rec.I:
+            yield n, table, rec, a0
 
 
 def check_even_prefix_split(ctx: CheckContext) -> Iterator[CheckRow]:
     """Closing an even head block scales the quotient sum by 1 + x^a0."""
-    for n, table, I, a0 in _even_prefix_sets(ctx, 6):
-        got = table.quotient_poly(I)
-        want = (ONE + IntPoly.monomial(1, a0)) * table.quotient_poly(I.add(a0))
-        yield _match("even-prefix-split", "D", n, I, got, want)
+    for n, table, rec, a0 in _even_prefix_sets(ctx, 6):
+        got = table.quotient_poly(rec.I)
+        want = (ONE + IntPoly.monomial(1, a0)) * table.quotient_poly(rec.I.add(a0))
+        yield _match("even-prefix-split", "D", n, rec, got, want)
 
 
 def check_compression_invariance(ctx: CheckContext) -> Iterator[CheckRow]:
     """A set with a head block of size >= 2 has the same quotient sum as
     its compression."""
-    for n, table, I in _sets(ctx, "D", 2, 6):
-        if components(I).zero_size < 2:
+    for n, table, rec in _sets(ctx, "D", 2, 6):
+        if rec.parts.zero_size < 2:
             continue
-        got = table.quotient_poly(I)
-        want = table.quotient_poly(compress(I))
-        yield _match("compression-invariance", "D", n, I, got, want)
+        got = table.quotient_poly(rec.I)
+        want = table.quotient_poly(compress(rec.I))
+        yield _match("compression-invariance", "D", n, rec, got, want)
 
 
-def _windows(n: int, I: IndexSet) -> Iterator[tuple[int, int]]:
+def _windows(n: int, rec: SetRecord) -> Iterator[tuple[int, int]]:
     """Odd-size components [i, i+2k] of I with i >= 3, i+2k+2 <= n outside I."""
-    for lo, hi in components(I).others:
+    for lo, hi in rec.parts.others:
         if lo < 3 or (hi - lo) % 2:
             continue
-        if hi + 2 > n or (hi + 2 <= n - 1 and hi + 2 in I):
+        if hi + 2 > n or (hi + 2 <= n - 1 and hi + 2 in rec.I):
             continue
         yield lo, hi
 
@@ -394,8 +444,9 @@ def _windows(n: int, I: IndexSet) -> Iterator[tuple[int, int]]:
 def check_window_shift(ctx: CheckContext) -> Iterator[CheckRow]:
     """Sliding an odd-size interior component one step right (and taking the
     union with the original) preserves quotient and pinned-entry sums."""
-    for n, table, I in _sets(ctx, "D", 5, 6):
-        for i, hi in _windows(n, I):
+    for n, table, rec in _sets(ctx, "D", 5, 6):
+        I = rec.I
+        for i, hi in _windows(n, rec):
             shifted = I.remove(i).add(hi + 1)
             trio = (I, I.union(shifted), shifted)
             polys = [table.quotient_poly(J) for J in trio]
@@ -407,41 +458,42 @@ def check_window_shift(ctx: CheckContext) -> Iterator[CheckRow]:
                     for v in (n, -n):
                         sums = [ctx.pinned("D", n, J, (b, v)) for J in trio]
                         ok = ok and sums[0] == sums[1] == sums[2]
-            yield _row("window-shift", "D", n, I, ok, f"component [{i},{hi}]")
+            yield _row("window-shift", "D", n, rec, ok, f"component [{i},{hi}]")
 
 
 def check_pinned_entry_sums(ctx: CheckContext) -> Iterator[CheckRow]:
     """Pinned-entry restricted sums: even-head scaling, compression
     invariance, the odd-head descent to rank n-1, and vanishing sums."""
-    for n, _, I, a0 in _even_prefix_sets(ctx, FILTER_CAP):
+    for n, _, rec, a0 in _even_prefix_sets(ctx, FILTER_CAP):
         scale = ONE + IntPoly.monomial(1, a0)
         for b in range(a0 + 2, n + 1):
             for v in (n, -n):
-                got = ctx.pinned("D", n, I, (b, v))
-                want = scale * ctx.pinned("D", n, I.add(a0), (b, v))
-                yield _row("pinned-entry-sums", "D", n, I, got == want,
+                got = ctx.pinned("D", n, rec.I, (b, v))
+                want = scale * ctx.pinned("D", n, rec.I.add(a0), (b, v))
+                yield _row("pinned-entry-sums", "D", n, rec, got == want,
                            f"even head, entry {v} at {b}")
 
-    for n, _, I in _sets(ctx, "D", 2, FILTER_CAP):
-        a0 = components(I).zero_size
+    for n, _, rec in _sets(ctx, "D", 2, FILTER_CAP):
+        a0 = rec.parts.zero_size
         if a0 < 2:
             continue
-        got = ctx.pinned("D", n, I, (a0, n))
-        want = ctx.pinned("D", n, compress(I), (a0, n))
-        yield _row("pinned-entry-sums", "D", n, I, got == want,
+        got = ctx.pinned("D", n, rec.I, (a0, n))
+        want = ctx.pinned("D", n, compress(rec.I), (a0, n))
+        yield _row("pinned-entry-sums", "D", n, rec, got == want,
                    f"compression, entry {n} at {a0}")
 
-    for n, _, I in _sets(ctx, "D", 4, FILTER_CAP):
-        a0 = components(I).zero_size
+    for n, _, rec in _sets(ctx, "D", 4, FILTER_CAP):
+        I, a0 = rec.I, rec.parts.zero_size
         if a0 % 2 == 0 or not 3 <= a0 <= n - 1 or n - 1 in I or not is_compressed(I):
             continue
         got = ctx.pinned("D", n, I, (a0, n))
         scale = IntPoly.monomial(2 if n % 2 else -2, n // 2)
         want = scale * ctx.quotient("D", n - 1, IndexSet.of(n - 1, I.members()))
-        yield _row("pinned-entry-sums", "D", n, I, got == want,
+        yield _row("pinned-entry-sums", "D", n, rec, got == want,
                    f"odd head, entry {n} at {a0}")
 
-    for n, _, I in _sets(ctx, "D", 3, FILTER_CAP):
+    for n, _, rec in _sets(ctx, "D", 3, FILTER_CAP):
+        I = rec.I
         for a in range(2, n):
             if a + 1 <= n - 1 and a + 1 in I:
                 continue
@@ -450,35 +502,35 @@ def check_pinned_entry_sums(ctx: CheckContext) -> Iterator[CheckRow]:
             if a >= 4 and a - 2 in I:
                 continue
             ok = all(ctx.pinned("D", n, I, (a, v)).is_zero for v in (n, -n))
-            yield _row("pinned-entry-sums", "D", n, I, ok,
+            yield _row("pinned-entry-sums", "D", n, rec, ok,
                        f"vanishing sum at position {a}")
 
 
 def check_odd_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
     """A set with an odd head block of size >= 3 reduces to its compression
     at the rank where the compression is cofinal."""
-    for n, table, I in _sets(ctx, "D", 3, 6):
-        a0 = components(I).zero_size
+    for n, table, rec in _sets(ctx, "D", 3, 6):
+        a0 = rec.parts.zero_size
         if a0 < 3 or a0 % 2 == 0:
             continue
-        J = compress(I)
+        J = compress(rec.I)
         m = m_of(J)
-        got = table.quotient_poly(I)
+        got = table.quotient_poly(rec.I)
         want = (
             ctx.quotient("D", 2 * m - 1, IndexSet.of(2 * m - 1, J.members()))
             * alt_product(2 * m, n, square=True)
         )
-        yield _match("odd-prefix-product", "D", n, I, got, want)
+        yield _match("odd-prefix-product", "D", n, rec, got, want)
 
 
 def check_even_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
     """A set with an even head block whose compression is not cofinal
     factors through a widened set at a smaller rank."""
-    for n, table, I in _sets(ctx, "D", 3, 6):
-        a0 = components(I).zero_size
+    for n, table, rec in _sets(ctx, "D", 3, 6):
+        a0 = rec.parts.zero_size
         if a0 < 2 or a0 % 2:
             continue
-        CJ = compress(I)
+        CJ = compress(rec.I)
         last = CJ.members()[-1] + 1
         if last > n - 1:
             continue
@@ -486,33 +538,34 @@ def check_even_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
         runs = [range(0, gaps[0] + 1)]
         runs += [range(lo + 2, hi + 1) for lo, hi in zip(gaps, gaps[1:])]
         J = IndexSet.of(last + 1, [i for run in runs for i in run])
-        got = table.quotient_poly(I)
+        got = table.quotient_poly(rec.I)
         want = (
             (ONE + IntPoly.monomial(1, a0))
             * ctx.quotient("D", last + 1, J)
             * alt_product(last + 2, n, square=True)
         )
-        yield _match("even-prefix-product", "D", n, I, got, want)
+        yield _match("even-prefix-product", "D", n, rec, got, want)
 
 
-def _compressed_cofinal(I: IndexSet) -> bool:
+def _compressed_cofinal(rec: SetRecord) -> bool:
     """A compressed set containing n-1 whose head block has size in [2, n-2]."""
-    return 2 <= components(I).zero_size <= I.n - 2 and I.n - 1 in I and is_compressed(I)
+    I = rec.I
+    return 2 <= rec.parts.zero_size <= I.n - 2 and I.n - 1 in I and is_compressed(I)
 
 
 def check_tail_multinomial_split(ctx: CheckContext) -> Iterator[CheckRow]:
     """A compressed cofinal set splits off a squared-variable multinomial
     against the single-gap set with the same head."""
-    for n, table, I in _sets(ctx, "D", 4, 6):
-        if not _compressed_cofinal(I):
+    for n, table, rec in _sets(ctx, "D", 4, 6):
+        if not _compressed_cofinal(rec):
             continue
-        a0 = components(I).zero_size
+        I, a0 = rec.I, rec.parts.zero_size
         J = IndexSet.full(n).remove(a0)
         bounds = [i for i in range(n) if i not in I] + [n]
         parts = [(hi - lo) // 2 for lo, hi in zip(bounds, bounds[1:])]
         got = table.quotient_poly(I)
         want = q_multinomial((n - a0) // 2, parts, 2) * table.quotient_poly(J)
-        yield _match("tail-multinomial-split", "D", n, I, got, want)
+        yield _match("tail-multinomial-split", "D", n, rec, got, want)
 
 
 def check_even_case_recurrence(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -536,10 +589,10 @@ def check_factorizations(ctx: CheckContext) -> Iterator[CheckRow]:
     """Quotient set products: compressed cofinal sets split off an
     unsigned-quotient tail; odd single-gap sets at odd rank split off an
     embedded chessboard head."""
-    for n, _, I in _sets(ctx, "D", 4, 6):
-        if _compressed_cofinal(I):
-            ok = ctx.board("D", n).set_factorization(I, "H")
-            yield _row("set-factorization", "D", n, I, ok, "window variant")
+    for n, _, rec in _sets(ctx, "D", 4, 6):
+        if _compressed_cofinal(rec):
+            ok = ctx.board("D", n).set_factorization(rec.I, "H")
+            yield _row("set-factorization", "D", n, rec, ok, "window variant")
     for n in _ranks(ctx, "D", 5, 7, 2):
         for a0 in range(3, n - 1, 2):
             I = IndexSet.full(n).remove(a0)
@@ -553,8 +606,8 @@ def check_quotient_factor_divides(ctx: CheckContext) -> Iterator[CheckRow]:
     per signature but does not fix m(I) (D5's {0, 2} and {0} share one,
     with m 2 and 1), so it is decided once per triple."""
     verdicts: dict[tuple[int, int, IntPoly], bool] = {}
-    for n, _, I in _sets(ctx, "D", 3, 7, closed_form=True):
-        m, closed = m_of(I), closed_D(n, I)
+    for n, _, rec in _sets(ctx, "D", 3, 7, closed_form=True):
+        m, closed = rec.m, rec.closed
         key = (n, m, closed)
         if key not in verdicts:
             try:
@@ -563,7 +616,7 @@ def check_quotient_factor_divides(ctx: CheckContext) -> Iterator[CheckRow]:
             except ValueError:
                 verdicts[key] = False
         ok = verdicts[key]
-        yield _row("quotient-factor-divides", "D", n, I, ok,
+        yield _row("quotient-factor-divides", "D", n, rec, ok,
                    "" if ok else "tail does not divide")
 
 
@@ -593,36 +646,34 @@ def check_conjecture_products(ctx: CheckContext) -> Iterator[CheckRow]:
     for n in _ranks(ctx, "D", 5, 8, closed_form=True):
         for i in range(3, n):
             for with_one in (False, True):
-                I = conjecture_set(n, i, with_one)
-                got = closed_D(n, I)
+                rec = ctx.records("D", n)[conjecture_set(n, i, with_one).mask]
                 want = conjecture_rhs(n, i, with_one)
-                yield _match("conjecture-products", "D", n, I, got, want)
+                yield _match("conjecture-products", "D", n, rec, rec.closed, want)
 
 
 def check_cyclo_classification(ctx: CheckContext) -> Iterator[CheckRow]:
     """A proper-set quotient sum factors into cyclotomics exactly when the
     rank is odd or some odd label (or 0) is missing."""
-    for n, _, I in _sets(ctx, "D", 1, 8, closed_form=True):
-        if I.is_full:
+    for n, _, rec in _sets(ctx, "D", 1, 8, closed_form=True):
+        if rec.I.is_full:
             continue
-        got = closed_factors("D", n, I) is not None
-        want = not noncyclotomic_condition(I)
-        yield _row("cyclo-classification", "D", n, I, got == want,
+        got = rec.factors is not None
+        want = not noncyclotomic_condition(rec.I)
+        yield _row("cyclo-classification", "D", n, rec, got == want,
                    "cyclotomic product" if want else "no cyclotomic factorization")
 
 
 def check_display_form(ctx: CheckContext) -> Iterator[CheckRow]:
     """In the non-factoring case the quotient sum matches the explicit
     trinomial-over-binomial display."""
-    for n, _, I in _sets(ctx, "D", 2, 8, 2, closed_form=True):
-        if I.is_full or not noncyclotomic_condition(I):
+    for n, _, rec in _sets(ctx, "D", 2, 8, 2, closed_form=True):
+        if rec.I.is_full or not noncyclotomic_condition(rec.I):
             continue
-        a0 = components(I).zero_size
+        a0 = rec.parts.zero_size
         trinom = ONE + IntPoly.monomial(1, a0) + IntPoly.monomial(2, n // 2)
-        numer = C_poly(I) * trinom * alt_product(a0 + 2, n)
+        numer = C_poly(rec.I) * trinom * alt_product(a0 + 2, n)
         want = numer.exact_div(ONE + IntPoly.monomial(1, n // 2))
-        got = closed_D(n, I)
-        yield _match("display-form-match", "D", n, I, got, want)
+        yield _match("display-form-match", "D", n, rec, rec.closed, want)
 
 
 def check_trinomial_criterion(ctx: CheckContext) -> Iterator[CheckRow]:

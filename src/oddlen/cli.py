@@ -44,6 +44,9 @@ def _parse_families(text: str) -> tuple[str, ...]:
             raise ValueError(f"unknown family {f!r} (choose from A, B, D)")
     if not fams:
         raise ValueError("no families selected")
+    repeated = [f for f, count in Counter(fams).items() if count > 1]
+    if repeated:
+        raise ValueError(f"families given more than once: {', '.join(repeated)}")
     return fams
 
 

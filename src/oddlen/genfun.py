@@ -15,7 +15,7 @@ runs, the half-sizes being the sorted nonzero (z+1)//2 over run sizes z
 (indexset.half_sizes): in A the half-sizes of every run of I; in B the
 zero-run size and the half-sizes of the other runs; in D the zero-run
 size and the half-sizes of tilde(I).  closed_A/B/D check the rank and
-labels on every call (_closed_key, which then reads the signature from
+labels on every call (closed_key, which then reads the signature from
 one bit scan of the mask, indexset.run_halves) and call a core of
 (n, signature) alone, cached without bound; closed_factors caches the
 core's cyclotomic verdict on the same key.  The key counts grow like
@@ -24,7 +24,9 @@ to 4,096 sets).  D's key needs no m(I): its head reads m(I) only when
 the zero run has even size z >= 2, and then 1 is in I and z is not, so
 tilde(I) = I minus {0} turns the run [0, z-1] into [1, z-1], of
 half-size (z-1+1)//2 = z/2 = (z+1)//2, and leaves the other runs alone:
-m(I) = m(tilde I), the sum of the key's half-sizes.
+m(I) = m(tilde I), the sum of the key's half-sizes.  closed_core and
+core_factors read the core and its verdict from a signature already
+found, as the verify checks' per-run set records do.
 
 The sweep is array-native.  An element is an absolute-value row P (a
 permutation of 0..n-1) under one of the family's sign masks, binned by one
@@ -834,7 +836,7 @@ def brute_filtered(
     return pinned_table(family, n, constraint).quotient_poly(index_set)
 
 
-def _closed_key(family: str, n: int, index_set: IndexSet) -> tuple | None:
+def closed_key(family: str, n: int, index_set: IndexSet) -> tuple | None:
     """Check a closed formula's rank and index set, and return the
     signature its core reads (see above): (n, half-sizes) in A, (n, zero
     run, other half-sizes) in B, (n, zero run, half-sizes of tilde(I)) in
@@ -860,7 +862,7 @@ def _closed_key(family: str, n: int, index_set: IndexSet) -> tuple | None:
 
 def closed_A(n: int, index_set: IndexSet) -> IntPoly:
     """Product formula for the unsigned quotient polynomials."""
-    return _closed_A(*_closed_key("A", n, index_set))
+    return _closed_A(*closed_key("A", n, index_set))
 
 
 @lru_cache(maxsize=None)
@@ -878,7 +880,7 @@ def closed_B(n: int, index_set: IndexSet) -> IntPoly:
     denominator cancels the multinomial's numerator, leaving the parts'
     x^2-factorials below the line.
     """
-    return _closed_B(*_closed_key("B", n, index_set))
+    return _closed_B(*closed_key("B", n, index_set))
 
 
 @lru_cache(maxsize=None)
@@ -892,7 +894,7 @@ def _closed_B(n: int, zero: int, halves: tuple[int, ...]) -> IntPoly:
 
 def closed_D(n: int, index_set: IndexSet) -> IntPoly:
     """Product formula for the even-signed quotient polynomials."""
-    key = _closed_key("D", n, index_set)
+    key = closed_key("D", n, index_set)
     return ONE if key is None else _closed_D(*key)
 
 
@@ -936,7 +938,16 @@ def closed_poly(family: str, n: int, index_set: IndexSet) -> IntPoly:
 def closed_factors(family: str, n: int, index_set: IndexSet) -> tuple[int, ...] | None:
     """cyclotomic_factors of closed_poly(family, n, index_set), as a tuple:
     decided once per signature, as the closed form is built."""
-    key = _closed_key(family, n, index_set)
+    return core_factors(family, closed_key(family, n, index_set))
+
+
+def closed_core(family: str, key: tuple | None) -> IntPoly:
+    """The closed form of a closed_key signature: 1 for D's full set."""
+    return ONE if key is None else _CORES[family](*key)
+
+
+def core_factors(family: str, key: tuple | None) -> tuple[int, ...] | None:
+    """closed_factors of a closed_key signature."""
     return () if key is None else _closed_factors(family, key)
 
 

@@ -13,12 +13,14 @@ an ascending r[i] += r[i-d], one pass each; truncation loses nothing
 because the product is a polynomial of degree D.
 
 Since Phi_k = +-prod_{d|k} (1 - x^d)^mu(k/d), a product of cyclotomic
-polynomials is also +-prod (1 - x^d)^a_d.  `cyclotomic_factors` reads the
-a_d off the low coefficients of its argument, one d at a time, and decides
-from them: modulo x^(D+1) first, and modulo x^(K(D)+1), past every
-possible factor Phi_k, only when that leaves the answer open.  Its docstring
-gives the argument.  Trial division by Phi_k is left to the tests, as the
-oracle the peel is checked against.
+polynomials is also +-prod (1 - x^d)^a_d.  `cyclotomic_factors` first
+rejects an argument that is not self-reciprocal, x^D p(1/x) = +-p, as every
+such product is, with no peel.  It then reads the a_d off the low
+coefficients, one d at a time, and decides from them: modulo x^(D+1)
+first, and modulo x^(K(D)+1), past every possible factor Phi_k, only when
+that leaves the answer open.  Its docstring gives the argument.  Trial
+division by Phi_k is left to the tests, as the oracle the peel is checked
+against.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from math import exp, log
-from operator import sub
+from operator import neg, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -403,7 +405,9 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
     such product.
 
     The sign unit makes this equivalent to every root of p being a root of
-    unity.  Such a p has p(0) = +-1; any other p is rejected at once.
+    unity.  Such a p has p(0) = +-1 and is self-reciprocal,
+    x^D p(1/x) = +-p, as Phi_1 = x - 1 changes sign and every other Phi_k
+    is a palindrome; any other p is rejected at once, before any peel.
 
     With D = deg p, a factor Phi_k of p has phi(k) <= D, so
     k <= K(D) = max{k : phi(k) <= D}, read from a cached totient table.
@@ -432,9 +436,7 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
     L > D) and every broken bound (it reads true a_d of a product, which
     obey both).  Only a failed final check, which a product with some
     factor Phi_k, k > D, can also meet (Phi_14 Phi_1 has degree 7), widens
-    the peel to L = K(D) + 1, where the check decides; and only for a
-    self-reciprocal p, x^D p(1/x) = +-p, as every product is (Phi_1 = x - 1
-    changes sign, and every other Phi_k is a palindrome).
+    the peel to L = K(D) + 1, where the check decides.
 
     >>> cyclotomic_factors(IntPoly([1, 0, 0, 2, 0, 0, 1]))
     [2, 2, 6, 6]
@@ -443,6 +445,9 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
     """
     c = p.coeffs
     if not c or abs(c[0]) != 1:
+        return None
+    # Self-reciprocal: a palindrome, or -p reversed when the ends differ.
+    if c[::-1] != (c if c[-1] == c[0] else tuple(map(neg, c))):
         return None
     D = p.degree
     phi, K = _totients(D)
@@ -454,8 +459,6 @@ def cyclotomic_factors(p: IntPoly) -> list[int] | None:
         e = _cyclotomic_exponents(exps)
         if min(e.values(), default=0) >= 0 and sum(v * phi[k] for k, v in e.items()) == D:
             return [k for k in sorted(e) for _ in range(e[k])]
-        if r[::-1] != r and r[::-1] != [-v for v in r]:
-            return None
     return None
 
 

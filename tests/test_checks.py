@@ -12,7 +12,8 @@ import pytest
 
 from oddlen import checks, chess, genfun
 from oddlen.checks import CHECKS, CheckContext, run_checks
-from oddlen.genfun import BUDGET, BudgetError
+from oddlen.genfun import BUDGET, BudgetError, closed_factors, closed_poly
+from oddlen.indexset import IndexSet, components, m_of
 from oddlen.rootsys import build_root_system
 
 
@@ -279,6 +280,7 @@ def _count_builds(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(checks, "perm_table", lambda out, n: ("perm_table", n))
+    counted(checks, "SetRecord", lambda out, family, n, mask, text: ("record", family, n, mask))
     counted(checks, "on_chessboard", lambda out, perms: ("on_chessboard", perms.shape[1]))
     counted(chess, "window_sandwich_free",
             lambda out, rows, masks, c: ("window_sandwich_free", rows.shape[1], c))
@@ -296,7 +298,8 @@ def _count_builds(monkeypatch):
 
 def test_a_full_tier_context_builds_each_shared_array_once(monkeypatch):
     """One permutation table and one set of chessboard rows per rank, one
-    filter per distinct (rank, parameter), and every chessboard key once."""
+    filter per distinct (rank, parameter), every chessboard key once, and
+    one record per index set of every rank a check visits."""
     calls = _count_builds(monkeypatch)
     rows = list(run_checks(CheckContext.for_tier("full")))
     assert len(rows) == 2175 and all(r.ok for r in rows)
@@ -305,12 +308,64 @@ def test_a_full_tier_context_builds_each_shared_array_once(monkeypatch):
     assert set(calls.values()) == {1}, [what for what, k in calls.items() if k > 1]
     builders = Counter(what[0] for what in calls)
     assert builders == {"perm_table": 7, "on_chessboard": 7,
-                        "window_sandwich_free": 6, "k_sandwich_free": 10}
+                        "window_sandwich_free": 6, "k_sandwich_free": 10, "record": 890}
+    # A1-A8, B1-B6 and D1-D8, every label subset: 255 + 126 + (1 + 508).
+    ranks = Counter(what[1:3] for what in calls if what[0] == "record")
+    assert ranks == {**{("A", n): 1 << (n - 1) for n in range(1, 9)},
+                     **{("B", n): 1 << n for n in range(1, 7)},
+                     **{("D", n): 1 << n if n > 1 else 1 for n in range(1, 9)}}
     # A second run's context builds them all again.
     first = Counter(calls)
     calls.clear()
     list(run_checks(CheckContext.for_tier("full")))
     assert calls.pop("keyed") == keyed and calls == first
+
+
+def test_set_records_die_with_their_context():
+    """A record, its fields found, is freed with its context by reference
+    counting alone: nothing else holds it, and it holds nothing back."""
+    ctx = CheckContext.for_tier("fast")
+    list(run_checks(ctx, only=["d-closed-match", "support-window", "quotient-factor-divides",
+                               "cyclo-classification"]))
+    records = ctx.records("D", 5)
+    assert ctx.records("D", 5) is records
+    assert CheckContext.for_tier("fast").records("D", 5)[0b101] is not records[0b101]
+    assert set(vars(records[0b101])) == {"family", "I", "text", "parts", "m", "key", "closed",
+                                         "factors"}
+    refs = [weakref.ref(rec) for n in range(1, 7) for rec in ctx.records("D", n).values()]
+    gc.disable()
+    try:
+        del ctx, records
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_set_records_match_the_public_reads():
+    """Every record field equals the public function it stands for."""
+    ctx = CheckContext.for_tier("fast")
+    for family, top in (("A", 8), ("B", 7), ("D", 9)):
+        for n in range(1, top + 1):
+            for mask, rec in ctx.records(family, n).items():
+                I = IndexSet(n, mask)
+                assert (rec.family, rec.I, rec.text, str(rec)) == (family, I, str(I), str(I))
+                assert (rec.parts, rec.m) == (components(I), m_of(I))
+                assert rec.closed == closed_poly(family, n, I)
+                assert rec.factors == closed_factors(family, n, I)
+
+
+def test_reads_leave_no_cache_on_an_index_set():
+    """Neither the closed forms nor the text keep anything on an IndexSet,
+    so no read of a long-lived set is faster for having been made before."""
+    ctx = CheckContext.for_tier("fast")
+    list(run_checks(ctx, only=["d-closed-match", "cyclo-classification"]))
+    sets = [IndexSet.of(6, [0, 2, 3]), ctx.records("D", 6)[0b1101].I]
+    for I in sets:
+        for family in "BD":
+            closed_poly(family, 6, I)
+            closed_factors(family, 6, I)
+        str(I)
+        assert vars(I) == {"n": 6, "mask": 0b1101}
 
 
 def test_shared_arrays_are_read_only_and_die_with_their_context():

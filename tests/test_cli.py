@@ -228,6 +228,14 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "given more than once: root-oracle" in err
 
+    @pytest.mark.parametrize("families", ["D,D", "d,B,D", "A, a"])
+    def test_a_repeated_family_exits_2(self, capsys, families):
+        """A family named twice, in any case, is refused, not merged."""
+        code, out, err = run(["verify", "--families", families], capsys)
+        assert (code, out) == (2, "")
+        repeated = families.split(",")[-1].strip().upper()
+        assert f"families given more than once: {repeated}" in err and "rows" not in err
+
     def test_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
         code, _, _ = run(

@@ -797,7 +797,7 @@ class TestClosedFormMemo:
 
 
 def _key_mismatches(family, top):
-    """(n, I) where _closed_key differs from the signature built from
+    """(n, I) where closed_key differs from the signature built from
     components, half_sizes and tilde written out, over every index set of
     family at n = 1..top: the scalar oracle for any faster signature."""
     bad = []
@@ -813,13 +813,13 @@ def _key_mismatches(family, top):
             else:
                 twisted = I.remove(0).add(1) if 0 in I else I
                 want = (n, decomp.zero_size, half_sizes(components(twisted).all_sizes))
-            if genfun._closed_key(family, n, I) != want:
+            if genfun.closed_key(family, n, I) != want:
                 bad.append((n, I))
     return bad
 
 
 class TestSignatureScan:
-    """_closed_key reads the signature from run_halves scans of the mask."""
+    """closed_key reads the signature from run_halves scans of the mask."""
 
     @pytest.mark.parametrize("family", ["A", "B", "D"])
     def test_matches_the_component_formula_up_to_rank_14(self, family):
