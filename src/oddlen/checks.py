@@ -59,8 +59,7 @@ from .sperm import (
 )
 from .rootsys import build_root_system, length_via_roots, odd_length_via_roots, root_counts, spans
 from .genfun import (
-    DescentTable,
-    brute_table,
+    TIERS,
     closed_core,
     closed_D,
     closed_key,
@@ -68,17 +67,9 @@ from .genfun import (
     conjecture_set,
     core_factors,
     M_of,
-    perm_table,
-    pinned_keep,
-    sweep_plan,
 )
+from .sweep import DescentTable, brute_table, perm_table, pinned_keep, sweep_plan
 from .chess import Chessboard, chess_class, check_L_additivity, frozen, on_chessboard
-
-TIERS = {
-    "fast": {"A": 6, "B": 5, "D": 6},
-    "full": {"A": 8, "B": 6, "D": 7},
-    "extended": {"A": 9, "B": 7, "D": 8},
-}
 
 FILTER_CAP = 5  # rank bound for pinned-entry enumeration sweeps
 

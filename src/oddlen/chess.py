@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .genfun import DescentTable, SweepPlan, perm_table, sweep_plan
+from .sweep import DescentTable, SweepPlan, perm_table, sweep_plan
 from .indexset import IndexSet, is_compressed
 from .rootsys import spans
 from .sperm import SignedPerm

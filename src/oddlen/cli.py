@@ -3,6 +3,10 @@ cyclotomic verdicts, and descent-table dumps.
 
 Exit codes: 0 success, 2 usage error, 3 enumeration budget exceeded,
 4 verification mismatch.
+
+The commands that enumerate (verify, table, genfun -m brute|both) import
+checks or sweep, and so numpy, when they run; cyclo and genfun -m closed
+never load them.
 """
 
 import argparse
@@ -17,8 +21,7 @@ from json.encoder import encode_basestring_ascii
 from .zpoly import IntPoly, cyclotomic_factors
 from .indexset import IndexSet
 from .sperm import FAMILIES, label_mask
-from .genfun import BudgetError, brute_quotient, brute_table, closed_poly
-from .checks import CHECKS, CheckContext, TIERS, run_checks
+from .genfun import TIERS, BudgetError, closed_poly
 
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
@@ -70,6 +73,8 @@ def cmd_genfun(args) -> int:
     if args.method in ("closed", "both"):
         polys["closed"] = closed_poly(args.family, args.n, I)
     if args.method in ("brute", "both"):
+        from .sweep import brute_quotient
+
         polys["brute"] = brute_quotient(args.family, args.n, I)
     equal = polys["closed"] == polys["brute"] if len(polys) == 2 else None
     shown = polys.get("brute", polys.get("closed"))
@@ -97,7 +102,9 @@ def cmd_genfun(args) -> int:
     return EXIT_MISMATCH if equal is False else 0
 
 
-def _verify_context(args) -> tuple[CheckContext, list[str] | None]:
+def _verify_context(args) -> tuple["CheckContext", list[str] | None]:
+    from .checks import CHECKS, CheckContext
+
     ctx = CheckContext.for_tier(args.tier, _parse_families(args.families), workers=args.workers)
     if args.nmax is not None:
         if args.nmax < 1:
@@ -122,18 +129,30 @@ def _verify_context(args) -> tuple[CheckContext, list[str] | None]:
     return ctx, only
 
 
+class _Encoded(dict):
+    """JSON string literals by text, each encoded on its first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        value = self[text] = encode_basestring_ascii(text)
+        return value
+
+
 def _json_rows(rows) -> str:
     """The rows as json.dumps(records, indent=2) + "\n" writes them, byte for
     byte, with the C string encoder: an indent sends json.dumps to its pure
-    Python encoder."""
+    Python encoder.  Each distinct check id, family and status is encoded
+    once per call, and each (check, family, n) head written once."""
     if not rows:
         return "[]\n"
-    q = encode_basestring_ascii
-    records = (
-        f'  {{\n    "check": {q(r.check)},\n    "family": {q(r.family)},\n    "n": {r.n},\n'
-        f'    "set": {q(r.set_text)},\n    "status": {q(r.status)},\n    "detail": {q(r.detail)}\n  }}'
-        for r in rows
-    )
+    q, names, heads, records = encode_basestring_ascii, _Encoded(), {}, []
+    for r in rows:
+        head = heads.get((r.check, r.family, r.n))
+        if head is None:
+            head = heads[r.check, r.family, r.n] = (
+                f'  {{\n    "check": {names[r.check]},\n    "family": {names[r.family]},\n'
+                f'    "n": {r.n},\n    "set": ')
+        records.append(f'{head}{q(r.set_text)},\n    "status": {names[r.status]},\n'
+                       f'    "detail": {q(r.detail)}\n  }}')
     return "[\n" + ",\n".join(records) + "\n]\n"
 
 
@@ -157,6 +176,8 @@ def _write_verify(rows, fmt: str, out) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .checks import run_checks
+
     ctx, only = _verify_context(args)
     # Open the output first, so a bad path fails before the checks run.
     try:
@@ -217,6 +238,8 @@ def cmd_cyclo(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .sweep import brute_table
+
     table = brute_table(args.family, args.n)
     lm = label_mask(args.family, args.n)
     masks = [mask for mask in range(1 << args.n) if mask & ~lm == 0]
@@ -304,6 +327,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if getattr(args, "list_checks", False):
+        from .checks import CHECKS
+
         for name in CHECKS:
             print(name)
         return 0

@@ -195,14 +195,19 @@ def compress(I: IndexSet) -> IndexSet:
         for i in range(b + 1, nxt):
             mask |= 1 << i
         b = nxt
-    out = IndexSet(I.n, mask)
-    assert m_of(out) == m_of(I)
-    return out
+    return IndexSet(I.n, mask)
 
 
 def is_compressed(I: IndexSet) -> bool:
-    """True iff I is a fixed point of compress."""
-    return compress(I) == I
+    """True iff I is a fixed point of compress, read off I's runs: each run
+    past the zero run has odd size and starts one label past the end of
+    the run before it (at label 1 when the zero run is empty)."""
+    end = 0  # one past the previous run
+    for lo, size in _runs(I.mask):
+        if lo and (lo != end + 1 or size % 2 == 0):
+            return False
+        end = lo + size
+    return True
 
 
 def tilde(I: IndexSet) -> IndexSet:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oddlen import checks, chess, genfun
+from oddlen import checks, chess, sweep
 from oddlen.checks import CHECKS, CheckContext, run_checks
 from oddlen.genfun import BUDGET, BudgetError, closed_factors, closed_poly
 from oddlen.indexset import IndexSet, components, m_of
@@ -83,14 +83,14 @@ def _failing(name):
 def _broken_plans(monkeypatch, fault):
     """Route every sweep plan through fault(plan), applied to a writable copy
     (the cached plans are read-only), then run root-oracle."""
-    build = genfun._build_plan
+    build = sweep._build_plan
 
     def broken(family, n):
         plan = deepcopy(build(family, n))
         fault(plan)
         return plan
 
-    monkeypatch.setattr(genfun, "_build_plan", broken)
+    monkeypatch.setattr(sweep, "_build_plan", broken)
     return _failing("root-oracle")
 
 
@@ -285,14 +285,14 @@ def _count_builds(monkeypatch):
     counted(chess, "window_sandwich_free",
             lambda out, rows, masks, c: ("window_sandwich_free", rows.shape[1], c))
     counted(chess, "k_sandwich_free", lambda out, rows, k: ("k_sandwich_free", rows.shape[1], k))
-    keys = genfun.SweepPlan.keys
+    keys = sweep.SweepPlan.keys
 
     def counted_keys(plan, rows, cols=slice(None)):
         out = keys(plan, rows, cols)
         calls["keyed"] += out.size
         return out
 
-    monkeypatch.setattr(genfun.SweepPlan, "keys", counted_keys)
+    monkeypatch.setattr(sweep.SweepPlan, "keys", counted_keys)
     return calls
 
 

@@ -24,7 +24,7 @@ from oddlen.chess import (
     support_table,
     window_sandwich_free,
 )
-from oddlen.genfun import perm_table, sweep_plan
+from oddlen.sweep import perm_table, sweep_plan
 from oddlen.indexset import IndexSet, components, is_compressed
 from oddlen.sperm import (
     SignedPerm,

@@ -279,6 +279,23 @@ class TestVerify:
         cli._write_verify(rows, "json", out)
         assert out.getvalue() == json.dumps(records, indent=2) + "\n"
 
+    def test_json_rows_encode_each_name_once(self, monkeypatch):
+        # Check ids, families and statuses repeat across rows: each is
+        # encoded once per call, the set texts and details once per row.
+        rows = [checks.CheckRow(check, family, n, "0,2", status)
+                for check in ("c1", "c2") for family in "AD" for n in (3, 4)
+                for status in ("pass", "fail")]
+        encoded = []
+        real = cli.encode_basestring_ascii
+        monkeypatch.setattr(cli, "encode_basestring_ascii",
+                            lambda text: encoded.append(text) or real(text))
+        out = cli._json_rows(rows)
+        assert sorted(encoded) == sorted(["c1", "c2", "A", "D", "pass", "fail"]
+                                         + ["0,2", ""] * len(rows))
+        records = [{"check": r.check, "family": r.family, "n": r.n, "set": r.set_text,
+                    "status": r.status, "detail": r.detail} for r in rows]
+        assert out == json.dumps(records, indent=2) + "\n"
+
     def test_rank_flag_is_clamped_by_tier(self, capsys):
         code, _, err = run(
             ["verify", "--only", "remark-values", "--tier", "fast",

@@ -14,12 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddlen import genfun
+from oddlen import genfun, sweep
 from oddlen.genfun import (
     BUDGET,
+    BudgetError,
+    M_of,
+    closed_A,
+    closed_B,
+    closed_D,
+    closed_factors,
+    closed_poly,
+    conjecture_rhs,
+    conjecture_set,
+    resolve_workers,
+)
+from oddlen.sweep import (
     FLOATS,
     KEYS,
-    BudgetError,
     DescentTable,
     _build_plan,
     _half,
@@ -31,20 +42,11 @@ from oddlen.genfun import (
     _unit_plan,
     _units,
     _w0_row,
-    M_of,
     brute_filtered,
     brute_quotient,
     brute_table,
-    closed_A,
-    closed_B,
-    closed_D,
-    closed_factors,
-    closed_poly,
-    conjecture_rhs,
-    conjecture_set,
     perm_table,
     pinned_table,
-    resolve_workers,
     scalar_table,
     sweep_plan,
 )
@@ -143,7 +145,7 @@ def a_quarter_tiling(n):
     return seen == Counter(permutations(range(n), 2))
 
 
-# Planted sweep faults, each wrapping the genfun function its test names.
+# Planted sweep faults, each wrapping the sweep function its test names.
 def _no_tau_shift(partner_table, family, n):
     # tau's +1 on the odd length undone where +-1 sits at an odd position
     # counted from 1 (the other rows shift nothing)
@@ -290,7 +292,7 @@ class TestBruteTable:
         ],
     )
     def test_planted_partner_faults_fail(self, monkeypatch, target, fault, failing):
-        monkeypatch.setattr(genfun, target, functools.partial(fault, getattr(genfun, target)))
+        monkeypatch.setattr(sweep, target, functools.partial(fault, getattr(sweep, target)))
         broken = [f"{f}{n}" for f, n in MIRROR_RANKS
                   if not np.array_equal(brute_table(f, n).counts, unmirrored_counts(f, n))]
         assert broken == failing
@@ -522,7 +524,7 @@ class TestSweepKernel:
         assert a_quarter_tiling(n)
 
     def test_a_spare_bit_equal_to_j_breaks_the_tiling(self, monkeypatch):
-        monkeypatch.setattr(genfun, "_partner_table",
+        monkeypatch.setattr(sweep, "_partner_table",
                             functools.partial(_spare_bit_at_j, _partner_table))
         assert [f"{f}{n}" for f, n in QUARTER_RANKS if quarter_tiling(f, n)] == []
 
@@ -555,7 +557,7 @@ class TestSweepKernel:
         swept = {"A": lambda n: n * n // 4 * factorial(n - 2),
                  "B": lambda n: factorial(n) << (n - 2),
                  "D": lambda n: (factorial(n - 1) << (n - 3)) * (n + 1)}[family]
-        monkeypatch.setattr(genfun, "_partner_table", lambda family, n: [
+        monkeypatch.setattr(sweep, "_partner_table", lambda family, n: [
             (units, ()) for units, _ in _partner_table(family, n)])
         for n in range(2 if family == "A" else 3, top + 1):
             assert brute_table(family, n, workers=1).counts.sum() == 2 * swept(n), (family, n)
@@ -613,7 +615,7 @@ class TestSweepKernel:
     def test_key_buffer_bound_does_not_change_the_counts(self, monkeypatch, blocks):
         # One A10 block is 8! keys; 7 blocks do not divide its 25.
         want = brute_table("A", 10, workers=1).counts
-        monkeypatch.setattr(genfun, "KEYS", blocks * factorial(8))
+        monkeypatch.setattr(sweep, "KEYS", blocks * factorial(8))
         assert np.array_equal(brute_table("A", 10, workers=1).counts, want)
 
     @pytest.mark.parametrize("family, n, limit_mb", [("A", 10, 14), ("B", 8, 9.5), ("D", 8, 7)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oddlen import rootsys
-from oddlen.genfun import perm_table, sweep_plan
+from oddlen.sweep import perm_table, sweep_plan
 from oddlen.rootsys import (
     build_root_system,
     length_via_roots,
