@@ -16,14 +16,14 @@ Every enumerated sum is a descent-table read, and every table is the sweep
 plan's one histogram over (rows x sign masks) arrays.  The context owns
 every array a run derives from a rank, each built at most once, read-only,
 and freed with the context; nothing outlives the run.  The full group's
-tables come from the sweep.  The root-count check and the pinned entries
-read one key array per group, the sweep keys of every permutation row
-under every sign mask; a pinned entry is a row and mask filter on it.  The
+tables come from the sweep.  A pinned entry's table is sweep.pinned_table,
+which keys only the sub-grid of rows and sign masks it pins.  The
 chessboard checks (supports, set factorizations, additivity) read one
 chess.Chessboard per group, whose key array, sandwich filters and support
-tables serve every check that needs them.  The root counts and the
-factors of the additivity check run in blocks of at most rootsys.BLOCK
-elements per temporary array.
+tables serve every check that needs them.  No key array of the whole
+group is held: the root-count check keys the permutation rows block by
+block, and its root counts and the factors of the additivity check run
+in blocks of at most rootsys.BLOCK elements per temporary array.
 """
 
 from dataclasses import dataclass, field
@@ -68,7 +68,7 @@ from .genfun import (
     core_factors,
     M_of,
 )
-from .sweep import DescentTable, brute_table, perm_table, pinned_keep, sweep_plan
+from .sweep import DescentTable, brute_table, perm_table, pinned_table, sweep_plan
 from .chess import Chessboard, chess_class, check_L_additivity, frozen, on_chessboard
 
 FILTER_CAP = 5  # rank bound for pinned-entry enumeration sweeps
@@ -126,12 +126,11 @@ class SetRecord:
 class CheckContext:
     """Shared rank bounds and every array a run derives from a rank: the
     brute-force descent tables by (family, n), the permutation tables and
-    their chessboard rows by n, the sweep keys of every element by
-    (family, n), the chessboard arrays (keys, descents, sandwich filters,
-    support tables) by (family, n), the pinned-entry tables by
-    (family, n, pin), and the index-set records by (family, n).  Each is
-    built on first use, at most once, and freed with the context, so
-    nothing outlives a run; the permutation, key and chessboard arrays are
+    their chessboard rows by n, the chessboard arrays (keys, descents,
+    sandwich filters, support tables) by (family, n), the pinned-entry
+    tables by (family, n, pin), and the index-set records by (family, n).
+    Each is built on first use, at most once, and freed with the context,
+    so nothing outlives a run; the permutation and chessboard arrays are
     read-only.  The families checked are the keys of nmax, in its order."""
 
     nmax: dict[str, int]
@@ -165,11 +164,6 @@ class CheckContext:
         """The n! absolute-value rows, perm_table(n)."""
         return self._once(("perms", n), lambda: frozen(perm_table(n)))
 
-    def keys(self, family: str, n: int) -> np.ndarray:
-        """The sweep keys of every element, as a (perms(n), masks) array."""
-        return self._once(("keys", family, n),
-                          lambda: frozen(sweep_plan(family, n).keys(self.perms(n))))
-
     def board(self, family: str, n: int) -> Chessboard:
         """The chessboard arrays of one group, A or D; both read one set of
         chessboard rows."""
@@ -191,11 +185,8 @@ class CheckContext:
 
     def pinned(self, family: str, n: int, I: IndexSet, pin: tuple[int, int]) -> IntPoly:
         """Quotient sum over the elements with pin = (b, v): sigma(b) = v."""
-        def build() -> DescentTable:
-            plan = sweep_plan(family, n)
-            keep = pinned_keep(plan, self.perms(n), pin)
-            return plan.tabulate(family, self.keys(family, n), keep)
-        return self._once(("pinned", family, n, pin), build).quotient_poly(I)
+        table = self._once(("pinned", family, n, pin), lambda: pinned_table(family, n, pin))
+        return table.quotient_poly(I)
 
 
 def _row(check: str, family: str, n: int, where, ok: bool, detail: str = "") -> CheckRow:
@@ -245,11 +236,11 @@ def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
         for n in _ranks(ctx, family, 1, hard[family]):
             rs = build_root_system(family, n)
             plan = sweep_plan(family, n)
-            perms, keys = ctx.perms(n), ctx.keys(family, n)
+            perms = ctx.perms(n)
             bad = 0
             # a row has a key per sign mask and a comparison per position pair
             for block in spans(len(perms), max(len(plan.masks), len(plan.weights))):
-                high, odd = np.divmod(keys[block], plan.width)
+                high, odd = np.divmod(plan.keys(perms[block]), plan.width)
                 length, want_odd, want_descents = root_counts(rs, perms[block], plan.masks)
                 bad += np.count_nonzero(
                     (high >> 1 != want_descents) | (high & 1 != length & 1) | (odd != want_odd))

@@ -211,7 +211,7 @@ class Chessboard:
                 if param is None:
                     raise ValueError(f"support {support!r} needs a parameter")
                 keep = self.window_free(param) if support == "H" else self.k_free(param)
-            self._tables[support, param] = self.plan.tabulate(self.family, self.keys, keep)
+            self._tables[support, param] = self.plan.tabulate(self.keys, keep)
         return self._tables[support, param]
 
     def additive(self) -> np.ndarray:

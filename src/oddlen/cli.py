@@ -107,8 +107,6 @@ def _verify_context(args) -> tuple["CheckContext", list[str] | None]:
 
     ctx = CheckContext.for_tier(args.tier, _parse_families(args.families), workers=args.workers)
     if args.nmax is not None:
-        if args.nmax < 1:
-            raise ValueError("--nmax must be positive")
         for f, top in ctx.nmax.items():
             if top < args.nmax:
                 print(f"note: {f} rank capped at {top} by tier {args.tier}", file=sys.stderr)
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the named identity checks")
     p.add_argument("--tier", choices=tuple(TIERS), default="fast")
     p.add_argument("--families", default="A,B,D")
-    p.add_argument("--nmax", "--n", dest="nmax", type=int, default=None,
+    p.add_argument("--nmax", "--n", dest="nmax", type=_positive_int, default=None,
                    help="rank bound for brute sweeps (capped by the tier)")
     p.add_argument("--only", default=None,
                    help="comma-separated check ids (see --list-checks)")

@@ -3,10 +3,11 @@ group, and the descent tables it fills.
 
 A DescentTable is one int64 array counting elements by (descent mask,
 length parity, odd length), so all 2^n quotients of one group cost one
-sweep plus a subset-sum (zeta) transform.  The sweep feeds
-SweepPlan.histogram prefix blocks of the group, SweepPlan.table any rows
-under a (row, mask) filter, and SweepPlan.tabulate keys already computed
-under one: the restricted sums (pinned entries here, supports in chess).
+sweep plus a subset-sum (zeta) transform.  Besides the sweep,
+SweepPlan.table counts any rows under every sign mask, and
+SweepPlan.tabulate bins keys already computed, under an optional
+(row, mask) filter: the restricted sums (pinned entries here, each a
+sub-grid of rows and masks; supports in chess).
 scalar_table, with no caller in the package, is the independent oracle.
 This is the only one of the two routes that imports numpy: the closed
 formulas and the rank bounds, with check_budget, are oddlen.genfun's.
@@ -229,25 +230,19 @@ class SweepPlan:
         high, odd = np.divmod(self.keys(perms, self.columns(np.array([mask])))[:, 0], self.width)
         return high >> 1, high & 1, odd
 
-    def histogram(self, keys: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-        """Flat (descent mask, length parity, odd length) histogram of a
-        (rows, masks) array of keys.  keep, broadcast to its shape, drops
-        the elements where it is False."""
+    def table(self, rows: np.ndarray) -> DescentTable:
+        """Descent table of the absolute-value rows crossed with every sign
+        mask."""
+        return self.tabulate(self.keys(rows))
+
+    def tabulate(self, keys: np.ndarray, keep: np.ndarray | None = None) -> DescentTable:
+        """Descent table of a (rows, masks) array of keys: their one
+        histogram.  keep, broadcast to its shape, drops the elements where
+        it is False."""
         if keep is not None:
             keys = keys[np.broadcast_to(keep, keys.shape)]
-        return np.bincount(keys.ravel(), minlength=(1 << self.n) * 2 * self.width)
-
-    def table(self, family: str, rows: np.ndarray, keep: np.ndarray | None = None) -> DescentTable:
-        """Descent table of the absolute-value rows crossed with every sign
-        mask, restricted to the (row, mask) elements that keep allows."""
-        return self.tabulate(family, self.keys(rows), keep)
-
-    def tabulate(self, family: str, keys: np.ndarray,
-                 keep: np.ndarray | None = None) -> DescentTable:
-        """Descent table of a (rows, masks) array of keys, restricted to
-        the elements that keep allows."""
-        counts = self.histogram(keys, keep)
-        return DescentTable(family, self.n, counts.reshape(1 << self.n, 2, self.width))
+        counts = np.bincount(keys.ravel(), minlength=(1 << self.n) * 2 * self.width)
+        return DescentTable(self.family, self.n, counts.reshape(1 << self.n, 2, self.width))
 
 
 def _greater(perms: np.ndarray) -> np.ndarray:
@@ -716,7 +711,7 @@ def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable
     check_budget(family, n)
     plan = _build_plan(family, n)
     if n <= 2:
-        return plan.table(family, perm_table(n))
+        return plan.table(perm_table(n))
     nswept = _half(plan)[2]
     nworkers = min(resolve_workers(workers), nswept)
     if nworkers <= 1 or factorial(n) < 50000:
@@ -756,26 +751,22 @@ def scalar_table(family: str, n: int, pool: Iterable[SignedPerm]) -> DescentTabl
 
 
 def pinned_table(family: str, n: int, pin: tuple[int, int]) -> DescentTable:
-    """Descent table of the elements with a pinned entry (see pinned_keep)."""
-    plan = sweep_plan(family, n)
-    rows = perm_table(n)
-    return plan.tabulate(family, plan.keys(rows), pinned_keep(plan, rows, pin))
-
-
-def pinned_keep(plan: SweepPlan, rows: np.ndarray, pin: tuple[int, int]) -> np.ndarray:
-    """The (rows, masks) filter of the elements with a pinned entry.
+    """Descent table of the elements with a pinned entry.
 
     pin = (b, v) keeps only elements mapping b to v, where b is a
-    position in [1, n] and v is n or -n: the rows with P[b-1] = n-1
-    under the sign masks whose bit b-1 is the sign of v.
+    position in [1, n] and v is n or -n.  They form a sub-grid of the
+    group, which alone is keyed: the rows with P[b-1] = n-1 under the sign
+    masks whose bit b-1 is the sign of v.
     """
+    plan = sweep_plan(family, n)
     b, v = pin
-    n = plan.n
     if not 1 <= b <= n:
         raise ValueError("constraint position out of range")
     if abs(v) != n:
         raise ValueError("constraint value must be n or -n")
-    return (rows[:, b - 1] == n - 1)[:, None] & ((plan.masks >> (b - 1) & 1) == (v < 0))
+    rows = np.insert(perm_table(n - 1), b - 1, n - 1, axis=1)
+    cols = np.flatnonzero((plan.masks >> (b - 1) & 1) == (v < 0))
+    return plan.tabulate(plan.keys(rows, cols))
 
 
 def brute_filtered(

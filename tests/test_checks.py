@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oddlen import checks, chess, sweep
+from oddlen import checks, chess, rootsys, sweep
 from oddlen.checks import CHECKS, CheckContext, run_checks
 from oddlen.genfun import BUDGET, BudgetError, closed_factors, closed_poly
 from oddlen.indexset import IndexSet, components, m_of
@@ -264,6 +264,25 @@ def test_full_tier_array_passes_stay_small(names):
     assert peak < 4 << 20, f"{names} peaked at {peak / 2**20:.2f} MB"
 
 
+def test_root_oracle_keys_one_block_at_a_time(monkeypatch):
+    """With rootsys.BLOCK at 4096 elements, the full-tier root-oracle pass
+    allocates under 512 KB above its start: it keys each block of rows as
+    it reads it (about 424 KB), where holding every element's key of a
+    group for the run read about 705 KB."""
+    monkeypatch.setattr(rootsys, "BLOCK", 4096)
+    list(run_checks(CheckContext.for_tier("full"), ["root-oracle"]))  # cached plans and roots
+    ctx = CheckContext.for_tier("full")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rows = list(run_checks(ctx, ["root-oracle"]))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rows and all(r.ok for r in rows)
+    assert peak < 512 << 10, f"root-oracle peaked at {peak / 2**10:.0f} KB"
+
+
 def _count_builds(monkeypatch):
     """Count every build of a context's shared arrays by (builder, rank,
     parameter), and the elements SweepPlan.keys keys, under "keyed"."""
@@ -373,8 +392,8 @@ def test_shared_arrays_are_read_only_and_die_with_their_context():
     board = ctx.board("D", 5)
     assert ctx.board("D", 5) is board
     assert CheckContext.for_tier("fast").board("D", 5) is not board
-    shared = [ctx.perms(5), ctx.keys("D", 5), board.rows, board.keys, board.descents,
-              board.window_free(3), board.k_free(2)]
+    shared = [ctx.perms(5), board.rows, board.keys, board.descents, board.window_free(3),
+              board.k_free(2)]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1

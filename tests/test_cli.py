@@ -328,11 +328,13 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("workers", ["0", "-1", "x"])
-    def test_workers_below_one_exits_2(self, capsys, workers):
-        code, _, err = run(["verify", "--workers", workers, "--only", "remark-values"], capsys)
+    @pytest.mark.parametrize("option, value", [
+        pytest.param(option, value, id=value if option == "--workers" else f"nmax={value}")
+        for option in ("--workers", "--nmax") for value in ("0", "-1", "x")])
+    def test_workers_below_one_exits_2(self, capsys, option, value):
+        code, _, err = run(["verify", option, value, "--only", "remark-values"], capsys)
         assert code == 2
-        assert "--workers" in err
+        assert option in err
 
     # Row count and SHA-256 of the rows file that ROWS_ARGV writes at each
     # tier, and at the fast tier with the families listed out of order.

@@ -84,12 +84,12 @@ KEY_BOUND_RANKS = [("A", 11), ("A", 12), ("B", 9), ("B", 10), ("D", 9), ("D", 10
 def unmirrored_counts(family, n):
     """Every (row x mask) element of the group read through SweepPlan.table:
     no prefix blocks and no mirror."""
-    return sweep_plan(family, n).table(family, perm_table(n)).counts
+    return sweep_plan(family, n).table(perm_table(n)).counts
 
 
 @functools.cache
 def w0_half(family, n):
-    """The counts of one element of each w0 pair, read through SweepPlan.table
+    """The counts of one element of each w0 pair, read through SweepPlan.tabulate
     with no sweep: the rows below their complements in A, the sign masks
     with bit n-1 clear in B and D."""
     plan = sweep_plan(family, n)
@@ -99,7 +99,7 @@ def w0_half(family, n):
         keep = (d[np.arange(len(rows)), (d != 0).argmax(axis=1)] < 0)[:, None]
     else:
         keep = (plan.masks >> (n - 1) & 1) == 0
-    return plan.table(family, rows, keep).counts
+    return plan.tabulate(plan.keys(rows), keep).counts
 
 
 # Planted row faults: each undoes one part of a CountMap row.
@@ -988,7 +988,8 @@ class TestFiltered:
         with pytest.raises(BudgetError):
             pinned_table("D", BUDGET["D"] + 1, (1, BUDGET["D"] + 1))
 
-    @pytest.mark.parametrize("family, n", [("A", 4), ("B", 3), ("D", 4)])
+    @pytest.mark.parametrize("family, n", [("A", 4), ("B", 3), ("D", 4),
+                                           ("A", 5), ("B", 4), ("D", 5)])
     def test_pinned_tables_match_the_scalar_oracle(self, family, n):
         for b in range(1, n + 1):
             for v in (n, -n):
@@ -1004,6 +1005,22 @@ class TestFiltered:
                 for b in range(1, n + 1):
                     total = total + brute_filtered("D", n, I, (b, v))
             assert total == brute_quotient("D", n, I)
+
+    @pytest.mark.parametrize("pin", [(1, 8), (3, 8), (8, -8)])
+    def test_a_pinned_table_keys_only_its_sub_grid(self, pin):
+        # The pinned elements are 7! rows under 64 of D8's 128 sign masks,
+        # keyed at about 3.9 MB; keying all 8! rows under every mask and
+        # filtering them peaked at 60.5 MB.
+        sweep_plan("D", 8)  # the cached plan is not the call's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = pinned_table("D", 8, pin)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert table.counts.sum() == factorial(7) * 64
+        assert peak < 8 << 20, f"D8 {pin} peaked at {peak / 2**20:.2f} MB"
 
 
 def _pinned_sum(n, I, pin, cmp=None):
