@@ -20,10 +20,10 @@ tables come from the sweep.  A pinned entry's table is sweep.pinned_table,
 which keys only the sub-grid of rows and sign masks it pins.  The
 chessboard checks (supports, set factorizations, additivity) read one
 chess.Chessboard per group, whose key array, sandwich filters and support
-tables serve every check that needs them.  No key array of the whole
-group is held: the root-count check keys the permutation rows block by
-block, and its root counts and the factors of the additivity check run
-in blocks of at most rootsys.BLOCK elements per temporary array.
+tables serve every check that needs them.  No array of n! rows or of the
+whole group's keys is held: the root-count check reads the rows from
+sweep.perm_blocks, and its root counts and the factors of the additivity
+check run in blocks of at most rootsys.BLOCK elements per temporary array.
 """
 
 from dataclasses import dataclass, field
@@ -57,7 +57,8 @@ from .sperm import (
     odd_length,
     parabolic_factorize,
 )
-from .rootsys import build_root_system, length_via_roots, odd_length_via_roots, root_counts, spans
+from . import rootsys
+from .rootsys import build_root_system, length_via_roots, odd_length_via_roots, root_counts
 from .genfun import (
     TIERS,
     closed_core,
@@ -68,8 +69,8 @@ from .genfun import (
     core_factors,
     M_of,
 )
-from .sweep import DescentTable, brute_table, perm_table, pinned_table, sweep_plan
-from .chess import Chessboard, chess_class, check_L_additivity, frozen, on_chessboard
+from .sweep import DescentTable, brute_table, perm_blocks, pinned_table, sweep_plan
+from .chess import Chessboard, chess_class, check_L_additivity
 
 FILTER_CAP = 5  # rank bound for pinned-entry enumeration sweeps
 
@@ -125,12 +126,11 @@ class SetRecord:
 @dataclass
 class CheckContext:
     """Shared rank bounds and every array a run derives from a rank: the
-    brute-force descent tables by (family, n), the permutation tables and
-    their chessboard rows by n, the chessboard arrays (keys, descents,
-    sandwich filters, support tables) by (family, n), the pinned-entry
-    tables by (family, n, pin), and the index-set records by (family, n).
-    Each is built on first use, at most once, and freed with the context,
-    so nothing outlives a run; the permutation and chessboard arrays are
+    brute-force descent tables by (family, n), the chessboard arrays (rows,
+    keys, descents, sandwich filters, support tables) by (family, n), the
+    pinned-entry tables by (family, n, pin), and the index-set records by
+    (family, n).  Each is built on first use, at most once, and freed with
+    the context, so nothing outlives a run; the chessboard arrays are
     read-only.  The families checked are the keys of nmax, in its order."""
 
     nmax: dict[str, int]
@@ -160,15 +160,9 @@ class CheckContext:
             self._built[key] = build()
         return self._built[key]
 
-    def perms(self, n: int) -> np.ndarray:
-        """The n! absolute-value rows, perm_table(n)."""
-        return self._once(("perms", n), lambda: frozen(perm_table(n)))
-
     def board(self, family: str, n: int) -> Chessboard:
-        """The chessboard arrays of one group, A or D; both read one set of
-        chessboard rows."""
-        rows = self._once(("chessboard", n), lambda: on_chessboard(self.perms(n)))
-        return self._once(("board", family, n), lambda: Chessboard(family, rows))
+        """The chessboard arrays of one group, A or D."""
+        return self._once(("board", family, n), lambda: Chessboard(family, n))
 
     def records(self, family: str, n: int) -> dict[int, SetRecord]:
         """The record of every generator-label subset of rank n, by mask, in
@@ -229,22 +223,21 @@ def _match(check: str, family: str, n: int, where, got: IntPoly, want: IntPoly) 
 
 def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
     """The sweep plan's descent mask, length parity and odd length agree
-    with root-system counts on every element, in blocks of rows under
-    every sign mask at once."""
+    with root-system counts on every element, in blocks of rows
+    (sweep.perm_blocks) under every sign mask at once."""
     hard = {"A": 7, "B": 5, "D": 6}
     for family in ctx.families:
         for n in _ranks(ctx, family, 1, hard[family]):
             rs = build_root_system(family, n)
             plan = sweep_plan(family, n)
-            perms = ctx.perms(n)
-            bad = 0
+            bad = total = 0
             # a row has a key per sign mask and a comparison per position pair
-            for block in spans(len(perms), max(len(plan.masks), len(plan.weights))):
-                high, odd = np.divmod(plan.keys(perms[block]), plan.width)
-                length, want_odd, want_descents = root_counts(rs, perms[block], plan.masks)
+            for rows in perm_blocks(n, rootsys.BLOCK // max(len(plan.masks), len(plan.weights))):
+                high, odd = np.divmod(plan.keys(rows), plan.width)
+                length, want_odd, want_descents = root_counts(rs, rows, plan.masks)
                 bad += np.count_nonzero(
                     (high >> 1 != want_descents) | (high & 1 != length & 1) | (odd != want_odd))
-            total = len(perms) * len(plan.masks)
+                total += high.size
             yield _row("root-oracle", family, n, "", bad == 0, f"{total} elements")
 
 

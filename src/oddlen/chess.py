@@ -5,17 +5,20 @@ subsets of the group: chessboard elements, then chessboard elements
 whose final segment has no odd sandwiches, then chessboard elements
 with no k-odd sandwiches.  The sandwich predicates come twice: literal
 scans of one SignedPerm (the scalar oracles) and filters over
-absolute-value rows and sign masks.  A Chessboard owns the arrays of
-one group's chessboard elements: the chessboard rows (one parity of
-i + P[i]) and their sweep keys under every sign mask, then, each built
-on first use, read-only, their descent masks, sandwich filters and
-support tables.  A restricted support is its keys under a filter, and
-its descent table is one histogram of them.  Odd-length additivity (the
-factors in blocks of at most rootsys.BLOCK elements) and the set-level
-product factorizations run on signed one-line arrays of the same rows,
-split by parabolic_factors.  The board's owner decides its life: a
-verify run's CheckContext holds one per group for the run, and
-support_table and check_set_factorization build one per call.
+absolute-value rows and sign masks.  chessboard_rows generates the rows
+with one parity of i + P[i], filtering nothing: the even values in every
+order on the even positions, the odd values on the odd ones, and for
+even n those rows ^ 1 too.  A Chessboard owns the arrays of one group's
+chessboard elements: those rows and their sweep keys under every sign
+mask, then, each built on first use, read-only, their descent masks,
+sandwich filters and support tables.  A restricted support is its keys
+under a filter, and its descent table is one histogram of them.
+Odd-length additivity (the factors in blocks of at most rootsys.BLOCK
+elements) and the set-level product factorizations run on signed
+one-line arrays of the same rows, split by parabolic_factors.  The
+board's owner decides its life: a verify run's CheckContext holds one
+per group for the run, and support_table and check_set_factorization
+build one per call.
 """
 
 from __future__ import annotations
@@ -52,15 +55,14 @@ def is_chessboard(sigma: SignedPerm) -> bool:
 
 
 def chessboard_rows(n: int) -> np.ndarray:
-    """Absolute-value rows (int8 permutations of range(n), in lexicographic
-    order) on which i + P[i] has one parity for every position i."""
-    return on_chessboard(perm_table(n))
-
-
-def on_chessboard(perms: np.ndarray) -> np.ndarray:
-    """The rows of a permutation table on which i + P[i] has one parity."""
-    parity = (perms + np.arange(perms.shape[1], dtype=np.int8)) % 2
-    return perms[(parity == parity[:, :1]).all(axis=1)]
+    """Absolute-value rows (int8 permutations of range(n)) on which i + P[i]
+    has one parity for every position i (see the module docstring)."""
+    even, odd = perm_table((n + 1) // 2), perm_table(n // 2)
+    rows = np.empty((len(even), len(odd), n), dtype=np.int8)
+    rows[:, :, 0::2] = 2 * even[:, None]
+    rows[:, :, 1::2] = 2 * odd + 1
+    rows = rows.reshape(-1, n)
+    return rows if n % 2 else np.concatenate([rows, rows ^ 1])
 
 
 def odd_sandwiches(sigma: SignedPerm, c: int) -> list[Sandwich]:
@@ -167,16 +169,16 @@ def window_sandwich_free(rows: np.ndarray, masks: np.ndarray, c: int) -> np.ndar
 
 
 class Chessboard:
-    """The read-only arrays of one group's chessboard elements, D or A (see
-    the module docstring): rows is chessboard_rows of the rank."""
+    """The read-only arrays of the chessboard elements of one group, D_n or
+    A_n (see the module docstring)."""
 
-    def __init__(self, family: str, rows: np.ndarray):
+    def __init__(self, family: str, n: int):
         if family not in ("A", "D"):
             raise ValueError("support sums cover families A and D")
-        self.family, self.n = family, rows.shape[1]
-        self.plan = sweep_plan(family, self.n)
-        self.rows = frozen(rows)
-        self.keys = frozen(self.plan.keys(rows))
+        self.family, self.n = family, n
+        self.plan = sweep_plan(family, n)
+        self.rows = frozen(chessboard_rows(n))
+        self.keys = frozen(self.plan.keys(self.rows))
         self._filters: dict[tuple[str, int], np.ndarray] = {}
         self._tables: dict[tuple[str, int | None], DescentTable] = {}
 
@@ -284,8 +286,8 @@ class Chessboard:
 
 
 def frozen(array: np.ndarray) -> np.ndarray:
-    """array, made read-only: the arrays a Chessboard or a CheckContext
-    shares are read by every check of a run and written by none."""
+    """array, made read-only: the arrays a Chessboard shares are read by
+    every check of a run and written by none."""
     array.flags.writeable = False
     return array
 
@@ -293,7 +295,7 @@ def frozen(array: np.ndarray) -> np.ndarray:
 def support_table(n: int, support: str, *, family: str = "D",
                   param: int | None = None) -> DescentTable:
     """Descent table of a restricted support (see Chessboard.table)."""
-    return Chessboard(family, chessboard_rows(n)).table(support, param)
+    return Chessboard(family, n).table(support, param)
 
 
 def support_sum(
@@ -376,7 +378,7 @@ def check_L_additivity(sigma: SignedPerm) -> bool:
 def check_set_factorization(n: int, index_set: IndexSet, variant: str = "H") -> bool:
     """Verify a product-set decomposition of a restricted support set on
     signed one-line arrays of both sides (see Chessboard.set_factorization)."""
-    return Chessboard("D", chessboard_rows(n)).set_factorization(index_set, variant)
+    return Chessboard("D", n).set_factorization(index_set, variant)
 
 
 def _product_holds(lhs: np.ndarray, left: np.ndarray, right: np.ndarray, J: IndexSet) -> bool:

@@ -10,13 +10,14 @@ The tests check each against an exact linear solve.
 
 Every root coordinate is -1, 0 or 1, and so is every coordinate of its
 image under a signed permutation.  A vector c of such coordinates has the
-balanced-ternary key sum_j c_j 3^j, which is one-to-one, and the key of -c
-is minus the key of c, so |key| <= (3^n - 1)/2.  Root counts run over
+balanced-ternary key sum_j c_j 3^j, whose sign is that of its highest
+nonzero coordinate: +1 for a positive root (build_root_system asserts a
+positive key).  A signed permutation permutes the roots, so an image is a
+negative root exactly when its key is negative.  Root counts run over
 arrays: a block of absolute-value rows under a block of sign masks sends
 every positive root to a key at once, by one float32 product (exact while
-3^n <= 2^24, so up to n = 15), and a root counts when its image's key is
-a negative root's key, read from a dense boolean table indexed by
-key + (3^n - 1)/2.
+3^n <= 2^24, so up to n = 15, as root_counts asserts), and a root counts
+when that key is negative.
 
 No temporary array of the per-element checks (here, and the additivity
 pass in chess) holds more than BLOCK elements: spans cuts their rows and
@@ -50,19 +51,8 @@ class RootSystem:
     heights: tuple[int, ...]
     simple_roots: tuple[tuple[int, tuple[int, ...]], ...]  # (label, coords)
     _coords: np.ndarray = field(repr=False)   # (roots, n) int8 positive-root coordinates
-    _keys: np.ndarray = field(repr=False)     # balanced-ternary keys of the positive roots
     _odd_idx: tuple[int, ...] = field(repr=False)
     _simple_idx: tuple[tuple[int, int], ...] = field(repr=False)  # (label, root index)
-
-    @cached_property
-    def _negative(self) -> np.ndarray:
-        """Dense boolean table over the 3^n keys, offset by (3^n - 1)/2:
-        True at the negative roots' keys."""
-        if 3 ** self.n > 1 << 24:
-            raise ValueError(f"rank {self.n} keys are past float32's exact range")
-        table = np.zeros(3 ** self.n, dtype=bool)
-        table[(3 ** self.n - 1) // 2 - self._keys] = True
-        return table
 
     @cached_property
     def _readout(self) -> np.ndarray:
@@ -99,6 +89,7 @@ def build_root_system(family: str, n: int) -> RootSystem:
     elif family == "D" and n >= 2:
         simples.insert(0, (0, _add(_e(1, n), _e(2, n), 1)))
     coords = np.array(roots, dtype=np.int8).reshape(-1, n)
+    assert (coords @ 3 ** np.arange(n, dtype=np.int64) > 0).all(), "a positive root's key is <= 0"
     return RootSystem(
         family=family,
         n=n,
@@ -106,7 +97,6 @@ def build_root_system(family: str, n: int) -> RootSystem:
         heights=tuple(heights),
         simple_roots=tuple(simples),
         _coords=coords,
-        _keys=coords @ 3 ** np.arange(n, dtype=np.int64),
         _odd_idx=tuple(k for k, h in enumerate(heights) if h % 2 == 1),
         _simple_idx=tuple((label, roots.index(c)) for label, c in simples),
     )
@@ -134,7 +124,8 @@ def root_counts(rs: RootSystem, perms: np.ndarray,
     and P[i-1] + 1 elsewhere.  It sends e_i to sgn(sigma(i)) e_{P[i-1]+1},
     so root r goes to the vector with sgn(sigma(i)) r_i at coordinate
     P[i-1]: its key is 3^P times the signed coordinate matrix, computed
-    for blocks of rows x masks x roots within BLOCK.
+    for blocks of rows x masks x roots within BLOCK, and the image is a
+    negative root when that key is negative.
     """
     n = rs.n
     masks = np.asarray(masks, dtype=np.int64)
@@ -148,8 +139,8 @@ def root_counts(rs: RootSystem, perms: np.ndarray,
         raise ValueError("element outside the family's group")
     nroots = len(rs._coords)
     signs = (1 - 2 * negatives).astype(np.float32)
+    assert 3 ** n <= 1 << 24, f"rank {n} keys are past float32's exact range"
     powers = 3 ** np.arange(n, dtype=np.float32)
-    offset = np.float32((3 ** n - 1) // 2)
     out = [np.empty((len(perms), len(masks)), dtype=np.int64) for _ in range(3)]
     for rows in spans(len(perms), nroots):
         block = powers[perms[rows]]
@@ -158,9 +149,7 @@ def root_counts(rs: RootSystem, perms: np.ndarray,
             # coordinate i of root r under mask m, at column (m, r)
             signed = signs[cols].T[:, :, None] * rs._coords.T[:, None, :]
             nelems = len(block) * signed.shape[1]
-            keys = block @ signed.reshape(n, -1)
-            keys += offset
-            hits = rs._negative[keys.astype(np.intp)].reshape(nelems, nroots)
+            hits = (block @ signed.reshape(n, -1) < 0).reshape(nelems, nroots)
             counts = (hits.astype(np.float32) @ rs._readout).reshape(len(block), -1, 3)
             for k in range(3):
                 out[k][rows, cols] = counts[:, :, k]

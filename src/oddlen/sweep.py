@@ -193,6 +193,18 @@ def perm_table(s: int) -> np.ndarray:
     return table
 
 
+def perm_blocks(n: int, rows: int) -> Iterator[np.ndarray]:
+    """perm_table(n) in lexicographic blocks of at most max(rows, 1) rows:
+    whole (n-s)-prefixes, each over perm_table(s) relabelled by its sorted
+    complement, where s is the longest suffix whose s! rows fit."""
+    s = max((k for k in range(1, n + 1) if factorial(k) <= rows), default=1)
+    base, prefixes = perm_table(s), permutations(range(n), n - s)
+    while chunk := list(islice(prefixes, max(1, rows // len(base)))):
+        heads = np.array(chunk, dtype=np.int8)
+        rest = np.array([[v for v in range(n) if v not in x] for x in chunk], dtype=np.int8)
+        yield np.hstack([heads.repeat(len(base), axis=0), rest[:, base].reshape(-1, s)])
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """The key's linear form, G @ weights + const = descent mask * 2 width +

@@ -14,7 +14,8 @@ from oddlen import checks, chess, rootsys, sweep
 from oddlen.checks import CHECKS, CheckContext, run_checks
 from oddlen.genfun import BUDGET, BudgetError, closed_factors, closed_poly
 from oddlen.indexset import IndexSet, components, m_of
-from oddlen.rootsys import build_root_system
+from oddlen.rootsys import build_root_system, root_counts
+from oddlen.sweep import perm_blocks, sweep_plan
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
@@ -125,21 +126,6 @@ def test_root_oracle_catches_a_flipped_mask_parity(monkeypatch):
     }
 
 
-def test_root_oracle_catches_a_missing_positive_root(monkeypatch):
-    build = checks.build_root_system
-
-    def missing_root(family, n):
-        rs = build(family, n)
-        return replace(rs, _keys=rs._keys[1:])
-
-    monkeypatch.setattr(checks, "build_root_system", missing_root)
-    rows, bad = _failing("root-oracle")
-    # Every group with a root fails: all but A1 and D1.
-    assert {(r.family, r.n) for r in bad} == {
-        (r.family, r.n) for r in rows if r.n >= 2 or r.family == "B"
-    }
-
-
 def _broken_root_systems(monkeypatch, fault):
     """Route every root system through fault(rs), then run root-oracle."""
     build = checks.build_root_system
@@ -147,16 +133,29 @@ def _broken_root_systems(monkeypatch, fault):
     return _failing("root-oracle")
 
 
-def test_root_oracle_catches_a_wrong_table_entry(monkeypatch):
+def test_root_oracle_catches_a_missing_positive_root(monkeypatch):
     def fault(rs):
-        if len(rs._keys):
-            table = rs._negative.copy()
-            table[(3 ** rs.n - 1) // 2 + rs._keys[0]] = True  # one positive root read as negative
-            rs.__dict__["_negative"] = table
+        coords = rs._coords.copy()
+        coords[:1] = 0  # the first root's key is 0, never negative: it is never counted
+        return replace(rs, _coords=coords)
+
+    rows, bad = _broken_root_systems(monkeypatch, fault)
+    # Every group with a root fails (w0 sends each root negative): all but A1 and D1.
+    assert {(r.family, r.n) for r in bad} == {
+        (r.family, r.n) for r in rows if r.n >= 2 or r.family == "B"
+    }
+
+
+def test_root_oracle_catches_a_wrong_readout_weight(monkeypatch):
+    def fault(rs):
+        if len(rs._coords):
+            readout = rs._readout.copy()
+            readout[0, 0] = 2  # the first root sent negative adds two to the length
+            rs.__dict__["_readout"] = readout
         return rs
 
     rows, bad = _broken_root_systems(monkeypatch, fault)
-    # Every group with a root fails (the identity keeps each root): all but A1 and D1.
+    # Every group with a root fails (w0 sends each root negative): all but A1 and D1.
     assert {(r.family, r.n) for r in bad} == {
         (r.family, r.n) for r in rows if r.n >= 2 or r.family == "B"
     }
@@ -165,13 +164,13 @@ def test_root_oracle_catches_a_wrong_table_entry(monkeypatch):
 def test_root_oracle_catches_a_shifted_simple_root_index(monkeypatch):
     def fault(rs):
         label, k = rs._simple_idx[-1]
-        shifted = (label, (k + 1) % len(rs._keys))  # the last simple root's next root
+        shifted = (label, (k + 1) % len(rs._coords))  # the last simple root's next root
         return replace(rs, _simple_idx=rs._simple_idx[:-1] + (shifted,))
 
     rows, bad = _broken_root_systems(monkeypatch, lambda rs: fault(rs) if rs._simple_idx else rs)
     # A2 has one positive root, so the shift lands back on it; B1 has one too.
     assert {(r.family, r.n) for r in bad} == {
-        (r.family, r.n) for r in rows if len(build_root_system(r.family, r.n)._keys) > 1
+        (r.family, r.n) for r in rows if len(build_root_system(r.family, r.n)._coords) > 1
     }
 
 
@@ -283,6 +282,29 @@ def test_root_oracle_keys_one_block_at_a_time(monkeypatch):
     assert peak < 512 << 10, f"root-oracle peaked at {peak / 2**10:.0f} KB"
 
 
+def test_root_oracle_reads_a10_in_small_blocks():
+    """root-oracle's keying and root counts over the A10 row blocks it
+    reads, perm_blocks(10, BLOCK // 45), allocate about 1 MB above their
+    start, where perm_table(10) alone takes 69 MB; every element agrees."""
+    rs, plan = build_root_system("A", 10), sweep_plan("A", 10)
+    rs._readout  # cached on the root system, not the pass's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        bad = total = 0
+        for rows in perm_blocks(10, rootsys.BLOCK // len(plan.weights)):
+            high, odd = np.divmod(plan.keys(rows), plan.width)
+            length, want_odd, want_descents = root_counts(rs, rows, plan.masks)
+            bad += np.count_nonzero(
+                (high >> 1 != want_descents) | (high & 1 != length & 1) | (odd != want_odd))
+            total += high.size
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (bad, total) == (0, 3628800)
+    assert peak < 3 << 20, f"A10 root-oracle peaked at {peak / 2**20:.2f} MB"
+
+
 def _count_builds(monkeypatch):
     """Count every build of a context's shared arrays by (builder, rank,
     parameter), and the elements SweepPlan.keys keys, under "keyed"."""
@@ -298,9 +320,8 @@ def _count_builds(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(checks, "perm_table", lambda out, n: ("perm_table", n))
+    counted(checks, "Chessboard", lambda out, family, n: ("board", family, n))
     counted(checks, "SetRecord", lambda out, family, n, mask, text: ("record", family, n, mask))
-    counted(checks, "on_chessboard", lambda out, perms: ("on_chessboard", perms.shape[1]))
     counted(chess, "window_sandwich_free",
             lambda out, rows, masks, c: ("window_sandwich_free", rows.shape[1], c))
     counted(chess, "k_sandwich_free", lambda out, rows, k: ("k_sandwich_free", rows.shape[1], k))
@@ -316,9 +337,9 @@ def _count_builds(monkeypatch):
 
 
 def test_a_full_tier_context_builds_each_shared_array_once(monkeypatch):
-    """One permutation table and one set of chessboard rows per rank, one
-    filter per distinct (rank, parameter), every chessboard key once, and
-    one record per index set of every rank a check visits."""
+    """One chessboard per group, one filter per distinct (rank, parameter),
+    every chessboard key once, and one record per index set of every rank
+    a check visits."""
     calls = _count_builds(monkeypatch)
     rows = list(run_checks(CheckContext.for_tier("full")))
     assert len(rows) == 2175 and all(r.ok for r in rows)
@@ -326,8 +347,8 @@ def test_a_full_tier_context_builds_each_shared_array_once(monkeypatch):
     assert keyed <= 90_000  # 206,531 when each check keyed its own rows
     assert set(calls.values()) == {1}, [what for what, k in calls.items() if k > 1]
     builders = Counter(what[0] for what in calls)
-    assert builders == {"perm_table": 7, "on_chessboard": 7,
-                        "window_sandwich_free": 6, "k_sandwich_free": 10, "record": 890}
+    assert builders == {"board": 13, "window_sandwich_free": 6, "k_sandwich_free": 10,
+                        "record": 890}
     # A1-A8, B1-B6 and D1-D8, every label subset: 255 + 126 + (1 + 508).
     ranks = Counter(what[1:3] for what in calls if what[0] == "record")
     assert ranks == {**{("A", n): 1 << (n - 1) for n in range(1, 9)},
@@ -392,8 +413,7 @@ def test_shared_arrays_are_read_only_and_die_with_their_context():
     board = ctx.board("D", 5)
     assert ctx.board("D", 5) is board
     assert CheckContext.for_tier("fast").board("D", 5) is not board
-    shared = [ctx.perms(5), board.rows, board.keys, board.descents, board.window_free(3),
-              board.k_free(2)]
+    shared = [board.rows, board.keys, board.descents, board.window_free(3), board.k_free(2)]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1

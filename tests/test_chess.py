@@ -1,5 +1,6 @@
 """Chessboard elements, odd sandwiches, and support factorizations."""
 
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from oddlen import rootsys
 from oddlen.chess import (
+    Chessboard,
     Sandwich,
     additive_rows,
     check_L_additivity,
@@ -65,6 +67,32 @@ class TestChessboard:
             got = [s for row in chessboard_rows(n).tolist()
                    for s in signings([v + 1 for v in row], family)]
             assert len(got) == len(want) and set(got) == set(want), family
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_generated_rows_are_the_filtered_rows(self, n):
+        """chessboard_rows, sorted, against the parity filter over the whole
+        perm_table(n): the rows on which i + P[i] has one parity."""
+        perms = perm_table(n)
+        parity = (perms + np.arange(n, dtype=np.int8)) % 2
+        want = perms[(parity == parity[:, :1]).all(axis=1)]
+        got = chessboard_rows(n)
+        assert got.dtype == np.int8
+        assert np.array_equal(got[np.lexsort(got.T[::-1])], want)
+        assert len(got) == {9: 2880, 10: 28800}.get(n, len(want))
+
+    def test_an_a10_board_stays_small(self):
+        """chessboard_rows(10) and the A board's keys allocate about 6.6 MB,
+        where perm_table(10) alone takes 69 MB."""
+        sweep_plan("A", 10)  # the cached plan is not the board's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            board = Chessboard("A", 10)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert board.keys.shape == (28800, 1)
+        assert peak < 10 << 20, f"peaked at {peak / 2**20:.2f} MB"
 
     def test_odd_rank_forces_class_zero(self):
         for s in _chessboard_pool("D", 5):

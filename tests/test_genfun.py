@@ -45,6 +45,7 @@ from oddlen.sweep import (
     brute_filtered,
     brute_quotient,
     brute_table,
+    perm_blocks,
     perm_table,
     pinned_table,
     scalar_table,
@@ -583,6 +584,15 @@ class TestSweepKernel:
         table = perm_table(s)
         assert table.dtype == np.int8
         assert [tuple(row) for row in table] == list(permutations(range(s)))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_perm_blocks_concatenate_to_the_table(self, n):
+        # Bounds below 2!, between factorials, at n! and past it.  A bound
+        # of one row makes n! blocks, so it stops at n = 6.
+        for rows in (1, 23, 721, factorial(n), factorial(n) + 1)[n > 6:]:
+            blocks = list(perm_blocks(n, rows))
+            assert all(0 < len(block) <= rows for block in blocks), rows
+            assert np.array_equal(np.concatenate(blocks), perm_table(n)), rows
 
     def test_prefix_blocks_sum_to_the_whole_sweep(self):
         # A9 sweeps 20 of its 72 two-position prefix blocks, the (a, b) with

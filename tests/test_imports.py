@@ -106,6 +106,18 @@ def test_the_import_scan_sees_the_sweep_modules_imports():
     assert {"numpy", "sweep", "chess", "rootsys"} <= module_level_imports("checks")
 
 
+def test_only_sweep_and_chess_read_perm_table():
+    # A whole permutation table is built only by sweep's row sources and
+    # chess's chessboard classes, so no n!-row array comes back unseen.
+    # The scan is not vacuous: it must find both.
+    readers = set()
+    for path in (SRC / "oddlen").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "perm_table" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                readers.add(path.stem)
+    assert readers == {"sweep", "chess"}
+
+
 # Where each exported name is defined.
 HOMES = {
     zpoly: ("IntPoly", "alt_product", "cyclotomic", "cyclotomic_factors",

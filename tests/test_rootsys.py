@@ -156,8 +156,20 @@ class TestArrayCounts:
             sigma = SignedPerm(tuple(-(v + 1) if i in (1, 2) else v + 1 for i, v in enumerate(row)))
             assert (length_via_roots(rs, sigma), odd_length_via_roots(rs, sigma)) == (l, o)
 
-    def test_dense_table_marks_exactly_the_negative_roots(self):
-        for family, n in (("A", 4), ("B", 3), ("D", 4)):
-            rs = build_root_system(family, n)
-            offset = (3 ** n - 1) // 2
-            assert sorted(np.flatnonzero(rs._negative) - offset) == sorted(-rs._keys)
+    @pytest.mark.parametrize("family", ["A", "B", "D"])
+    @pytest.mark.parametrize("plant", [lambda root: tuple(-c for c in root),
+                                       lambda root: (0,) * len(root)], ids=["negated", "zero"])
+    def test_a_root_whose_key_is_not_positive_fails_the_build(self, monkeypatch, family, plant):
+        """root_counts reads a root as sent negative when its image's key is
+        negative, so the build asserts that every positive root's key is
+        positive; the first root built as a sum is planted."""
+        add, calls = rootsys._add, []
+
+        def planted(a, b, sb):
+            calls.append(1)
+            return plant(add(a, b, sb)) if len(calls) == 1 else add(a, b, sb)
+
+        build_root_system(family, 4)
+        monkeypatch.setattr(rootsys, "_add", planted)
+        with pytest.raises(AssertionError, match="key is <= 0"):
+            build_root_system(family, 4)
