@@ -16,14 +16,15 @@ Every enumerated sum is a descent-table read, and every table is the sweep
 plan's one histogram over (rows x sign masks) arrays.  The context owns
 every array a run derives from a rank, each built at most once, read-only,
 and freed with the context; nothing outlives the run.  The full group's
-tables come from the sweep.  A pinned entry's table is sweep.pinned_table,
-which keys only the sub-grid of rows and sign masks it pins.  The
-chessboard checks (supports, set factorizations, additivity) read one
+tables come from the sweep.  The pinned-entry tables of a rank come
+from sweep.pinned_tables, one pass that bins every element by its pin,
+the position and sign of its entry +-n.  The chessboard checks (supports, set factorizations, additivity) read one
 chess.Chessboard per group, whose key array, sandwich filters and support
 tables serve every check that needs them.  No array of n! rows or of the
 whole group's keys is held: the root-count check reads the rows from
-sweep.perm_blocks, and its root counts and the factors of the additivity
-check run in blocks of at most rootsys.BLOCK elements per temporary array.
+sweep.perm_blocks, as the pinned pass does, and its root counts, the
+sandwich filters and the factors of the additivity check run in blocks
+of at most rootsys.BLOCK elements per temporary array.
 """
 
 from dataclasses import dataclass, field
@@ -69,7 +70,7 @@ from .genfun import (
     core_factors,
     M_of,
 )
-from .sweep import DescentTable, brute_table, perm_blocks, pinned_table, sweep_plan
+from .sweep import DescentTable, brute_table, perm_blocks, pinned_tables, sweep_plan
 from .chess import Chessboard, chess_class, check_L_additivity
 
 FILTER_CAP = 5  # rank bound for pinned-entry enumeration sweeps
@@ -128,9 +129,10 @@ class CheckContext:
     """Shared rank bounds and every array a run derives from a rank: the
     brute-force descent tables by (family, n), the chessboard arrays (rows,
     keys, descents, sandwich filters, support tables) by (family, n), the
-    pinned-entry tables by (family, n, pin), and the index-set records by
-    (family, n).  Each is built on first use, at most once, and freed with
-    the context, so nothing outlives a run; the chessboard arrays are
+    pinned-entry tables of every pin by (family, n), the index-set records
+    by (family, n), and the alternating tails zpoly.alt_product builds, by
+    its arguments.  Each is built on first use, at most once, and freed
+    with the context, so nothing outlives a run; the chessboard arrays are
     read-only.  The families checked are the keys of nmax, in its order."""
 
     nmax: dict[str, int]
@@ -179,8 +181,12 @@ class CheckContext:
 
     def pinned(self, family: str, n: int, I: IndexSet, pin: tuple[int, int]) -> IntPoly:
         """Quotient sum over the elements with pin = (b, v): sigma(b) = v."""
-        table = self._once(("pinned", family, n, pin), lambda: pinned_table(family, n, pin))
-        return table.quotient_poly(I)
+        tables = self._once(("pinned", family, n), lambda: pinned_tables(family, n))
+        return tables[pin].quotient_poly(I)
+
+    def alt(self, lo: int, hi: int, square: bool = False) -> IntPoly:
+        """zpoly.alt_product(lo, hi, square), built once per run."""
+        return self._once(("alt", lo, hi, square), lambda: alt_product(lo, hi, square=square))
 
 
 def _row(check: str, family: str, n: int, where, ok: bool, detail: str = "") -> CheckRow:
@@ -493,7 +499,7 @@ def check_odd_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
         got = table.quotient_poly(rec.I)
         want = (
             ctx.quotient("D", 2 * m - 1, IndexSet.of(2 * m - 1, J.members()))
-            * alt_product(2 * m, n, square=True)
+            * ctx.alt(2 * m, n, square=True)
         )
         yield _match("odd-prefix-product", "D", n, rec, got, want)
 
@@ -517,7 +523,7 @@ def check_even_prefix_product(ctx: CheckContext) -> Iterator[CheckRow]:
         want = (
             (ONE + IntPoly.monomial(1, a0))
             * ctx.quotient("D", last + 1, J)
-            * alt_product(last + 2, n, square=True)
+            * ctx.alt(last + 2, n, square=True)
         )
         yield _match("even-prefix-product", "D", n, rec, got, want)
 
@@ -586,7 +592,7 @@ def check_quotient_factor_divides(ctx: CheckContext) -> Iterator[CheckRow]:
         key = (n, m, closed)
         if key not in verdicts:
             try:
-                closed.exact_div(alt_product(2 * m + 2, n, square=True))
+                closed.exact_div(ctx.alt(2 * m + 2, n, square=True))
                 verdicts[key] = True
             except ValueError:
                 verdicts[key] = False
@@ -619,11 +625,12 @@ def check_conjecture_products(ctx: CheckContext) -> Iterator[CheckRow]:
     """The closed quotient sums of {0,i} and {0,1,i} match the conjectured
     uniform products."""
     for n in _ranks(ctx, "D", 5, 8, closed_form=True):
+        # the conjectured products do not depend on i
+        wants = {with_one: conjecture_rhs(n, 3, with_one) for with_one in (False, True)}
         for i in range(3, n):
             for with_one in (False, True):
                 rec = ctx.records("D", n)[conjecture_set(n, i, with_one).mask]
-                want = conjecture_rhs(n, i, with_one)
-                yield _match("conjecture-products", "D", n, rec, rec.closed, want)
+                yield _match("conjecture-products", "D", n, rec, rec.closed, wants[with_one])
 
 
 def check_cyclo_classification(ctx: CheckContext) -> Iterator[CheckRow]:
@@ -646,7 +653,7 @@ def check_display_form(ctx: CheckContext) -> Iterator[CheckRow]:
             continue
         a0 = rec.parts.zero_size
         trinom = ONE + IntPoly.monomial(1, a0) + IntPoly.monomial(2, n // 2)
-        numer = C_poly(rec.I) * trinom * alt_product(a0 + 2, n)
+        numer = C_poly(rec.I) * trinom * ctx.alt(a0 + 2, n)
         want = numer.exact_div(ONE + IntPoly.monomial(1, n // 2))
         yield _match("display-form-match", "D", n, rec, rec.closed, want)
 

@@ -12,18 +12,23 @@ even n those rows ^ 1 too.  A Chessboard owns the arrays of one group's
 chessboard elements: those rows and their sweep keys under every sign
 mask, then, each built on first use, read-only, their descent masks,
 sandwich filters and support tables.  A restricted support is its keys
-under a filter, and its descent table is one histogram of them.
-Odd-length additivity (the factors in blocks of at most rootsys.BLOCK
-elements) and the set-level product factorizations run on signed
-one-line arrays of the same rows, split by parabolic_factors.  The
-board's owner decides its life: a verify run's CheckContext holds one
-per group for the run, and support_table and check_set_factorization
-build one per call.
+under a filter, and its descent table is one histogram of them.  The
+sandwich filters count, once per element, the values below each value
+that a sandwich's ends may enclose, so each pair of ends is a
+difference of two counts.  Odd-length additivity splits over the
+sorting factorization sigma = u . v: u depends only on the set of
+negative values, so L(u) is one table per group (_sorted_u, cached like
+the sweep plans), and v = u^-1 sigma is read from that table's inverse,
+in blocks of at most rootsys.BLOCK elements.  The set-level product
+factorizations run on signed one-line arrays of the board's rows, split
+by parabolic_factors.  The board's owner decides its life: a verify
+run's CheckContext holds one per group for the run, and support_table
+and check_set_factorization build one per call.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -131,40 +136,63 @@ def in_T(sigma: SignedPerm, a0: int) -> bool:
     return is_chessboard(sigma) and not k_odd_sandwiches(sigma, a0)
 
 
+def _sandwich_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The value pairs (r, top), 0-based, with top - r even and at least
+    2: the ends of every odd sandwich."""
+    pairs = [(r, top) for r in range(n) for top in range(r + 2, n, 2)]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
 def k_sandwich_free(rows: np.ndarray, k: int) -> np.ndarray:
     """Array form of k_odd_sandwiches: whether each absolute-value row has
-    no k-odd sandwich.  Signs play no part, so this filters rows."""
+    no k-odd sandwich.  Signs play no part, so this filters rows.  With
+    the values inside the first k positions counted below each value,
+    the values strictly between r and top are a difference of two counts
+    (see window_sandwich_free)."""
     n = rows.shape[1]
     if not 1 <= k <= n - 1:
         raise ValueError("position bound out of range")
-    inside = np.argsort(rows, axis=1) < k  # inside[:, v]: value v+1 sits at a position <= k
-    free = np.ones(len(rows), dtype=bool)
-    for r in range(n):
-        for top in range(r + 2, n, 2):
-            free &= ~(inside[:, r] & inside[:, top] & ~inside[:, r + 1 : top].any(axis=1))
+    r, top = _sandwich_ends(n)
+    free = np.empty(len(rows), dtype=bool)
+    for span in spans(len(rows), max(len(r), n)):
+        inside = np.argsort(rows[span], axis=1).T < k  # inside[v]: value v+1 sits at a position <= k
+        upto = np.cumsum(inside, axis=0, dtype=np.int8)
+        sandwich = inside[r] & inside[top] & (upto[top - 1] == upto[r])
+        free[span] = ~sandwich.any(axis=0)
     return free
 
 
 def window_sandwich_free(rows: np.ndarray, masks: np.ndarray, c: int) -> np.ndarray:
     """Array form of odd_sandwiches: whether each absolute-value row under
     each sign mask has no odd sandwich in its final segment from position
-    c, as a (rows, masks) filter."""
+    c, as a (rows, masks) filter.
+
+    The window values up to each value, and the negative ones among them,
+    are counted once per element (cumsum along the values), so the values
+    strictly between r and top, of either sign, are differences of two
+    counts, and every pair (r, top) is decided at once.  Both ends in the
+    window, (r, top) is an odd sandwich exactly when no value between them
+    has the sign of top, and either the end signs agree or r is the
+    window's lowest value.  Rows go in spans of at most rootsys.BLOCK
+    elements per temporary, laid out (values or pairs, rows, masks)."""
     n = rows.shape[1]
     if not 1 <= c <= n - 1:
         raise ValueError("segment start out of range")
-    where = np.argsort(rows, axis=1)  # position of each value
-    window = where >= c - 1
-    neg = (masks[None, :, None] >> where[:, None, :]) & 1 == 1  # sign of each value
-    low = rows[:, c - 1 :].min(axis=1)
-    free = np.ones((len(rows), len(masks)), dtype=bool)
-    for r in range(n):
-        for top in range(r + 2, n, 2):
-            mids = window[:, None, r + 1 : top]
-            flips = neg[:, :, r + 1 : top] != neg[:, :, r, None]
-            same = neg[:, :, r] == neg[:, :, top]
-            sandwich = np.where(same, ~(mids & ~flips).any(axis=2),
-                                (low == r)[:, None] & ~(mids & flips).any(axis=2))
-            free &= ~(window[:, r] & window[:, top])[:, None] | ~sandwich
+    r, top = _sandwich_ends(n)
+    signs = (masks >> np.arange(n)[:, None] & 1).astype(bool)  # (positions, masks)
+    free = np.empty((len(rows), len(masks)), dtype=bool)
+    for span in spans(len(rows), len(masks) * max(len(r), n)):
+        where = np.argsort(rows[span], axis=1).T  # where[v]: position of value v+1
+        window = where >= c - 1
+        neg = signs[where]  # sign of each value
+        upto = np.cumsum(window, axis=0, dtype=np.int8)
+        mids = (upto[top - 1] - upto[r])[..., None]
+        negs = np.cumsum(neg & window[..., None], axis=0, dtype=np.int8)
+        negs = negs[top - 1] - negs[r]
+        lowest = (window.argmax(axis=0) == r[:, None])[..., None]
+        both = (window[r] & window[top])[..., None]
+        sandwich = ((neg[r] == neg[top]) | lowest) & (negs == mids * ~neg[top]) & both
+        free[span] = ~sandwich.any(axis=0)
     return free
 
 
@@ -335,34 +363,66 @@ def parabolic_factors(elems: np.ndarray, J: IndexSet) -> tuple[np.ndarray, np.nd
 
 
 def additive_rows(plan: SweepPlan, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Whether L(sigma) = L(u) + L(v) over parabolic_factors with J =
-    {1..n-1}, for each row under each sign mask of D_n (a 1-D array), as a
-    (rows, masks) array; all three odd lengths are read from plan, the D_n
-    sweep plan (see split_odd_lengths)."""
+    """Whether L(sigma) = L(u) + L(v) over the sorting factorization (J =
+    {1..n-1}), for each row under each sign mask of D_n (a 1-D array), as
+    a (rows, masks) array; all three odd lengths are read from plan, the
+    D_n sweep plan (see split_odd_lengths)."""
     odd = plan.keys(rows, plan.columns(masks)) % plan.width
     return odd == split_odd_lengths(plan, rows, masks)
 
 
+@lru_cache(maxsize=None)
+def _sorted_u(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factor u of the sorting factorization in D_n for every even set
+    S of negative values: its signed one-line array, the position in it
+    of each value (0-based), and L(u), indexed by S >> 1 (bit 0 of S is
+    the parity of the others).  u's one-line array is the signed values
+    sorted, so it depends on S alone.  Built once per group and shared, so
+    its arrays are read-only."""
+    sets = np.arange(1 << max(n - 1, 0))
+    bits = sets[:, None] >> np.arange(n - 1) & 1
+    negative = np.hstack([bits.sum(axis=1, keepdims=True) & 1, bits])  # (sets, values)
+    u = np.sort(np.arange(1, n + 1) * (1 - 2 * negative), axis=1)
+    where = np.argsort(np.abs(u), axis=1)
+    return frozen(u), frozen(where), frozen(_odd_lengths(sweep_plan("D", n), u))
+
+
+def _odd_lengths(plan: SweepPlan, elems: np.ndarray) -> np.ndarray:
+    """L of every element of signed one-line arrays, one plan read per
+    sign mask present."""
+    masks = (elems < 0) @ (1 << np.arange(elems.shape[1]))
+    out = np.empty(len(elems), dtype=np.intp)
+    for mask in np.unique(masks).tolist():
+        at = masks == mask
+        out[at] = plan.stats(np.abs(elems[at]) - 1, mask)[2]
+    return out
+
+
+def _sort_split(rows: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorting factorization sigma = u . v of each absolute-value row
+    under each (n,) 0/1 sign pattern of neg, rows major: u as its index
+    in _sorted_u, the set of negative values >> 1, and v's 0-based row.
+    v = u^-1 sigma puts at i the position of sigma(i) in u, its rank among
+    the signed entries, so v has no sign."""
+    at = (neg[None] << rows[:, None]).sum(axis=2) >> 1
+    v = _sorted_u(rows.shape[1])[1][at[..., None], rows[:, None]]
+    return at.ravel(), v.reshape(-1, rows.shape[1])
+
+
 def split_odd_lengths(plan: SweepPlan, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """L(u) + L(v) over parabolic_factors with J = {1..n-1}, for each row
-    under each sign mask of D_n, as a (rows, masks) array.  u sorts all
-    entries, so its k negative entries come first and its sign mask is
-    (1 << k) - 1: one read per negative count k.  Rows and masks go in
-    blocks of at most BLOCK entries and pair comparisons."""
+    """L(u) + L(v) over the sorting factorization (J = {1..n-1}), for each
+    row under each sign mask of D_n, as a (rows, masks) array: L(u) read
+    from _sorted_u by the set of negative values, and L(v) from v's row,
+    the ranks of the signed entries, one plan read per block.  Rows and
+    masks go in blocks of at most BLOCK entries and pair comparisons."""
     n = rows.shape[1]
-    J = IndexSet.of(n, range(1, n))
+    odd_u = _sorted_u(n)[2]
     out = np.empty((len(rows), len(masks)), dtype=np.intp)
     for r in spans(len(rows), n * n):
         block = rows[r]
         for c in spans(len(masks), n * n * len(block)):
-            neg = (masks[c, None] >> np.arange(n)) & 1
-            u, v = parabolic_factors(((block[:, None] + 1) * (1 - 2 * neg)).reshape(-1, n), J)
-            split = plan.stats(v - 1, 0)[2]
-            k = np.tile(neg.sum(axis=1), len(block))
-            for negatives in np.unique(k).tolist():
-                at = k == negatives
-                split[at] += plan.stats(np.abs(u[at]) - 1, (1 << negatives) - 1)[2]
-            out[r, c] = split.reshape(len(block), -1)
+            u, v = _sort_split(block, (masks[c, None] >> np.arange(n)) & 1)
+            out[r, c] = (odd_u[u] + plan.stats(v, 0)[2]).reshape(len(block), -1)
     return out
 
 

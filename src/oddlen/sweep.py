@@ -6,8 +6,9 @@ length parity, odd length), so all 2^n quotients of one group cost one
 sweep plus a subset-sum (zeta) transform.  Besides the sweep,
 SweepPlan.table counts any rows under every sign mask, and
 SweepPlan.tabulate bins keys already computed, under an optional
-(row, mask) filter: the restricted sums (pinned entries here, each a
-sub-grid of rows and masks; supports in chess).
+(row, mask) filter: the restricted sums of supports in chess.
+pinned_tables bins every element of a group once, in blocks of
+perm_blocks, into the 2n tables of its pinned entries.
 scalar_table, with no caller in the package, is the independent oracle.
 This is the only one of the two routes that imports numpy: the closed
 formulas and the rank bounds, with check_budget, are oddlen.genfun's.
@@ -146,9 +147,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import rootsys
 from .genfun import check_budget, resolve_workers
 from .indexset import IndexSet
-from .rootsys import odd_root_count
 from .sperm import SignedPerm, descent_set, ell_and_odd, label_mask
 from .zpoly import IntPoly
 
@@ -753,7 +754,7 @@ def scalar_table(family: str, n: int, pool: Iterable[SignedPerm]) -> DescentTabl
     the independent scalar oracle for SweepPlan.table.  Lengths come from
     sperm's pair statistics, descents from sperm.descent_set and the
     width from the root system, sharing nothing with the sweep."""
-    counts = np.zeros((1 << n, 2, odd_root_count(family, n) + 1), dtype=np.int64)
+    counts = np.zeros((1 << n, 2, rootsys.odd_root_count(family, n) + 1), dtype=np.int64)
     for sigma in pool:
         if sigma.n != n:
             raise ValueError("pool element of the wrong degree")
@@ -762,23 +763,40 @@ def scalar_table(family: str, n: int, pool: Iterable[SignedPerm]) -> DescentTabl
     return DescentTable(family, n, counts)
 
 
-def pinned_table(family: str, n: int, pin: tuple[int, int]) -> DescentTable:
-    """Descent table of the elements with a pinned entry.
+def pinned_tables(family: str, n: int) -> dict[tuple[int, int], DescentTable]:
+    """Descent tables of the elements with each pinned entry (b, v): those
+    mapping b to v, for every position b in [1, n] and v = n or -n.
 
-    pin = (b, v) keeps only elements mapping b to v, where b is a
-    position in [1, n] and v is n or -n.  They form a sub-grid of the
-    group, which alone is keyed: the rows with P[b-1] = n-1 under the sign
-    masks whose bit b-1 is the sign of v.
+    The pins partition the group by the position and sign of its entry
+    +-n, the row's n-1.  So one pass over perm_blocks, rootsys.BLOCK keys
+    at a time, keys each element once and bins it in place by (pin, key)
+    into all 2n tables.
     """
     plan = sweep_plan(family, n)
+    size = (1 << n) * 2 * plan.width
+    counts = np.zeros((n, 2, size), dtype=np.int64)  # by position of +-n, and its sign
+    at = np.arange(n)[:, None]
+    offsets = (2 * at + (plan.masks >> at & 1)) * size  # of each table, by position and mask
+    for rows in perm_blocks(n, rootsys.BLOCK // len(plan.masks)):
+        keys = plan.keys(rows)
+        keys += offsets[np.argmax(rows == n - 1, axis=1)]
+        np.add.at(counts.reshape(-1), keys.ravel(), 1)
+    shape = (1 << n, 2, plan.width)
+    return {(b, v): DescentTable(family, n, counts[b - 1, int(v < 0)].reshape(shape))
+            for b in range(1, n + 1) for v in (n, -n)}
+
+
+def pinned_table(family: str, n: int, pin: tuple[int, int]) -> DescentTable:
+    """Descent table of the elements with a pinned entry: pin = (b, v)
+    keeps only elements mapping b to v, where b is a position in [1, n]
+    and v is n or -n (see pinned_tables, which it reads)."""
+    check_budget(family, n)
     b, v = pin
     if not 1 <= b <= n:
         raise ValueError("constraint position out of range")
     if abs(v) != n:
         raise ValueError("constraint value must be n or -n")
-    rows = np.insert(perm_table(n - 1), b - 1, n - 1, axis=1)
-    cols = np.flatnonzero((plan.masks >> (b - 1) & 1) == (v < 0))
-    return plan.tabulate(plan.keys(rows, cols))
+    return pinned_tables(family, n)[pin]
 
 
 def brute_filtered(

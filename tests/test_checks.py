@@ -175,10 +175,16 @@ def test_root_oracle_catches_a_shifted_simple_root_index(monkeypatch):
 
 
 def test_additivity_catches_an_unsorted_factor(monkeypatch):
-    factors = chess.parabolic_factors
-    monkeypatch.setattr(chess, "parabolic_factors", lambda elems, J: (elems, factors(elems, J)[1]))
+    """L(u) read from a table whose u sorts the signed entries descending."""
+    table = chess._sorted_u
+
+    def descending(n):
+        u = table(n)[0][:, ::-1]
+        return u, np.argsort(np.abs(u), axis=1), chess._odd_lengths(sweep_plan("D", n), u)
+
+    monkeypatch.setattr(chess, "_sorted_u", descending)
     rows, bad = _failing("additivity-chessboard")
-    assert rows and bad
+    assert rows and bad == rows
 
 
 def test_set_factorization_catches_a_dropped_head_sign_fix(monkeypatch):
@@ -325,6 +331,7 @@ def _count_builds(monkeypatch):
     counted(chess, "window_sandwich_free",
             lambda out, rows, masks, c: ("window_sandwich_free", rows.shape[1], c))
     counted(chess, "k_sandwich_free", lambda out, rows, k: ("k_sandwich_free", rows.shape[1], k))
+    counted(checks, "pinned_tables", lambda out, family, n: ("pinned", family, n))
     keys = sweep.SweepPlan.keys
 
     def counted_keys(plan, rows, cols=slice(None)):
@@ -337,10 +344,13 @@ def _count_builds(monkeypatch):
 
 
 def test_a_full_tier_context_builds_each_shared_array_once(monkeypatch):
-    """One chessboard per group, one filter per distinct (rank, parameter),
-    every chessboard key once, and one record per index set of every rank
-    a check visits."""
+    """One chessboard and one pinned pass per group, one filter per distinct
+    (rank, parameter), every chessboard key once, and one record per index
+    set of every rank a check visits.  The sorted-factor tables are cached
+    per group, beyond any context; each run starts without them, so both
+    key the same."""
     calls = _count_builds(monkeypatch)
+    chess._sorted_u.cache_clear()
     rows = list(run_checks(CheckContext.for_tier("full")))
     assert len(rows) == 2175 and all(r.ok for r in rows)
     keyed = calls.pop("keyed")
@@ -348,7 +358,7 @@ def test_a_full_tier_context_builds_each_shared_array_once(monkeypatch):
     assert set(calls.values()) == {1}, [what for what, k in calls.items() if k > 1]
     builders = Counter(what[0] for what in calls)
     assert builders == {"board": 13, "window_sandwich_free": 6, "k_sandwich_free": 10,
-                        "record": 890}
+                        "pinned": 4, "record": 890}
     # A1-A8, B1-B6 and D1-D8, every label subset: 255 + 126 + (1 + 508).
     ranks = Counter(what[1:3] for what in calls if what[0] == "record")
     assert ranks == {**{("A", n): 1 << (n - 1) for n in range(1, 9)},
@@ -357,6 +367,7 @@ def test_a_full_tier_context_builds_each_shared_array_once(monkeypatch):
     # A second run's context builds them all again.
     first = Counter(calls)
     calls.clear()
+    chess._sorted_u.cache_clear()
     list(run_checks(CheckContext.for_tier("full")))
     assert calls.pop("keyed") == keyed and calls == first
 

@@ -6,7 +6,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from oddlen import rootsys
+from oddlen import chess, rootsys
 from oddlen.chess import (
     Chessboard,
     Sandwich,
@@ -150,6 +150,32 @@ class TestArraySandwiches:
             assert np.array_equal(k_got, k_want), param
             assert np.array_equal(window_sandwich_free(rows, masks, param), w_want), param
 
+    def test_span_size_does_not_change_the_filters(self, monkeypatch):
+        rows, masks = perm_table(6), sweep_plan("D", 6).masks
+        want = [(window_sandwich_free(rows, masks, c), k_sandwich_free(rows, c)) for c in range(1, 6)]
+        monkeypatch.setattr(rootsys, "BLOCK", 200)  # one row under 32 sign masks at a time
+        for c, (window, position) in enumerate(want, start=1):
+            assert np.array_equal(window_sandwich_free(rows, masks, c), window), c
+            assert np.array_equal(k_sandwich_free(rows, c), position), c
+
+    def test_filters_on_the_d8_board_stay_within_their_spans(self, monkeypatch):
+        """With rootsys.BLOCK at 16,384 elements, every window and position
+        filter over D8's 1,152 board rows under 128 sign masks allocates
+        about 270 KB, 147 KB of it the (rows, masks) result; a (rows, masks,
+        span) temporary per value pair peaked at 10.2 MB."""
+        rows, masks = chessboard_rows(8), sweep_plan("D", 8).masks
+        monkeypatch.setattr(rootsys, "BLOCK", 1 << 14)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for c in range(1, 8):
+                window_sandwich_free(rows, masks, c)
+                k_sandwich_free(rows, c)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 << 10, f"D8 filters peaked at {peak / 2**10:.0f} KB"
+
     @pytest.mark.parametrize("param", [0, 5, -1])
     def test_parameters_out_of_range(self, param):
         rows, masks = perm_table(5), sweep_plan("D", 5).masks
@@ -202,6 +228,20 @@ class TestSortingFactorization:
                 sigma = SignedPerm(tuple(-(v + 1) if mask >> k & 1 else v + 1
                                          for k, v in enumerate(row)))
                 assert got[i, j] == check_L_additivity(sigma), sigma
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_table_u_and_ranked_v_are_the_parabolic_factors(self, n):
+        """On every chessboard element of D_n, the u that split_odd_lengths
+        reads from its table, and v from the ranks of the signed entries,
+        are parabolic_factors' (itself checked against
+        sperm.parabolic_factorize below)."""
+        plan, rows = sweep_plan("D", n), chessboard_rows(n)
+        neg = (plan.masks[:, None] >> np.arange(n)) & 1
+        at, v = chess._sort_split(rows, neg)
+        elems = ((rows[:, None] + 1) * (1 - 2 * neg)).reshape(-1, n)
+        u_want, v_want = parabolic_factors(elems, IndexSet.of(n, range(1, n)))
+        assert np.array_equal(chess._sorted_u(n)[0][at], u_want)
+        assert np.array_equal(v + 1, v_want)
 
     def test_block_size_does_not_change_the_reading(self, monkeypatch):
         plan, rows = sweep_plan("D", 6), chessboard_rows(6)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddlen import genfun, sweep
+from oddlen import genfun, rootsys, sweep
 from oddlen.genfun import (
     BUDGET,
     BudgetError,
@@ -48,6 +48,7 @@ from oddlen.sweep import (
     perm_blocks,
     perm_table,
     pinned_table,
+    pinned_tables,
     scalar_table,
     sweep_plan,
 )
@@ -1016,21 +1017,30 @@ class TestFiltered:
                     total = total + brute_filtered("D", n, I, (b, v))
             assert total == brute_quotient("D", n, I)
 
-    @pytest.mark.parametrize("pin", [(1, 8), (3, 8), (8, -8)])
-    def test_a_pinned_table_keys_only_its_sub_grid(self, pin):
-        # The pinned elements are 7! rows under 64 of D8's 128 sign masks,
-        # keyed at about 3.9 MB; keying all 8! rows under every mask and
-        # filtering them peaked at 60.5 MB.
-        sweep_plan("D", 8)  # the cached plan is not the call's
+    def test_the_pinned_pass_keys_one_block_at_a_time(self):
+        # One pass over perm_blocks bins D8's 16 pins: each 7! rows under 64
+        # of its 128 sign masks, together the whole group.  About 2.1 MB of
+        # counts and 2.5 MB of block temporaries; keying all 8! rows under
+        # every mask for one pin peaked at 60.5 MB.
+        sweep_plan("D", 8)  # the cached plan is not the pass's
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            table = pinned_table("D", 8, pin)
+            tables = pinned_tables("D", 8)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert table.counts.sum() == factorial(7) * 64
-        assert peak < 8 << 20, f"D8 {pin} peaked at {peak / 2**20:.2f} MB"
+        assert sorted(tables) == sorted((b, v) for b in range(1, 9) for v in (8, -8))
+        assert all(t.counts.sum() == factorial(7) * 64 for t in tables.values())
+        # the pins partition the group: their tables add up to D8's
+        assert np.array_equal(sum(t.counts for t in tables.values()), brute_table("D", 8).counts)
+        assert peak < 6 << 20, f"D8 pinned pass peaked at {peak / 2**20:.2f} MB"
+
+    def test_pinned_tables_do_not_depend_on_the_block_size(self, monkeypatch):
+        want = pinned_tables("D", 6)
+        monkeypatch.setattr(rootsys, "BLOCK", 100)  # blocks of two rows under 32 sign masks
+        got = pinned_tables("D", 6)
+        assert all(np.array_equal(got[pin].counts, want[pin].counts) for pin in want)
 
 
 def _pinned_sum(n, I, pin, cmp=None):
