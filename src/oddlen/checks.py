@@ -18,13 +18,14 @@ every array a run derives from a rank, each built at most once, read-only,
 and freed with the context; nothing outlives the run.  The full group's
 tables come from the sweep.  The pinned-entry tables of a rank come
 from sweep.pinned_tables, one pass that bins every element by its pin,
-the position and sign of its entry +-n.  The chessboard checks (supports, set factorizations, additivity) read one
-chess.Chessboard per group, whose key array, sandwich filters and support
-tables serve every check that needs them.  No array of n! rows or of the
-whole group's keys is held: the root-count check reads the rows from
-sweep.perm_blocks, as the pinned pass does, and its root counts, the
-sandwich filters and the factors of the additivity check run in blocks
-of at most rootsys.BLOCK elements per temporary array.
+the position and sign of its entry +-n.  The chessboard checks
+(supports, set factorizations, additivity) read one chess.Chessboard per
+group, whose key array, sandwich filters and support tables serve every
+check that needs them.  No array of n! rows or of the whole group's keys
+is held: the root-count check reads the rows from sweep.perm_blocks, as
+the pinned pass does, and its root counts, the sandwich filters and the
+factors of the additivity check run in blocks of at most rootsys.BLOCK
+elements per temporary array.
 """
 
 from dataclasses import dataclass, field

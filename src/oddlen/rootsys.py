@@ -71,23 +71,24 @@ def build_root_system(family: str, n: int) -> RootSystem:
         raise ValueError("n must be positive")
     if family not in ("A", "B", "D"):
         raise ValueError(f"unknown family {family!r}")
+    e = [(), *(_e(i, n) for i in range(1, n + 1))]  # e[i] = e_i
     roots: list[tuple[int, ...]] = []
     heights: list[int] = []
     if family == "B":
-        roots = [_e(i, n) for i in range(1, n + 1)]
+        roots = e[1:]
         heights = list(range(1, n + 1))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            roots.append(_add(_e(j, n), _e(i, n), -1))
+            roots.append(_add(e[j], e[i], -1))
             heights.append(j - i)
             if family != "A":
-                roots.append(_add(_e(i, n), _e(j, n), 1))
+                roots.append(_add(e[i], e[j], 1))
                 heights.append(i + j - 2 * (family == "D"))
-    simples = [(i, _add(_e(i + 1, n), _e(i, n), -1)) for i in range(1, n)]
+    simples = [(i, _add(e[i + 1], e[i], -1)) for i in range(1, n)]
     if family == "B":
-        simples.insert(0, (0, _e(1, n)))
+        simples.insert(0, (0, e[1]))
     elif family == "D" and n >= 2:
-        simples.insert(0, (0, _add(_e(1, n), _e(2, n), 1)))
+        simples.insert(0, (0, _add(e[1], e[2], 1)))
     coords = np.array(roots, dtype=np.int8).reshape(-1, n)
     assert (coords @ 3 ** np.arange(n, dtype=np.int64) > 0).all(), "a positive root's key is <= 0"
     return RootSystem(

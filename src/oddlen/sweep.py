@@ -157,6 +157,8 @@ from .zpoly import IntPoly
 # and of the term tables together; the keys binned per bincount.
 FLOATS = 1 << 21
 KEYS = 1 << 19
+# perm_table(s) is built once per process up to this s: 8! rows, 320 KB.
+SHARED_PERMS = 8
 
 
 def _sign_masks(family: str, n: int) -> np.ndarray:
@@ -184,14 +186,32 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 
 def perm_table(s: int) -> np.ndarray:
-    """The s! permutations of range(s) as int8 rows, in lexicographic order."""
-    table = np.zeros((1, 0), dtype=np.int8)
-    for k in range(1, s + 1):
-        head = np.arange(k, dtype=np.int8)[:, None, None]
-        tail = table + (table >= head)  # range(k) without head, in order
-        head = np.broadcast_to(head, (k, table.shape[0], 1))
-        table = np.concatenate([head, tail], axis=2).reshape(-1, k)
+    """The s! permutations of range(s) as read-only int8 rows, in
+    lexicographic order.  Those of up to SHARED_PERMS entries are built
+    once and shared: a verify run reads them about 70 times."""
+    if s <= SHARED_PERMS:
+        return _shared_perm_table(s)
+    table = perm_table(SHARED_PERMS)
+    for k in range(SHARED_PERMS + 1, s + 1):
+        table = _prepend(table, k)
+    table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def _shared_perm_table(s: int) -> np.ndarray:
+    table = _prepend(_shared_perm_table(s - 1), s) if s else np.zeros((1, 0), dtype=np.int8)
+    table.flags.writeable = False
+    return table
+
+
+def _prepend(table: np.ndarray, k: int) -> np.ndarray:
+    """The permutations of range(k), from those of range(k-1): each head in
+    turn, before the table relabelled to skip it."""
+    head = np.arange(k, dtype=np.int8)[:, None, None]
+    tail = table + (table >= head)  # range(k) without head, in order
+    head = np.broadcast_to(head, (k, table.shape[0], 1))
+    return np.concatenate([head, tail], axis=2).reshape(-1, k)
 
 
 def perm_blocks(n: int, rows: int) -> Iterator[np.ndarray]:

@@ -31,6 +31,7 @@ from oddlen.genfun import (
 from oddlen.sweep import (
     FLOATS,
     KEYS,
+    SHARED_PERMS,
     DescentTable,
     _build_plan,
     _half,
@@ -585,6 +586,15 @@ class TestSweepKernel:
         table = perm_table(s)
         assert table.dtype == np.int8
         assert [tuple(row) for row in table] == list(permutations(range(s)))
+
+    def test_small_tables_are_built_once_and_read_only(self):
+        # A verify run reads perm_table about 70 times, at no more than 8
+        # entries: those tables are built once, and no reader can write to
+        # the shared copy.  A larger table is built per call.
+        for s in (0, 3, SHARED_PERMS, SHARED_PERMS + 1):
+            table = perm_table(s)
+            assert not table.flags.writeable
+            assert (perm_table(s) is table) == (s <= SHARED_PERMS), s
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_perm_blocks_concatenate_to_the_table(self, n):
