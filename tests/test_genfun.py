@@ -1027,6 +1027,22 @@ class TestFiltered:
                     total = total + brute_filtered("D", n, I, (b, v))
             assert total == brute_quotient("D", n, I)
 
+    @pytest.mark.parametrize("pin", [(1, 8), (3, 8), (8, -8)])
+    def test_a_pinned_table_keys_only_its_sub_grid(self, pin):
+        # One pin's read runs the per-rank pass and keeps its own table: 7!
+        # rows under 64 of D8's 128 sign masks.  Keying all 8! rows under
+        # every mask and filtering them for the one pin peaked at 60.5 MB.
+        sweep_plan("D", 8)  # the cached plan is not the call's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = pinned_table("D", 8, pin)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert table.counts.sum() == factorial(7) * 64
+        assert peak < 8 << 20, f"D8 {pin} peaked at {peak / 2**20:.2f} MB"
+
     def test_the_pinned_pass_keys_one_block_at_a_time(self):
         # One pass over perm_blocks bins D8's 16 pins: each 7! rows under 64
         # of its 128 sign masks, together the whole group.  About 2.1 MB of
