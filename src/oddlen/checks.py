@@ -231,21 +231,25 @@ def _match(check: str, family: str, n: int, where, got: IntPoly, want: IntPoly) 
 def check_root_oracle(ctx: CheckContext) -> Iterator[CheckRow]:
     """The sweep plan's descent mask, length parity and odd length agree
     with root-system counts on every element, in blocks of rows
-    (sweep.perm_blocks) under every sign mask at once."""
+    (sweep.perm_blocks) under every sign mask at once, and the root
+    counts binned by all three are the rank's descent table."""
     hard = {"A": 7, "B": 5, "D": 6}
     for family in ctx.families:
         for n in _ranks(ctx, family, 1, hard[family]):
             rs = build_root_system(family, n)
             plan = sweep_plan(family, n)
             bad = total = 0
+            binned = np.zeros((1 << n) * 2 * plan.width, dtype=np.int64)
             # a row has a key per sign mask and a comparison per position pair
             for rows in perm_blocks(n, rootsys.BLOCK // max(len(plan.masks), len(plan.weights))):
-                high, odd = np.divmod(plan.keys(rows), plan.width)
-                length, want_odd, want_descents = root_counts(rs, rows, plan.masks)
-                bad += np.count_nonzero(
-                    (high >> 1 != want_descents) | (high & 1 != length & 1) | (odd != want_odd))
-                total += high.size
-            yield _row("root-oracle", family, n, "", bad == 0, f"{total} elements")
+                length, odd, descents = root_counts(rs, rows, plan.masks)
+                keys = (descents * 2 + length % 2) * plan.width + odd  # the sweep's key layout
+                bad += np.count_nonzero(keys != plan.keys(rows))
+                total += keys.size
+                # a key past the table drops out, so the counts then differ
+                binned += np.bincount(keys.ravel(), minlength=len(binned))[: len(binned)]
+            same = np.array_equal(binned, ctx.table(family, n).counts.ravel())
+            yield _row("root-oracle", family, n, "", bad == 0 and same, f"{total} elements")
 
 
 def check_point_values(ctx: CheckContext) -> Iterator[CheckRow]:

@@ -8,16 +8,14 @@ and e_1 + e_2 in D (i < j, 1-based): e_j - e_i has height j - i, B's e_i
 height i and e_i + e_j height i + j, D's e_i + e_j height i + j - 2.
 The tests check each against an exact linear solve.
 
-Every root coordinate is -1, 0 or 1, and so is every coordinate of its
-image under a signed permutation.  A vector c of such coordinates has the
-balanced-ternary key sum_j c_j 3^j, whose sign is that of its highest
-nonzero coordinate: +1 for a positive root (build_root_system asserts a
-positive key).  A signed permutation permutes the roots, so an image is a
-negative root exactly when its key is negative.  Root counts run over
-arrays: a block of absolute-value rows under a block of sign masks sends
-every positive root to a key at once, by one float32 product (exact while
-3^n <= 2^24, so up to n = 15, as root_counts asserts), and a root counts
-when that key is negative.
+Every positive root is e_j or e_j +- e_i (i < j): one or two nonzero
+coordinates, each +-1, the higher one +1, as build_root_system asserts.
+A root is negative exactly when its highest nonzero coordinate is.  A
+signed permutation sends each coordinate of a root to one place, so the
+image of a root with coordinates at lo <= hi is negative exactly when its
+coordinate at the larger of the two places is.  So every count is linear
+in the comparisons [P[lo] > P[hi]] of a row P, and root_counts reads a
+block of rows by one float32 product.
 
 No temporary array of the per-element checks (here, and the additivity
 pass in chess) holds more than BLOCK elements: spans cuts their rows and
@@ -89,15 +87,17 @@ def build_root_system(family: str, n: int) -> RootSystem:
         simples.insert(0, (0, e[1]))
     elif family == "D" and n >= 2:
         simples.insert(0, (0, _add(e[1], e[2], 1)))
-    coords = np.array(roots, dtype=np.int8).reshape(-1, n)
-    assert (coords @ 3 ** np.arange(n, dtype=np.int64) > 0).all(), "a positive root's key is <= 0"
+    for root in roots:  # the facts root_counts reads
+        support = [c for c in root if c]
+        assert len(support) in (1, 2) and {*support} <= {1, -1} and support[-1] == 1, \
+            f"{root} is not e_j or e_j +- e_i"
     return RootSystem(
         family=family,
         n=n,
         positive_roots=tuple(roots),
         heights=tuple(heights),
         simple_roots=tuple(simples),
-        _coords=coords,
+        _coords=np.array(roots, dtype=np.int8).reshape(-1, n),
         _odd_idx=tuple(k for k, h in enumerate(heights) if h % 2 == 1),
         _simple_idx=tuple((label, roots.index(c)) for label, c in simples),
     )
@@ -121,12 +121,12 @@ def root_counts(rs: RootSystem, perms: np.ndarray,
     labelled i to a negative root.  All three are (rows, masks) arrays.
 
     Row P of perms (a permutation of range(n)) under a sign mask is the
-    element with sigma(i) = -(P[i-1] + 1) where bit i-1 of the mask is set
-    and P[i-1] + 1 elsewhere.  It sends e_i to sgn(sigma(i)) e_{P[i-1]+1},
-    so root r goes to the vector with sgn(sigma(i)) r_i at coordinate
-    P[i-1]: its key is 3^P times the signed coordinate matrix, computed
-    for blocks of rows x masks x roots within BLOCK, and the image is a
-    negative root when that key is negative.
+    element sending e_i to s_i e_{P[i]} (0-based), s_i = -1 where bit i of
+    the mask is set.  A root c_lo e_lo + c_hi e_hi (lo = hi for B's e_i)
+    goes to a root that is negative when its coordinate at max(P[lo],
+    P[hi]) is: c_lo s_lo if P[lo] > P[hi], else c_hi s_hi.  So each count
+    is a per-mask constant plus [P[lo] > P[hi]] times per-mask weights,
+    (roots, 3 masks), in one product per span of rows within BLOCK.
     """
     n = rs.n
     masks = np.asarray(masks, dtype=np.int64)
@@ -138,23 +138,23 @@ def root_counts(rs: RootSystem, perms: np.ndarray,
     if (masks >> n).any() or (rs.family == "A" and masks.any()) or (
             rs.family == "D" and (negatives.sum(axis=1) % 2).any()):
         raise ValueError("element outside the family's group")
-    nroots = len(rs._coords)
-    signs = (1 - 2 * negatives).astype(np.float32)
-    assert 3 ** n <= 1 << 24, f"rank {n} keys are past float32's exact range"
-    powers = 3 ** np.arange(n, dtype=np.float32)
-    out = [np.empty((len(perms), len(masks)), dtype=np.int64) for _ in range(3)]
-    for rows in spans(len(perms), nroots):
-        block = powers[perms[rows]]
-        # a mask column holds a key per (row, root) and a coordinate per (i, root)
-        for cols in spans(len(masks), nroots * max(len(block), n)):
-            # coordinate i of root r under mask m, at column (m, r)
-            signed = signs[cols].T[:, :, None] * rs._coords.T[:, None, :]
-            nelems = len(block) * signed.shape[1]
-            hits = (block @ signed.reshape(n, -1) < 0).reshape(nelems, nroots)
-            counts = (hits.astype(np.float32) @ rs._readout).reshape(len(block), -1, 3)
-            for k in range(3):
-                out[k][rows, cols] = counts[:, :, k]
-    return tuple(out)
+    coords, nroots = rs._coords, len(rs._coords)
+    # A column's partial sums are integers within its weights' sum: below 2^n
+    # for the descent mask (distinct powers of 2), the root count otherwise.
+    assert max(1 << n, nroots) <= 1 << 24, f"rank {n} counts are past float32's exact range"
+    nonzero = coords != 0
+    lo, hi = nonzero.argmax(axis=1), n - 1 - nonzero[:, ::-1].argmax(axis=1)
+    # whether the coordinate at lo, and at hi, of each image is negative: (masks, roots)
+    neg_lo, neg_hi = ((coords[np.arange(nroots), at] * (1 - 2 * negatives[:, at]) < 0)
+                      .astype(np.float32) for at in (lo, hi))
+    const = (neg_hi @ rs._readout).T.reshape(-1)  # columns by (count, mask)
+    weights = (rs._readout.T[:, None, :] * (neg_lo - neg_hi)).reshape(3 * len(masks), nroots).T
+    out = np.empty((len(perms), 3, len(masks)), dtype=np.int64)
+    for rows in spans(len(perms), max(nroots, 3 * len(masks))):
+        block = perms[rows]
+        out[rows] = ((block[:, lo] > block[:, hi]).astype(np.float32) @ weights
+                     + const).reshape(-1, 3, len(masks))
+    return out[:, 0], out[:, 1], out[:, 2]
 
 
 def _one_row(rs: RootSystem, sigma: SignedPerm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -807,9 +807,9 @@ def pinned_tables(family: str, n: int) -> dict[tuple[int, int], DescentTable]:
 
 
 def pinned_table(family: str, n: int, pin: tuple[int, int]) -> DescentTable:
-    """Descent table of the elements with a pinned entry: pin = (b, v)
-    keeps only elements mapping b to v, where b is a position in [1, n]
-    and v is n or -n (see pinned_tables, which it reads)."""
+    """Descent table of the elements mapping b to v, pin = (b, v), for a
+    position b in [1, n] and v = n or -n.  Each call runs the rank's whole
+    pinned_tables pass: a caller reading many pins calls that once."""
     check_budget(family, n)
     b, v = pin
     if not 1 <= b <= n:
@@ -819,8 +819,8 @@ def pinned_table(family: str, n: int, pin: tuple[int, int]) -> DescentTable:
     return pinned_tables(family, n)[pin]
 
 
-def brute_filtered(
-    family: str, n: int, index_set: IndexSet, constraint: tuple[int, int]
-) -> IntPoly:
-    """Quotient sum restricted to elements with a pinned entry (see pinned_table)."""
+def brute_filtered(family: str, n: int, index_set: IndexSet,
+                   constraint: tuple[int, int]) -> IntPoly:
+    """Quotient sum restricted to elements with a pinned entry.  Each call
+    runs the rank's whole pinned pass (see pinned_table)."""
     return pinned_table(family, n, constraint).quotient_poly(index_set)

@@ -6,6 +6,7 @@ import weakref
 from collections import Counter
 from copy import deepcopy
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oddlen.genfun import BUDGET, BudgetError, closed_factors, closed_poly
 from oddlen.indexset import IndexSet, components, m_of
 from oddlen.rootsys import build_root_system, root_counts
 from oddlen.sweep import perm_blocks, sweep_plan
+from test_genfun import _no_label_reversal, _no_tau_shift, _sigma_at_j_0
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
@@ -174,6 +176,33 @@ def test_root_oracle_catches_a_shifted_simple_root_index(monkeypatch):
     }
 
 
+def test_root_oracle_catches_a_flipped_lower_coordinate(monkeypatch):
+    def fault(rs):
+        coords = rs._coords.copy()
+        for k in np.flatnonzero((coords != 0).sum(axis=1) == 2)[:1]:
+            # e_j - e_i becomes e_j + e_i: a change read only where P[lo] > P[hi]
+            coords[k, np.flatnonzero(coords[k])[0]] *= -1
+        return replace(rs, _coords=coords)
+
+    rows, bad = _broken_root_systems(monkeypatch, fault)
+    # Every group with a two-coordinate root fails: all of rank 2 and up.
+    assert {(r.family, r.n) for r in bad} == {(r.family, r.n) for r in rows if r.n >= 2}
+
+
+@pytest.mark.parametrize("fault, failing", [
+    (_no_tau_shift, [f"B{n}" for n in range(3, 6)]),
+    (_sigma_at_j_0, [f"D{n}" for n in range(3, 7)]),
+    (_no_label_reversal, [f"A{n}" for n in range(3, 8)]),
+], ids=["no-tau-shift", "sigma-at-j-0", "no-label-reversal"])
+def test_root_oracle_catches_a_wrong_partner_row(monkeypatch, fault, failing):
+    """The per-element comparison reads SweepPlan.keys, which no partner
+    row touches; the root counts binned against the rank's table see the
+    sweep's partner rows."""
+    monkeypatch.setattr(sweep, "_partner_table", partial(fault, sweep._partner_table))
+    rows = list(CHECKS["root-oracle"](CheckContext.for_tier("full")))
+    assert [f"{r.family}{r.n}" for r in rows if not r.ok] == failing
+
+
 def test_additivity_catches_an_unsorted_factor(monkeypatch):
     """L(u) read from a table whose u sorts the signed entries descending."""
     table = chess._sorted_u
@@ -272,11 +301,13 @@ def test_full_tier_array_passes_stay_small(names):
 def test_root_oracle_keys_one_block_at_a_time(monkeypatch):
     """With rootsys.BLOCK at 4096 elements, the full-tier root-oracle pass
     allocates under 512 KB above its start: it keys each block of rows as
-    it reads it (about 424 KB), where holding every element's key of a
-    group for the run read about 705 KB."""
+    it reads it (about 394 KB, with the counts it bins against the tables
+    a warm context holds), where holding every element's key of a group
+    for the run read about 705 KB."""
     monkeypatch.setattr(rootsys, "BLOCK", 4096)
-    list(run_checks(CheckContext.for_tier("full"), ["root-oracle"]))  # cached plans and roots
-    ctx = CheckContext.for_tier("full")
+    warm = CheckContext.for_tier("full")
+    list(run_checks(warm, ["root-oracle"]))  # cached plans, roots and the tables it reads
+    ctx = CheckContext.for_tier("full", tables=warm.tables)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -106,6 +106,14 @@ def test_the_import_scan_sees_the_sweep_modules_imports():
     assert {"numpy", "sweep", "chess", "rootsys"} <= module_level_imports("checks")
 
 
+def test_the_root_oracle_imports_nothing_it_checks():
+    # rootsys is the independent oracle: its counts share no code with the
+    # sweep, the chessboards, the checks or the closed formulas.
+    found = module_level_imports("rootsys")
+    assert {"numpy", "sperm"} <= found  # the scan is not vacuous
+    assert found & {"sweep", "chess", "checks", "genfun"} == set()
+
+
 def test_only_sweep_and_chess_read_perm_table():
     # A whole permutation table is built only by sweep's row sources and
     # chess's chessboard classes, so no n!-row array comes back unseen.

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oddlen import rootsys
+from oddlen import rootsys, sperm
 from oddlen.sweep import perm_table, sweep_plan
 from oddlen.rootsys import (
     build_root_system,
@@ -158,11 +158,16 @@ class TestArrayCounts:
 
     @pytest.mark.parametrize("family", ["A", "B", "D"])
     @pytest.mark.parametrize("plant", [lambda root: tuple(-c for c in root),
-                                       lambda root: (0,) * len(root)], ids=["negated", "zero"])
+                                       lambda root: (0,) * len(root),
+                                       lambda root: tuple(2 * c for c in root),
+                                       lambda root: root[:-1] + (1,)],
+                             ids=["negated", "zero", "doubled", "third-coordinate"])
     def test_a_root_whose_key_is_not_positive_fails_the_build(self, monkeypatch, family, plant):
-        """root_counts reads a root as sent negative when its image's key is
-        negative, so the build asserts that every positive root's key is
-        positive; the first root built as a sum is planted."""
+        """root_counts reads each root's image sign from its one or two
+        nonzero coordinates, each +-1, the higher one +1, so the build
+        asserts those facts.  The first root built as a sum is planted:
+        negated, its higher coordinate is -1; zeroed, it has none; doubled,
+        they are +-2; given a last coordinate, it has three."""
         add, calls = rootsys._add, []
 
         def planted(a, b, sb):
@@ -171,5 +176,46 @@ class TestArrayCounts:
 
         build_root_system(family, 4)
         monkeypatch.setattr(rootsys, "_add", planted)
-        with pytest.raises(AssertionError, match="key is <= 0"):
+        with pytest.raises(AssertionError, match="is not e_j or e_j"):
             build_root_system(family, 4)
+
+
+def _seeded(family, n, rng, count=6):
+    """count rows and count sign masks of the group, from rng."""
+    perms = np.array([rng.permutation(n) for _ in range(count)])
+    if family == "A":
+        return perms, np.zeros(1, dtype=np.int64)
+    masks = rng.integers(0, 1 << n, count)
+    if family == "D":  # an even number of negative entries
+        masks ^= np.array([bin(m).count("1") % 2 for m in masks.tolist()])
+    return perms, masks
+
+
+class TestPastTheKeyLimit:
+    """root_counts is exact while 2^n <= 2^24: seeded elements at ranks up
+    to the bound's last, n = 24, and the first rank past it."""
+
+    @pytest.mark.parametrize("n", [16, 20, 24])
+    @pytest.mark.parametrize("family", ["A", "B", "D"])
+    def test_seeded_elements_match_the_scalar_statistics(self, family, n, monkeypatch):
+        # SignedPerm's degree cap bounds parsed input; the statistics have none.
+        monkeypatch.setattr(sperm, "MAX_DEGREE", n)
+        rs = build_root_system(family, n)
+        perms, masks = _seeded(family, n, np.random.default_rng(n))
+        counts = np.stack(root_counts(rs, perms, masks), axis=2)
+        for row, got in zip(perms.tolist(), counts):
+            for mask, (length, odd, descents) in zip(masks.tolist(), got.tolist()):
+                sigma = SignedPerm(tuple(-(v + 1) if mask >> i & 1 else v + 1
+                                         for i, v in enumerate(row)))
+                want = (*ell_and_odd(sigma, family), descent_set(sigma, family).mask)
+                assert (length, odd, descents) == want, sigma
+
+    def test_the_largest_descent_mask_is_exact(self):
+        # B24's w0 sends every root negative and has every descent: 2^24 - 1.
+        rs = build_root_system("B", 24)
+        got = root_counts(rs, np.arange(24)[None], np.array([(1 << 24) - 1]))
+        assert [int(a[0, 0]) for a in got] == [576, odd_root_count("B", 24), (1 << 24) - 1]
+
+    def test_a_rank_past_the_bound_raises(self):
+        with pytest.raises(AssertionError, match="past float32's exact range"):
+            root_counts(build_root_system("B", 25), np.arange(25)[None], np.array([0]))
