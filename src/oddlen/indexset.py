@@ -63,6 +63,8 @@ class IndexSet:
             hi = lo if item[2] is None else int(item[2])
             if lo > hi:
                 raise ValueError(f"bad interval {piece!r}")
+            if hi >= n:  # before the interval is expanded
+                raise ValueError(f"index {hi} outside [0, {n - 1}]")
             members.extend(range(lo, hi + 1))
         return IndexSet.of(n, members)
 

@@ -14,8 +14,6 @@ from typing import Iterator, Sequence
 
 from .indexset import IndexSet
 
-MAX_DEGREE = 16
-
 FAMILIES = ("A", "B", "D")
 
 
@@ -41,8 +39,8 @@ class SignedPerm:
 
     def __post_init__(self) -> None:
         n = len(self.images)
-        if not 1 <= n <= MAX_DEGREE:
-            raise ValueError(f"degree must be in [1, {MAX_DEGREE}]")
+        if n < 1:
+            raise ValueError("degree must be at least 1")
         if sorted(abs(v) for v in self.images) != list(range(1, n + 1)):
             raise ValueError("absolute values must permute 1..n")
 

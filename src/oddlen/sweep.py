@@ -102,17 +102,18 @@ delta row reads them by descent mask >> 1, and _add_partners folds class
 
 Rows come in prefix x suffix blocks over the form's m positions (n in
 A, n - 1 in B and D).  The last s positions run over the s! permutations
-of range(s), built once per call as an int8 table `base` in
-lexicographic order.  s is the largest length whose s! rows (at most
-40320) times the form's columns fit FLOATS = 2**21 floats and KEYS keys,
-capped to keep the prefix positions above; a block's arrays are
-(columns, rows), so that products run along rows.  Each swept
-(m-s)-prefix, taken in lexicographic order (_swept_prefixes), owns the
-block rest[base], where rest is its sorted complement, so the blocks
-concatenate in itertools' order.  Relabelling
-by rest is monotone, so the suffix pairs' share of every key is computed
-once per call, in one copy per parity of the inversions a prefix adds:
-inv(prefix) plus the ranks of its values within rest.
+of range(s), the shared perm_table(s), copied once per call as an int8
+table `base`.  s is the largest length (_suffix) whose s! rows times the
+form's columns fit KEYS = 2**19 keys, at most SHARED_PERMS and short
+enough to leave the prefix positions above; a block's arrays are
+(columns, rows), so that products run along rows.  The form fixes this
+layout once per group: its suffix, its swept blocks and its term tables.
+Each swept (m-s)-prefix, taken in lexicographic order (_swept_prefixes),
+owns the block rest[base], where rest is its sorted complement, so the
+blocks concatenate in itertools' order.  Relabelling by rest is
+monotone, so the suffix pairs' share of every key is computed once per
+call, in one copy per parity of the inversions a prefix adds: inv(prefix)
+plus the ranks of its values within rest.
 
 A prefix position whose value has r smaller values in rest adds the term
 cross @ [base < r], which depends on the position and r alone.  So
@@ -153,11 +154,13 @@ from .indexset import IndexSet
 from .sperm import SignedPerm, descent_set, ell_and_odd, label_mask
 from .zpoly import IntPoly
 
-# Bounds on a sweep call's work arrays (see above): the floats of one block,
-# and of the term tables together; the keys binned per bincount.
-FLOATS = 1 << 21
+# Bounds on a sweep call's work arrays (see above).  KEYS bounds the keys of
+# one block, and so the suffix, and the keys binned per bincount; FLOATS
+# bounds only the term tables' floats, together.
 KEYS = 1 << 19
+FLOATS = 1 << 21
 # perm_table(s) is built once per process up to this s: 8! rows, 320 KB.
+# Every suffix the package reads is one of these.
 SHARED_PERMS = 8
 
 
@@ -171,13 +174,12 @@ def _sign_masks(family: str, n: int) -> np.ndarray:
     return masks[bits % 2 == 0]
 
 
-def _suffix_length(n: int, nmasks: int) -> int:
-    """Largest s <= n whose s! rows fit a block of
-    min(40320, FLOATS // nmasks, KEYS // nmasks) rows."""
-    rows = max(1, min(40320, FLOATS // nmasks, KEYS // nmasks))
-    s = 1
-    while s < n and factorial(s + 1) <= rows:
-        s += 1
+def _suffix(n: int, rows: int) -> int:
+    """The longest suffix of a block of at most max(rows, 1) rows: the
+    largest s <= min(n, SHARED_PERMS) with s! <= max(rows, 1)."""
+    s = min(n, SHARED_PERMS)
+    while s > 1 and factorial(s) > rows:
+        s -= 1
     return s
 
 
@@ -216,9 +218,10 @@ def _prepend(table: np.ndarray, k: int) -> np.ndarray:
 
 def perm_blocks(n: int, rows: int) -> Iterator[np.ndarray]:
     """perm_table(n) in lexicographic blocks of at most max(rows, 1) rows:
-    whole (n-s)-prefixes, each over perm_table(s) relabelled by its sorted
-    complement, where s is the longest suffix whose s! rows fit."""
-    s = max((k for k in range(1, n + 1) if factorial(k) <= rows), default=1)
+    whole (n-s)-prefixes, each over the shared perm_table(s) relabelled by
+    its sorted complement, where s = _suffix(n, rows) is at most
+    SHARED_PERMS."""
+    s = _suffix(n, rows)
     base, prefixes = perm_table(s), permutations(range(n), n - s)
     while chunk := list(islice(prefixes, max(1, rows // len(base)))):
         heads = np.array(chunk, dtype=np.int8)
@@ -499,19 +502,27 @@ class SweptForm(NamedTuple):
     """The linear form the sweep runs for one group: every unit's form side
     by side, over the same positions, each unit's keys offset by its
     partner class times the table size; A's keys by its block's class
-    under descent label 0, added with the block's prefix constant."""
+    under descent label 0, added with the block's prefix constant.  With
+    it, the sweep's layout (see above)."""
 
     positions: int
     weights: np.ndarray  # (pairs of the positions, columns) float32
     const: np.ndarray    # (columns,) float32
     flips: np.ndarray    # (columns,) uint8
     classes: int
+    suffix: int          # s, the positions of perm_table(s) in every block
+    blocks: int          # prefix blocks swept
+    tables: int          # prefix positions after the first with a term table
 
 
 @lru_cache(maxsize=None)
 def _swept_form(family: str, n: int) -> SweptForm:
-    """The sweep's form for one group of rank n >= 3, built once and shared,
-    so its arrays are read-only."""
+    """The sweep's form and layout for one group of rank n >= 3, built once
+    and shared, so its arrays are read-only.  A's prefixes keep two
+    positions and sweep the floor(m^2 / 4) pairs (a, b) with a > b and
+    a + b >= m - 1; B's and D's keep one and sweep every value.  Positions
+    1, 2, ... of a prefix keep a term table while the tables fit FLOATS
+    floats together."""
     plan = _build_plan(family, n)
     size = (1 << n) * 2 * plan.width
     units = _units(plan)
@@ -527,22 +538,13 @@ def _swept_form(family: str, n: int) -> SweptForm:
         raise AssertionError(f"{family}_{n} offset keys reach {worst.max():.0f}, past 2**24")
     for array in (weights, const, flips):
         array.flags.writeable = False
-    return SweptForm(n if family == "A" else n - 1, weights, const, flips, units[-1][0] + 1)
-
-
-def _half(plan: SweepPlan) -> tuple[int, int, int]:
-    """The sweep's layout (see above): the columns of its form, the suffix
-    length, and the number of prefix blocks swept.  A keeps two prefix
-    positions and sweeps the blocks whose first two entries have
-    a > b and a + b >= n - 1, floor(n^2 / 4) pairs; in B and D every block
-    of the n - 1 positions is swept."""
-    form = _swept_form(plan.family, plan.n)
-    m, ncols = form.positions, len(form.const)
-    if plan.family == "A":
-        s = min(_suffix_length(m, ncols), m - 2)
-        return ncols, s, m * m // 4 * factorial(m - 2) // factorial(s)
-    s = min(_suffix_length(m, ncols), m - 1)
-    return ncols, s, factorial(m) // factorial(s)
+    m, ncols = (n if family == "A" else n - 1), len(const)
+    # the positions of a prefix's head, and the heads swept
+    head, heads = (2, m * m // 4) if family == "A" else (1, m)
+    s = _suffix(m - head, KEYS // ncols)
+    blocks = heads * factorial(m - head) // factorial(s)
+    tables = min(m - s - 1, FLOATS // ((s + 1) * ncols * factorial(s)))
+    return SweptForm(m, weights, const, flips, units[-1][0] + 1, s, blocks, tables)
 
 
 def _swept_prefixes(family: str, m: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -557,22 +559,14 @@ def _swept_prefixes(family: str, m: int, p: int) -> Iterator[tuple[tuple[int, ..
             if x[0] > x[1] and x[0] + x[1] >= m - 1)
 
 
-def _term_tables(ncols: int, s: int, p: int) -> int:
-    """How many prefix positions after the first keep a table of their s + 1
-    terms: as many as fit FLOATS floats together."""
-    return min(p - 1, FLOATS // ((s + 1) * ncols * factorial(s)))
-
-
 def _sweep_range(plan: SweepPlan, start: int, stop: int) -> np.ndarray:
     """(2^n, 2, width) counts over the swept prefix blocks [start, stop),
     with their partners (see _add_partners): that part of the w0 half."""
     n, width = plan.n, plan.width
     form = _swept_form(plan.family, n)
-    ncols, s, _ = _half(plan)
-    m = form.positions
+    m, ncols, s, ntab = form.positions, len(form.const), form.suffix, form.tables
     p, rows = m - s, factorial(s)
     weights, flips = form.weights, form.flips
-    ntab = _term_tables(ncols, s, p)
     stacked = [0, *range(ntab + 1, p)]  # positions 1..ntab have tables
     nkeys = max(1, KEYS // (ncols * rows))  # blocks binned per bincount
 
@@ -745,7 +739,7 @@ def brute_table(family: str, n: int, workers: int | None = None) -> DescentTable
     plan = _build_plan(family, n)
     if n <= 2:
         return plan.table(perm_table(n))
-    nswept = _half(plan)[2]
+    nswept = _swept_form(family, n).blocks
     nworkers = min(resolve_workers(workers), nswept)
     if nworkers <= 1 or factorial(n) < 50000:
         half = _sweep_range(plan, 0, nswept)

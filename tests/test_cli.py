@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,21 @@ class TestGenfun:
         code, _, err = run(["genfun", "-f", "D", "-n", "3", "-I", "9"], capsys)
         assert code == 2
         assert "error" in err
+
+    def test_a_huge_interval_exits_2_before_it_is_expanded(self):
+        # An interval past n is refused before it is expanded.  Expanded
+        # first, this one asks for tens of GB, so the run gets its own
+        # 1.5 GB address-space limit.
+        src = Path(oddlen.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        limit = 1536 << 20
+        done = subprocess.run(
+            [sys.executable, "-m", "oddlen", "genfun", "-f", "D", "-n", "4", "-I", "0-1000000000"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=False,
+            timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.strip() == "error: index 1000000000 outside [0, 3]"
 
     @pytest.mark.parametrize("item", ["-1", "a", "1_0", "+2"])
     def test_malformed_set_item_is_named(self, capsys, item):

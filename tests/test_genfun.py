@@ -34,12 +34,10 @@ from oddlen.sweep import (
     SHARED_PERMS,
     DescentTable,
     _build_plan,
-    _half,
     _partner_table,
     _swept_form,
     _swept_prefixes,
     _sweep_range,
-    _term_tables,
     _unit_plan,
     _units,
     _w0_row,
@@ -234,7 +232,7 @@ class TestBruteTable:
     def test_worker_split_on_uneven_block_counts(self, family, n):
         # The first worker count that does not divide the swept blocks.
         plan = _build_plan(family, n)
-        nswept = _half(plan)[2]
+        nswept = _swept_form(family, n).blocks
         workers = next(w for w in range(2, nswept) if nswept % w)
         bounds = [nswept * k // workers for k in range(workers + 1)]
         parts = sum(_sweep_range(plan, a, b) for a, b in zip(bounds, bounds[1:]))
@@ -476,47 +474,37 @@ class TestSweepKernel:
                 assert read == [descent_set(sigma, family).mask, ell & 1, odd], sigma
 
     def test_suffix_blocks(self):
-        # (columns, suffix length, blocks swept): A sweeps floor(n^2 / 4)
-        # pairs (a, b) times the orders of the prefix positions past them;
-        # B8's 8 units of 64 sign masks and D8's 7 of 32 and one of 64
-        # (j = 0) sweep 7 blocks each.
-        assert _half(_build_plan("A", 3)) == (1, 1, 2)
-        assert _half(_build_plan("A", 9)) == (1, 7, 20)
-        assert _half(_build_plan("A", 10)) == (1, 8, 25)
-        assert _half(_build_plan("A", 11)) == (1, 8, 270)
-        assert _half(_build_plan("B", 8)) == (512, 6, 7)
-        assert _half(_build_plan("D", 8)) == (288, 6, 7)
-        assert _half(_build_plan("D", 7)) == (128, 5, 6)
-        assert _half(_build_plan("D", 3)) == (4, 1, 2)
-
-        # (prefix positions, positions with a term table), from the plans
-        # alone.  To A10, B8 and D8 every position after the first is
-        # tabled: one of A's two prefix positions and none of B's and D's
-        # one.  Past them the key buffer shortens B's and D10's suffixes.
-        def layout(family, n):
-            ncols, s, _ = _half(_build_plan(family, n))
-            p = n - (family != "A") - s
-            ntab = _term_tables(ncols, s, p)
-            assert ntab * (s + 1) * ncols * factorial(s) <= FLOATS
-            assert ncols * factorial(s) <= min(FLOATS, KEYS)
-            return p, ntab
-
-        for family, top in (("A", 10), ("B", 8), ("D", 8)):
-            for n in range(3, top + 1):
-                assert layout(family, n) == ((2, 1) if family == "A" else (1, 0)), (family, n)
-        assert layout("A", 11) == (3, 2)
-        assert layout("A", 12) == (4, 3)
-        assert layout("B", 9) == (3, 2)
-        assert layout("B", 10) == (4, 1)
-        assert layout("D", 9) == (2, 0)
-        assert layout("D", 10) == (4, 2)
+        # (columns, suffix length, blocks swept, positions with a term
+        # table) of every group within BUDGET and one past it.  A sweeps
+        # floor(n^2 / 4) pairs (a, b) times the orders of the prefix
+        # positions past them; B8's 8 units of 64 sign masks and D8's 7 of
+        # 32 and one of 64 (j = 0) sweep 7 blocks each.  To A10, B8 and D8
+        # every position after the first is tabled: one of A's two prefix
+        # positions and none of B's and D's one.  Past them the key buffer
+        # shortens B's and D10's suffixes.
+        want = {
+            "A": [(1, 1, 2, 1), (1, 2, 4, 1), (1, 3, 6, 1), (1, 4, 9, 1), (1, 5, 12, 1),
+                  (1, 6, 16, 1), (1, 7, 20, 1), (1, 8, 25, 1), (1, 8, 270, 2), (1, 8, 3240, 3)],
+            "B": [(6, 1, 2, 0), (16, 2, 3, 0), (40, 3, 4, 0), (96, 4, 5, 0), (224, 5, 6, 0),
+                  (512, 6, 7, 0), (1152, 5, 336, 2), (2560, 5, 3024, 1)],
+            "D": [(4, 1, 2, 0), (10, 2, 3, 0), (24, 3, 4, 0), (56, 4, 5, 0), (128, 5, 6, 0),
+                  (288, 6, 7, 0), (640, 6, 56, 0), (1408, 5, 3024, 2)],
+        }
+        for family, rows in want.items():
+            assert len(rows) == BUDGET[family] - 1  # ranks 3 to one past the budget
+            for n, layout in enumerate(rows, start=3):
+                form = _swept_form(family, n)
+                ncols, s = len(form.const), form.suffix
+                assert (ncols, s, form.blocks, form.tables) == layout, (family, n)
+                assert form.tables * (s + 1) * ncols * factorial(s) <= FLOATS
+                assert ncols * factorial(s) <= KEYS and s <= SHARED_PERMS
 
     @pytest.mark.parametrize("family, n", KEY_BOUND_RANKS)
     def test_a_block_fits_the_key_buffer(self, family, n):
         # The suffix length keeps one block's keys within KEYS, so the
         # buffer holds whole blocks and is bounded by it.
-        ncols, s, _ = _half(_build_plan(family, n))
-        assert ncols * factorial(s) <= KEYS
+        form = _swept_form(family, n)
+        assert len(form.const) * factorial(form.suffix) <= KEYS
 
     @pytest.mark.parametrize("family, n", QUARTER_RANKS)
     def test_quarter_units_tile_the_group(self, family, n):
@@ -572,7 +560,8 @@ class TestSweepKernel:
         # the prefix's first two entries, the swept blocks have u >= 0 and
         # v > 0, and their partners u <= 0 and v < 0; the blocks left, with
         # u v < 0, are delta's images of class 1 and their complements.
-        _, s, nswept = _half(_build_plan("A", n))
+        form = _swept_form("A", n)
+        s, nswept = form.suffix, form.blocks
         prefixes = set(permutations(range(n), n - s))
         swept = [x for x, _ in _swept_prefixes("A", n, n - s)]
         assert len(swept) == nswept
@@ -605,12 +594,32 @@ class TestSweepKernel:
             assert all(0 < len(block) <= rows for block in blocks), rows
             assert np.array_equal(np.concatenate(blocks), perm_table(n)), rows
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_perm_blocks_read_only_shared_tables(self, monkeypatch, n):
+        # A suffix past SHARED_PERMS would build an unshared table of up to
+        # 11! rows.  A call reads one suffix table before its first block,
+        # so the probe stops it there, and no block is built.
+        class Read(Exception):
+            pass
+
+        def probe(s):
+            raise Read(s)
+
+        monkeypatch.setattr(sweep, "perm_table", probe)
+        bounds = {0, 1, *(factorial(k) + d for k in range(2, n + 1) for d in (-1, 0, 1))}
+        for rows in sorted(bounds):
+            with pytest.raises(Read) as read:
+                next(perm_blocks(n, rows))
+            s = read.value.args[0]
+            assert s == max(k for k in range(1, min(n, SHARED_PERMS) + 1)
+                            if factorial(k) <= max(rows, 1)), rows
+
     def test_prefix_blocks_sum_to_the_whole_sweep(self):
         # A9 sweeps 20 of its 72 two-position prefix blocks, the (a, b) with
         # a > b and a + b >= 8: 4 of class 0 and 16 of class 1, which also
         # count their delta partners.  That is a w0 half.
-        plan = _build_plan("A", 9)
-        assert _half(plan) == (1, 7, 20)
+        plan, form = _build_plan("A", 9), _swept_form("A", 9)
+        assert (len(form.const), form.suffix, form.blocks) == (1, 7, 20)
         classes = Counter(cls for _, cls in _swept_prefixes("A", 9, 2))
         assert classes == {0: 4, 1: 16}
         parts = _sweep_range(plan, 0, 7) + _sweep_range(plan, 7, 20)

@@ -4,6 +4,7 @@ package and genfun through module __getattr__ hooks that cache nothing."""
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -175,3 +176,32 @@ def test_the_served_names_follow_a_rebinding(monkeypatch):
     monkeypatch.undo()
     assert genfun.brute_table is real
     assert oddlen.brute_table is real
+
+
+# The benchmark's tracer rebinds these by name, so a rename breaks the
+# benchmark though no package test calls it: the functions it times (its
+# TIMED table, read from its source without importing bench) and the three
+# attributes its install patches.
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+PATCHED = (("sperm", "in_quotient"), ("genfun", "DescentTable.quotient_poly"),
+           ("checks", "CheckContext.table"))
+
+
+def traced_names() -> list[tuple[str, str]]:
+    """(oddlen module, attribute) of every entry of the tracer's TIMED."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TIMED"]:
+            return [(entry.elts[0].id, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("bench/tracer.py has no TIMED table")
+
+
+def test_the_benchmarks_traced_names_resolve():
+    timed = traced_names()
+    assert ("genfun", "brute_table") in timed  # the scan is not vacuous
+    source = TRACER.read_text()
+    for module, attr in timed + list(PATCHED):
+        assert attr.split(".")[-1] in source, attr
+        obj = importlib.import_module(f"oddlen.{module}")
+        for name in attr.split("."):
+            obj = getattr(obj, name)
+        assert callable(obj), f"{module}.{attr}"

@@ -30,6 +30,9 @@ class TestConstruction:
             IndexSet.from_text(4, "5")
         with pytest.raises(ValueError):
             IndexSet.from_text(3, "junk")
+        # Refused before a billion indices are expanded.
+        with pytest.raises(ValueError, match=re.escape("index 1000000000 outside [0, 3]")):
+            IndexSet.from_text(4, "0-1000000000")
 
     @pytest.mark.parametrize("item", ["1_0", "+2", "-1", "2-", "0x1", "\uff11", "1-+2"])
     def test_from_text_items_are_ascii_digit_strings(self, item):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oddlen import rootsys, sperm
+from oddlen import rootsys
 from oddlen.sweep import perm_table, sweep_plan
 from oddlen.rootsys import (
     build_root_system,
@@ -197,9 +197,7 @@ class TestPastTheKeyLimit:
 
     @pytest.mark.parametrize("n", [16, 20, 24])
     @pytest.mark.parametrize("family", ["A", "B", "D"])
-    def test_seeded_elements_match_the_scalar_statistics(self, family, n, monkeypatch):
-        # SignedPerm's degree cap bounds parsed input; the statistics have none.
-        monkeypatch.setattr(sperm, "MAX_DEGREE", n)
+    def test_seeded_elements_match_the_scalar_statistics(self, family, n):
         rs = build_root_system(family, n)
         perms, masks = _seeded(family, n, np.random.default_rng(n))
         counts = np.stack(root_counts(rs, perms, masks), axis=2)

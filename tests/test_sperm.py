@@ -61,6 +61,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SignedPerm(images)
 
+    def test_degree_has_no_cap(self):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            SignedPerm(())
+        assert SignedPerm.identity(25).n == 25
+
     def test_from_text_roundtrip(self):
         s = SignedPerm.from_text("3 -2 5 1 -4")
         assert s.images == (3, -2, 5, 1, -4)
